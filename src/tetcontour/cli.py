@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +39,6 @@ class PipelineConfig:
     isovalues: dict = field(default_factory=dict)
     out: str = "."
     threads: int = 1
-    seed: int = 0
 
     def validate(self):
         tetgen = self.node is not None or self.ele is not None
@@ -77,37 +77,36 @@ def _pipeline(config: PipelineConfig):
     """All stages, returning artifacts plus per-stage wall times."""
     times = {}
 
-    def stage(name, fn):
+    @contextmanager
+    def stage(name):
         start = time.perf_counter()
         try:
-            result = fn()
+            yield
         except Exception as exc:          # noqa: BLE001 - tagged re-raise
             raise StageError(name, exc) from exc
         times[name] = time.perf_counter() - start
-        return result
 
-    mesh = stage("load", lambda: _load(config))
-    graph, order, tree = stage("construction", lambda: (
-        lambda g, o: (g, o, build_contour_tree(g, o, mesh.values)))(
-            build_topology_graph(mesh), build_vertex_order(mesh)))
-    deltas, volumes, weights = stage("weights", lambda: _weights(
-        mesh, tree, order, config))
-    branches = stage("branch decomposition",
-                     lambda: decomposition.decompose(tree, weights))
-    return mesh, tree, volumes, weights, branches, times
-
-
-def _weights(mesh, tree, order, config):
-    deltas = hypersweep.compute_deltas(mesh, order, threads=config.threads)
-    volumes = hypersweep.sweep_volumes(mesh, tree, deltas)
-    if config.weights == "volume":
-        weights = hypersweep.volume_weights(volumes, mesh.total_volume())
-    else:
-        weights = hypersweep.count_weights(tree)
-    return deltas, volumes, weights
+    with stage("load"):
+        mesh = _load(config)
+    with stage("construction"):
+        graph = build_topology_graph(mesh)
+        order = build_vertex_order(mesh)
+        tree = build_contour_tree(graph, order, mesh.values)
+    with stage("weights"):
+        total_volume = mesh.total_volume()
+        deltas = hypersweep.compute_deltas(mesh, order,
+                                           threads=config.threads)
+        volumes = hypersweep.sweep_volumes(mesh, tree, deltas)
+        if config.weights == "volume":
+            weights = hypersweep.volume_weights(volumes, total_volume)
+        else:
+            weights = hypersweep.count_weights(tree)
+    with stage("branch decomposition"):
+        branches = decomposition.decompose(tree, weights)
+    return mesh, tree, volumes, weights, branches, total_volume, times
 
 
-def _branch_extraction(tree: ContourTree, branch, volumes, overrides):
+def _branch_extraction(tree: ContourTree, branch, overrides):
     """(superarc, isovalue) a branch's contour is extracted at."""
     if branch.rank == 0 or branch.attachment_supernode < 0:
         lo = tree.supernode_value(branch.lower_supernode)
@@ -193,7 +192,8 @@ def cmd_run(config: PipelineConfig) -> int:
     config.validate()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    mesh, tree, volumes, weights, branches, times = _pipeline(config)
+    mesh, tree, volumes, weights, branches, total_volume, times = \
+        _pipeline(config)
 
     try:
         _write_tree_json(out / "tree.json", mesh, tree)
@@ -202,7 +202,7 @@ def cmd_run(config: PipelineConfig) -> int:
         extractions = {}
         materials = []
         for b in top:
-            arc, h = _branch_extraction(tree, b, volumes, config.isovalues)
+            arc, h = _branch_extraction(tree, b, config.isovalues)
             extractions[b.rank] = (arc, h)
             soup = isosurface.extract_superarc_contour(mesh, tree, arc, h)
             name = f"branch_{b.rank}"
@@ -214,15 +214,13 @@ def cmd_run(config: PipelineConfig) -> int:
         isosurface.write_mtl(out / "branches.mtl", materials)
         _write_branches_json(out / "branches.json", tree, branches,
                              extractions)
-    except StageError:
-        raise
     except Exception as exc:              # noqa: BLE001 - tagged re-raise
         raise StageError("output", exc) from exc
 
     print(f"vertices {mesh.vertex_count} tets {mesh.tet_count} "
           f"supernodes {tree.supernode_count} "
           f"superarcs {tree.superarc_count}")
-    print(f"total volume {_fmt(mesh.total_volume())}")
+    print(f"total volume {_fmt(total_volume)}")
     for name, secs in times.items():
         print(f"time {name} {secs:.3f}s")
     return 0
@@ -239,8 +237,7 @@ def cmd_bench(config: PipelineConfig) -> int:
 
 
 def cmd_verify(seed: int, tets: int) -> int:
-    from .geometry import batch_spline_coefficients, build_tet_spline
-    from .mesh import build_topology_graph, build_vertex_order
+    from .geometry import build_tet_spline
 
     rng = np.random.default_rng(seed)
     failures = []
@@ -351,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the extraction isovalue of a superarc")
         p.add_argument("--out", default=".")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
 
     add_input_flags(sub.add_parser("run", help="full pipeline"))
     add_input_flags(sub.add_parser("bench", help="per-stage timings"))
@@ -369,7 +365,7 @@ def _config_from_args(args) -> PipelineConfig:
         raw=args.raw, spacing=tuple(args.spacing),
         weights=args.weights, top=args.top,
         isovalues=_parse_isovalue(args.isovalue),
-        out=args.out, threads=args.threads, seed=args.seed)
+        out=args.out, threads=args.threads)
 
 
 def main(argv=None) -> int:

@@ -315,19 +315,26 @@ def _arc_contains(tree: ContourTree, sn_vals, arc: int, h: float) -> bool:
 
 def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float,
                     up_arcs=None, down_arcs=None) -> set:
-    """All superarcs containing isovalue h reachable from the seed's arc
-    by a value-monotone walk (upward when h is above the seed's arc)."""
+    """All superarcs containing isovalue h reachable from the seed by a
+    value-monotone walk (upward when h is at or above the seed's value).
+
+    A regular seed starts from its own superarc. A supernode seed starts
+    from every arc leaving it in the walk's direction (all up-arcs of a
+    split saddle, not only its canonical one), or from its canonical arc
+    at an extremum with no arc that way.
+    """
     sn_vals = tree.values[tree.supernodes]
     if up_arcs is None or down_arcs is None:
         up_arcs, down_arcs = arc_incidence(tree)
-    start = int(tree.arc_of[seed_vertex])
-    if _arc_contains(tree, sn_vals, start, h):
-        return {start}
-    lo0, hi0 = tree.superarcs[start]
-    going_up = h >= sn_vals[hi0]
-    hits = set()
-    stack = [start]
-    visited = {start}
+    going_up = h >= tree.values[seed_vertex]
+    sn = tree.supernode_of[seed_vertex]
+    starts = (up_arcs[sn] if going_up else down_arcs[sn]) if sn >= 0 else []
+    if not starts:
+        starts = [int(tree.arc_of[seed_vertex])]
+    # a start arc either contains h or lies wholly before it on the walk
+    hits = {a for a in starts if _arc_contains(tree, sn_vals, a, h)}
+    stack = [a for a in starts if a not in hits]
+    visited = set(starts)
     while stack:
         arc = stack.pop()
         lo, hi = tree.superarcs[arc]
@@ -359,7 +366,7 @@ def arc_incidence(tree: ContourTree):
 def superarc_at_value(tree: ContourTree, seed_vertex: int, h: float) -> int:
     """Superarc whose contour at isovalue h the seed's arc flows into.
 
-    Walks monotonically from arcOf(seed) toward h, branching where a
+    Walks monotonically from the seed toward h, branching where a
     saddle offers several continuations; the result is the unique superarc
     straddling h reachable that way, or NOT_FOUND when there is none or
     the straddling superarc is ambiguous. Queries exactly at a supernode

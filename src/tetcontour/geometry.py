@@ -11,6 +11,10 @@ interpolant, with the constant of integration pinned by continuity at h_B.
 
 All polynomials are kept in unnormalized standard form a*h^3+b*h^2+c*h+d so
 that coefficient vectors from different tets can be summed directly.
+
+batch_spline_coefficients is the one implementation of this math, vectorized
+over many tets; build_tet_spline runs it on a single tet. Independent checks
+come from the clipping oracles in oracle.py, not from a second derivation.
 """
 from __future__ import annotations
 
@@ -21,201 +25,16 @@ import numpy as np
 from .mesh import TetMesh, VertexOrder
 
 
-@dataclass(frozen=True)
-class CubicPoly:
-    """a*h^3 + b*h^2 + c*h + d."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __call__(self, h):
-        return ((self.a * h + self.b) * h + self.c) * h + self.d
-
-    def coeffs(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-    @staticmethod
-    def zero() -> "CubicPoly":
-        return CubicPoly(0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_coeffs(c) -> "CubicPoly":
-        return CubicPoly(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-
-
-@dataclass(frozen=True)
-class TetFrame:
-    """A tet relabeled into ascending-value order, with the derived geometry.
-
-    vertices holds the global indices (A, B, C, D) so that their ranks in
-    the global vertex order strictly ascend. E, F are the lower contour
-    triangle's interpolated corners (on edges AD, AC at h_B); G, H the upper
-    ones (on AD, BD at h_C). Angles and the inter-plane distance are kept
-    for diagnostics; the mid-range area expansion works directly from the
-    cross-product form and never extracts angles.
-    """
-
-    vertices: np.ndarray        # (4,) global indices, rank-ascending
-    values: np.ndarray          # (4,) h_A..h_D
-    positions: np.ndarray       # (4, 3)
-    point_e: np.ndarray
-    point_f: np.ndarray
-    point_g: np.ndarray
-    point_h: np.ndarray
-    sin_theta: float            # angle at H in triangle CGH
-    sin_phi: float              # angle at F in triangle BEF
-    plane_distance: float       # distance between the h_B and h_C planes
-    gradient: np.ndarray        # (3,) gradient of the linear interpolant
-    area_bef: float
-    area_cgh: float
-    vol_abef: float
-    vol_dcgh: float
-    total_volume: float
-
-    @property
-    def grad_mag(self) -> float:
-        return float(np.linalg.norm(self.gradient))
-
-    @property
-    def coarea_factor(self) -> float:
-        """1 / |grad f|; multiplies the area integral to give volume."""
-        return 1.0 / self.grad_mag
-
-    @property
-    def lengths(self):
-        """Segment lengths (BE, EF, BF, CG, GH, CH) of the two contours."""
-        b, e, f = self.positions[1], self.point_e, self.point_f
-        c, g, h = self.positions[2], self.point_g, self.point_h
-        return (float(np.linalg.norm(e - b)), float(np.linalg.norm(f - e)),
-                float(np.linalg.norm(f - b)), float(np.linalg.norm(g - c)),
-                float(np.linalg.norm(h - g)), float(np.linalg.norm(h - c)))
-
-
 def sort_tet_vertices(tet, order: VertexOrder) -> np.ndarray:
     """Relabel a 4-tuple of vertex indices so global ranks strictly ascend."""
     tet = np.asarray(tet, dtype=np.int64)
     return tet[np.argsort(order.rank[tet], kind="stable")]
 
 
-def _interp(pa, pb, va, vb, h):
-    """Point on segment a-b where the linear field takes value h."""
-    span = vb - va
-    t = 0.0 if span == 0.0 else (h - va) / span
-    return pa + t * (pb - pa)
-
-
-def _tri_sin(apex, p, q):
-    """sin of the angle at `apex` via the cross-product norm, never arccos."""
-    u = p - apex
-    v = q - apex
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.linalg.norm(np.cross(u, v)) / (nu * nv))
-
-
-def build_tet_frame(mesh: TetMesh, tet_index: int,
-                    order: VertexOrder) -> TetFrame:
-    verts = sort_tet_vertices(mesh.tets[tet_index], order)
-    pos = mesh.positions[verts]
-    val = mesh.values[verts]
-    pa, pb, pc, pd = pos
-    ha, hb, hc, hd = val
-
-    e = _interp(pa, pd, ha, hd, hb)   # on AD at h_B
-    f = _interp(pa, pc, ha, hc, hb)   # on AC at h_B
-    g = _interp(pa, pd, ha, hd, hc)   # on AD at h_C
-    h = _interp(pb, pd, hb, hd, hc)   # on BD at h_C
-
-    edges = pos[1:] - pos[0]
-    grad = np.linalg.solve(edges, val[1:] - val[0]) if hd > ha else \
-        np.zeros(3)
-
-    area_bef = 0.5 * float(np.linalg.norm(np.cross(pb - f, e - f)))
-    area_cgh = 0.5 * float(np.linalg.norm(np.cross(g - pc, h - pc)))
-    vol_abef = abs(float(np.dot(pb - pa, np.cross(e - pa, f - pa)))) / 6.0
-    vol_dcgh = abs(float(np.dot(pc - pd, np.cross(g - pd, h - pd)))) / 6.0
-    total = abs(float(np.dot(edges[0], np.cross(edges[1], edges[2])))) / 6.0
-
-    gmag = float(np.linalg.norm(grad))
-    plane_distance = (hc - hb) / gmag if gmag > 0.0 else 0.0
-    return TetFrame(
-        vertices=verts, values=val, positions=pos,
-        point_e=e, point_f=f, point_g=g, point_h=h,
-        sin_theta=_tri_sin(h, pc, g), sin_phi=_tri_sin(f, pb, e),
-        plane_distance=plane_distance, gradient=grad,
-        area_bef=area_bef, area_cgh=area_cgh,
-        vol_abef=vol_abef, vol_dcgh=vol_dcgh, total_volume=total)
-
-
-def low_range_piece(frame: TetFrame) -> CubicPoly:
-    """V1(h) = Vol(ABEF) * ((h - h_A) / (h_B - h_A))^3 in standard form."""
-    ha, hb = frame.values[0], frame.values[1]
-    width = hb - ha
-    if width <= 0.0:
-        return CubicPoly.zero()
-    k = frame.vol_abef / width ** 3
-    return CubicPoly(k, -3.0 * ha * k, 3.0 * ha * ha * k, -ha ** 3 * k)
-
-
-def high_range_piece(frame: TetFrame) -> CubicPoly:
-    """V3(h) = total - Vol(DCGH) * ((h_D - h) / (h_D - h_C))^3."""
-    hc, hd = frame.values[2], frame.values[3]
-    width = hd - hc
-    if width <= 0.0:
-        return CubicPoly.zero()
-    k = frame.vol_dcgh / width ** 3
-    return CubicPoly(k, -3.0 * hd * k, 3.0 * hd * hd * k,
-                     frame.total_volume - hd ** 3 * k)
-
-
-def mid_area_coefficients(frame: TetFrame):
-    """Quadratic cross-section area on [h_B, h_C] as (alpha, beta, gamma).
-
-    The quad's corners move linearly in h along the four cut edges
-    (AD: E->G, AC: F->C, BC: B->C, BD: B->H). With X_i(h) = U_i h + W_i and
-    the fixed plane normal n (the gradient direction), the shoelace form
-    Area = 0.5 * n . sum_i X_i x X_{i+1} expands exactly to a quadratic.
-    """
-    hb, hc = frame.values[1], frame.values[2]
-    width = hc - hb
-    if width <= 0.0:
-        return 0.0, 0.0, 0.0
-    pb, pc = frame.positions[1], frame.positions[2]
-    starts = np.array([frame.point_e, frame.point_f, pb, pb])
-    ends = np.array([frame.point_g, pc, pc, frame.point_h])
-    u = (ends - starts) / width
-    w = starts - u * hb
-    u_next = np.roll(u, -1, axis=0)
-    w_next = np.roll(w, -1, axis=0)
-    s2 = np.sum(np.cross(u, u_next), axis=0)
-    s1 = np.sum(np.cross(u, w_next) + np.cross(w, u_next), axis=0)
-    s0 = np.sum(np.cross(w, w_next), axis=0)
-    normal = frame.gradient / frame.grad_mag
-    alpha = 0.5 * float(np.dot(normal, s2))
-    beta = 0.5 * float(np.dot(normal, s1))
-    gamma = 0.5 * float(np.dot(normal, s0))
-    mid = 0.5 * (hb + hc)
-    if (alpha * mid + beta) * mid + gamma < 0.0:
-        alpha, beta, gamma = -alpha, -beta, -gamma
-    return alpha, beta, gamma
-
-
-def mid_range_piece(frame: TetFrame) -> CubicPoly:
-    """Integrate the quad area against 1/|grad f|, continuous at h_B."""
-    hb, hc = frame.values[1], frame.values[2]
-    if hc - hb <= 0.0:
-        return CubicPoly.zero()
-    alpha, beta, gamma = mid_area_coefficients(frame)
-    kappa = frame.coarea_factor
-    a = alpha * kappa / 3.0
-    b = beta * kappa / 2.0
-    c = gamma * kappa
-    d = frame.vol_abef - ((a * hb + b) * hb + c) * hb
-    return CubicPoly(a, b, c, d)
+def horner(rows, h):
+    """Standard-form rows [a, b, c, d] evaluated at h."""
+    return ((rows[..., 0] * h + rows[..., 1]) * h + rows[..., 2]) * h \
+        + rows[..., 3]
 
 
 @dataclass(frozen=True)
@@ -236,9 +55,7 @@ class TetSpline:
         h = np.asarray(h, dtype=np.float64)
         idx = np.clip(np.searchsorted(self.breakpoints, h, side="right") - 1,
                       0, 2)
-        coeff = self.pieces[idx]
-        out = ((coeff[..., 0] * h + coeff[..., 1]) * h
-               + coeff[..., 2]) * h + coeff[..., 3]
+        out = horner(self.pieces[idx], h)
         out = np.where(h < self.breakpoints[0], 0.0, out)
         out = np.where(h >= self.breakpoints[3], self.total_volume, out)
         return out if out.ndim else float(out)
@@ -246,32 +63,30 @@ class TetSpline:
 
 def build_tet_spline(mesh: TetMesh, tet_index: int,
                      order: VertexOrder) -> TetSpline:
-    frame = build_tet_frame(mesh, tet_index, order)
-    pieces = np.array([low_range_piece(frame).coeffs(),
-                       mid_range_piece(frame).coeffs(),
-                       high_range_piece(frame).coeffs()])
-    return TetSpline(frame.values.copy(), pieces, frame.total_volume)
+    """The spline of one tet: the batch kernel applied to a batch of one."""
+    verts = sort_tet_vertices(mesh.tets[tet_index], order)
+    values = mesh.values[verts]
+    p1, p2, p3, total = batch_spline_coefficients(
+        mesh.positions[verts][None], values[None])
+    return TetSpline(values, np.concatenate([p1, p2, p3]),
+                     float(total[0]))
 
 
-def area_at(frame: TetFrame, h: float) -> float:
-    """Piecewise quadratic cross-section area of the contour plane at h."""
-    ha, hb, hc, hd = frame.values
-    if h < ha or h > hd:
-        return 0.0
-    if h <= hb:
-        width = hb - ha
-        if width <= 0.0:
-            return 0.0
-        r = (h - ha) / width
-        return frame.area_bef * r * r
-    if h <= hc:
-        alpha, beta, gamma = mid_area_coefficients(frame)
-        return (alpha * h + beta) * h + gamma
-    width = hd - hc
-    if width <= 0.0:
-        return 0.0
-    t = (hd - h) / width
-    return frame.area_cgh * t * t
+def _ratio(num, den, ok):
+    """num / den where ok, else 0, never dividing by a masked-out den."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+
+
+def _corner_cubic(volume, h0, width):
+    """volume * ((h - h0) / width)^3 as standard-form rows; rows of zero
+    width are all zero."""
+    ok = width > 0.0
+    k = _ratio(volume, width ** 3, ok)
+    rows = np.stack([k, -3.0 * h0 * k, 3.0 * h0 * h0 * k, -h0 ** 3 * k],
+                    axis=1)
+    rows[~ok] = 0.0
+    return rows
 
 
 def batch_spline_coefficients(positions, values):
@@ -296,11 +111,10 @@ def batch_spline_coefficients(positions, values):
 
     def cut(p0, p1, v0, v1, h):
         span = v1 - v0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(span != 0.0, (h - v0) / np.where(span != 0.0,
-                                                          span, 1.0), 0.0)
+        t = _ratio(h - v0, span, span != 0.0)
         return p0 + t[:, None] * (p1 - p0)
 
+    # lower contour triangle BEF at h_B, upper triangle CGH at h_C
     e = cut(pa, pd, ha, hd, hb)
     f = cut(pa, pc, ha, hc, hb)
     g = cut(pa, pd, ha, hd, hc)
@@ -319,55 +133,35 @@ def batch_spline_coefficients(positions, values):
         grad[nondeg] = np.linalg.solve(edges[nondeg], rhs)[:, :, 0]
     gmag = np.linalg.norm(grad, axis=1)
 
-    w1 = hb - ha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = np.where(w1 > 0.0, vol_abef / np.where(w1 > 0.0, w1, 1.0) ** 3,
-                      0.0)
-    p1 = np.empty((m, 4))
-    p1[:, 0] = k1
-    p1[:, 1] = -3.0 * ha * k1
-    p1[:, 2] = 3.0 * ha * ha * k1
-    p1[:, 3] = -ha ** 3 * k1
-    p1[w1 <= 0.0] = 0.0
+    # growing corner ABEF, and total minus the shrinking corner DCGH
+    p1 = _corner_cubic(vol_abef, ha, hb - ha)
+    p3 = _corner_cubic(vol_dcgh, hd, hd - hc)
+    high_ok = hd > hc
+    p3[high_ok, 3] += total[high_ok]
 
-    w3 = hd - hc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k3 = np.where(w3 > 0.0, vol_dcgh / np.where(w3 > 0.0, w3, 1.0) ** 3,
-                      0.0)
-    p3 = np.empty((m, 4))
-    p3[:, 0] = k3
-    p3[:, 1] = -3.0 * hd * k3
-    p3[:, 2] = 3.0 * hd * hd * k3
-    p3[:, 3] = total - hd ** 3 * k3
-    p3[w3 <= 0.0] = 0.0
-
-    # middle piece: quad corner trajectories X_i(h) = U_i h + W_i
+    # middle piece: the quad's corners move linearly along the cut edges
+    # (AD: E->G, AC: F->C, BC: B->C, BD: B->H) as X_i(h) = U_i h + W_i;
+    # the shoelace area 0.5 * n . sum_i X_i x X_{i+1} about the gradient
+    # direction n expands exactly to a quadratic alpha h^2 + beta h + gamma
     w2 = hc - hb
     mid_ok = w2 > 0.0
     starts = np.stack([e, f, pb, pb], axis=1)        # (m, 4, 3)
     ends = np.stack([g, pc, pc, hh], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_w2 = np.where(mid_ok, 1.0 / np.where(mid_ok, w2, 1.0), 0.0)
-    u = (ends - starts) * inv_w2[:, None, None]
+    u = (ends - starts) * _ratio(1.0, w2, mid_ok)[:, None, None]
     w = starts - u * hb[:, None, None]
     u_next = np.roll(u, -1, axis=1)
     w_next = np.roll(w, -1, axis=1)
     s2 = np.sum(np.cross(u, u_next), axis=1)
     s1 = np.sum(np.cross(u, w_next) + np.cross(w, u_next), axis=1)
     s0 = np.sum(np.cross(w, w_next), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normal = grad / np.where(gmag > 0.0, gmag, 1.0)[:, None]
+    normal = grad / np.where(gmag > 0.0, gmag, 1.0)[:, None]
     alpha = 0.5 * np.einsum("ij,ij->i", normal, s2)
     beta = 0.5 * np.einsum("ij,ij->i", normal, s1)
     gamma = 0.5 * np.einsum("ij,ij->i", normal, s0)
     hmid = 0.5 * (hb + hc)
     neg = (alpha * hmid + beta) * hmid + gamma < 0.0
-    alpha = np.where(neg, -alpha, alpha)
-    beta = np.where(neg, -beta, beta)
-    gamma = np.where(neg, -gamma, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = np.where(gmag > 0.0, 1.0 / np.where(gmag > 0.0, gmag, 1.0),
-                         0.0)
+    alpha, beta, gamma = (np.where(neg, -x, x) for x in (alpha, beta, gamma))
+    kappa = _ratio(1.0, gmag, gmag > 0.0)
     p2 = np.empty((m, 4))
     p2[:, 0] = alpha * kappa / 3.0
     p2[:, 1] = beta * kappa / 2.0

@@ -11,12 +11,13 @@ pass over the superarc tree rooted at the global maximum.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contourtree import ContourTree
-from .geometry import batch_spline_coefficients
+from .geometry import batch_spline_coefficients, horner
 from .mesh import TetMesh, VertexOrder
 
 
@@ -29,43 +30,32 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
 
     Summed over any vertex subset that is downward-closed along the tree
     these give the subset's exact swept volume polynomial; summed over all
-    vertices they telescope to (0, 0, 0, total mesh volume). Accumulation
-    uses Neumaier compensation in a fixed order so results are independent
-    of thread count and reproducible run to run.
+    vertices they telescope to (0, 0, 0, total mesh volume). The spline
+    kernel always runs over fixed blocks of _CHUNK tets, each writing its
+    per-corner differences straight into one contribution array; threads
+    only sets how many blocks run at once. Accumulation uses Neumaier
+    compensation in a fixed order, so results are bit-identical for any
+    thread count and reproducible run to run.
     """
     tets = mesh.tets
-    rank = order.rank
-    sort_cols = np.argsort(rank[tets], axis=1, kind="stable")
+    sort_cols = np.argsort(order.rank[tets], axis=1, kind="stable")
     sorted_tets = np.take_along_axis(tets, sort_cols, axis=1)
     m = tets.shape[0]
-    pos = mesh.positions[sorted_tets]
-    vals = mesh.values[sorted_tets]
-    if threads > 1 and m > _CHUNK:
-        # fixed chunk boundaries: only executor width varies with the
-        # thread count, so results are bit-identical for any setting
-        from concurrent.futures import ThreadPoolExecutor
-
-        p1 = np.empty((m, 4))
-        p2 = np.empty((m, 4))
-        p3 = np.empty((m, 4))
-        total = np.empty(m)
-
-        def work(lo):
-            hi = min(lo + _CHUNK, m)
-            p1[lo:hi], p2[lo:hi], p3[lo:hi], total[lo:hi] = \
-                batch_spline_coefficients(pos[lo:hi], vals[lo:hi])
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(0, m, _CHUNK)))
-    else:
-        p1, p2, p3, total = batch_spline_coefficients(pos, vals)
-
     contrib = np.empty((m, 4, 4))
-    contrib[:, 0] = p1
-    contrib[:, 1] = p2 - p1
-    contrib[:, 2] = p3 - p2
-    contrib[:, 3] = -p3
-    contrib[:, 3, 3] += total
+
+    def work(lo):
+        block = sorted_tets[lo:lo + _CHUNK]
+        p1, p2, p3, total = batch_spline_coefficients(
+            mesh.positions[block], mesh.values[block])
+        out = contrib[lo:lo + _CHUNK]
+        out[:, 0] = p1
+        out[:, 1] = p2 - p1
+        out[:, 2] = p3 - p2
+        out[:, 3] = -p3
+        out[:, 3, 3] += total
+
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        list(ex.map(work, range(0, m, _CHUNK)))
 
     targets = sorted_tets.ravel()                 # (4m,) vertex per row
     rows = contrib.reshape(-1, 4)
@@ -110,54 +100,34 @@ class SuperarcVolume:
     breakpoints: np.ndarray
     segments: np.ndarray
 
-    def segment_at(self, h: float) -> int:
-        j = int(np.searchsorted(self.breakpoints, h, side="right"))
-        return j
-
     def __call__(self, h):
         h = np.asarray(h, dtype=np.float64)
-        j = np.searchsorted(self.breakpoints, h, side="right")
-        rows = self.segments[j]
-        return (((rows[..., 0] * h + rows[..., 1]) * h
-                 + rows[..., 2]) * h + rows[..., 3])
+        return horner(self.segments[
+            np.searchsorted(self.breakpoints, h, side="right")], h)
 
     @property
     def weight_bottom(self) -> float:
-        row = self.segments[0]
-        h = self.h_lo
-        return float(((row[0] * h + row[1]) * h + row[2]) * h + row[3])
+        return float(horner(self.segments[0], self.h_lo))
 
     @property
     def weight_top(self) -> float:
-        row = self.segments[-1]
-        h = self.h_hi
-        return float(((row[0] * h + row[1]) * h + row[2]) * h + row[3])
+        return float(horner(self.segments[-1], self.h_hi))
 
 
-def sweep_volumes(mesh: TetMesh, tree: ContourTree,
-                  deltas: np.ndarray | None = None,
-                  order: VertexOrder | None = None) -> list:
-    """SuperarcVolume for every superarc, via one leaf-to-root pass.
+def subtree_sums(tree: ContourTree, per_vertex: np.ndarray):
+    """Leaf-to-root sums of a per-vertex quantity over the superarc tree.
 
-    With the superarc tree rooted at the global maximum, sub[s] is the
-    delta sum over the full subtree hanging off supernode s (including the
-    regular vertices of the arcs inside it but not of s's parent arc).
-    An arc whose lower end is the child reads its base polynomial straight
-    from sub; an arc entered from above uses total-minus-complement.
+    With the tree rooted at the global maximum, sub[s] sums per_vertex over
+    the full subtree hanging off supernode s (including the regular
+    vertices of the arcs inside it but not of s's parent arc); reg_sums[a]
+    is the sum over arc a's regular vertices. Returns (sub, reg_sums).
     """
-    if deltas is None:
-        from .mesh import build_vertex_order
-        if order is None:
-            order = build_vertex_order(mesh)
-        deltas = compute_deltas(mesh, order)
-    total_poly = deltas.sum(axis=0)
-
     k = tree.supernode_count
-    sn_delta = deltas[tree.supernodes]
-    reg_sums = np.zeros((tree.superarc_count, 4))
+    own = per_vertex[tree.supernodes]
+    reg_sums = np.zeros((tree.superarc_count,) + per_vertex.shape[1:])
     for a, regs in enumerate(tree.arc_regulars):
         if len(regs):
-            reg_sums[a] = deltas[regs].sum(axis=0)
+            reg_sums[a] = per_vertex[regs].sum(axis=0)
 
     # children lists under the rooting at the global maximum
     children = [[] for _ in range(k)]
@@ -167,13 +137,13 @@ def sweep_volumes(mesh: TetMesh, tree: ContourTree,
         parent = lo if child == hi else hi
         children[parent].append((child, a))
 
-    sub = np.zeros((k, 4))
+    sub = np.zeros((k,) + per_vertex.shape[1:])
     # iterative post-order from the root
     stack = [(tree.root, False)]
     while stack:
         s, done = stack.pop()
         if done:
-            acc = sn_delta[s].copy()
+            acc = own[s].copy()
             for c, a in children[s]:
                 acc += sub[c] + reg_sums[a]
             sub[s] = acc
@@ -181,6 +151,25 @@ def sweep_volumes(mesh: TetMesh, tree: ContourTree,
             stack.append((s, True))
             for c, _ in children[s]:
                 stack.append((c, False))
+    return sub, reg_sums
+
+
+def sweep_volumes(mesh: TetMesh, tree: ContourTree,
+                  deltas: np.ndarray | None = None,
+                  order: VertexOrder | None = None) -> list:
+    """SuperarcVolume for every superarc, via one leaf-to-root pass.
+
+    An arc whose lower end is the child reads its base polynomial straight
+    from the subtree sum of that child; an arc entered from above uses
+    total-minus-complement.
+    """
+    if deltas is None:
+        from .mesh import build_vertex_order
+        if order is None:
+            order = build_vertex_order(mesh)
+        deltas = compute_deltas(mesh, order)
+    total_poly = deltas.sum(axis=0)
+    sub, reg_sums = subtree_sums(tree, deltas)
 
     values = tree.values
     out = []
@@ -236,31 +225,10 @@ def volume_weights(volumes: list, total_volume: float) -> ArcWeights:
 
 
 def count_weights(tree: ContourTree) -> ArcWeights:
-    """Vertex-count analogue of the swept volume, by the same tree pass."""
+    """Vertex-count analogue of the swept volume: the same subtree pass
+    over a count of one per vertex."""
     n = tree.values.shape[0]
-    deltas = np.ones((n, 1))
-    k = tree.supernode_count
-    reg_counts = np.array([len(r) for r in tree.arc_regulars],
-                          dtype=np.float64)
-    children = [[] for _ in range(k)]
-    for a in range(tree.superarc_count):
-        child = tree.arc_child[a]
-        lo, hi = tree.superarcs[a]
-        parent = lo if child == hi else hi
-        children[parent].append((child, a))
-    sub = np.zeros(k)
-    stack = [(tree.root, False)]
-    while stack:
-        s, done = stack.pop()
-        if done:
-            acc = 1.0
-            for c, a in children[s]:
-                acc += sub[c] + reg_counts[a]
-            sub[s] = acc
-        else:
-            stack.append((s, True))
-            for c, _ in children[s]:
-                stack.append((c, False))
+    sub, reg_counts = subtree_sums(tree, np.ones(n))
     down = np.empty(tree.superarc_count)
     up = np.empty(tree.superarc_count)
     for a in range(tree.superarc_count):

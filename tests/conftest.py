@@ -22,6 +22,12 @@ def random_tet(rng, min_det=1e-3):
             return pos, vals
 
 
+def coarea_factor(pos, vals):
+    """1 / |grad f| of the linear interpolant on one tet."""
+    grad = np.linalg.solve(pos[1:] - pos[0], vals[1:] - vals[0])
+    return 1.0 / np.linalg.norm(grad)
+
+
 def single_tet_mesh(pos, vals):
     return TetMesh.create(pos, vals, np.arange(4)[None, :])
 

@@ -12,9 +12,7 @@ import pytest
 from tetcontour.cli import main
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.decomposition import decompose
-from tetcontour.geometry import (area_at, build_tet_frame, build_tet_spline,
-                                 high_range_piece, low_range_piece,
-                                 mid_range_piece)
+from tetcontour.geometry import build_tet_spline
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
 from tetcontour.isosurface import (euler_characteristic,
@@ -22,11 +20,11 @@ from tetcontour.isosurface import (euler_characteristic,
                                    march_tets)
 from tetcontour.mesh import (TetMesh, build_topology_graph,
                              build_vertex_order, grid_to_tets)
-from tetcontour.oracle import (clip_volume, reference_contour_count,
-                               region_volume)
+from tetcontour.oracle import (clip_area, clip_volume,
+                               reference_contour_count, region_volume)
 
-from conftest import (gaussian_grid_mesh, random_tet, single_tet_mesh,
-                      two_peak_mesh)
+from conftest import (coarea_factor, gaussian_grid_mesh, random_tet,
+                      single_tet_mesh, two_peak_mesh)
 
 
 def _report(number, name, ok, detail=""):
@@ -81,16 +79,14 @@ def test_criterion_03_continuity_and_coarea():
     for _ in range(60):
         pos, vals = random_tet(rng)
         mesh = single_tet_mesh(pos, vals)
-        order = build_vertex_order(mesh)
-        frame = build_tet_frame(mesh, 0, order)
-        spline = build_tet_spline(mesh, 0, order)
-        ha, hb, hc, hd = frame.values
-        total = frame.total_volume
-        p1, p2, p3 = (low_range_piece(frame), mid_range_piece(frame),
-                      high_range_piece(frame))
-        worst_c0 = max(worst_c0, abs(p1(hb) - p2(hb)) / total,
-                       abs(p2(hc) - p3(hc)) / total)
-        kappa = frame.coarea_factor
+        spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
+        ha, hb, hc, hd = spline.breakpoints
+        total = spline.total_volume
+        p1, p2, p3 = spline.pieces
+        worst_c0 = max(worst_c0,
+                       abs(np.polyval(p1, hb) - np.polyval(p2, hb)) / total,
+                       abs(np.polyval(p2, hc) - np.polyval(p3, hc)) / total)
+        kappa = coarea_factor(pos, vals)
         for piece, (lo, hi) in enumerate(((ha, hb), (hb, hc), (hc, hd))):
             width = hi - lo
             if width <= 1e-2 * (hd - ha):
@@ -101,7 +97,7 @@ def test_criterion_03_continuity_and_coarea():
             for h in np.linspace(lo + 0.03 * width, hi - 0.03 * width, 16):
                 h1, h2 = h + 1e-5 * width, h - 1e-5 * width
                 fd = (spline(h1) - spline(h2)) / (h1 - h2)
-                expected = area_at(frame, h) * kappa
+                expected = clip_area(pos, vals, h) * kappa
                 # subtract the provable float roundoff floor of the
                 # finite difference before judging against 1e-6 relative
                 noise = 8.0 * np.finfo(float).eps * term_mag / (h1 - h2)

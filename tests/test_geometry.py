@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
-from tetcontour.geometry import (CubicPoly, area_at, batch_spline_coefficients,
-                                 build_tet_frame, build_tet_spline,
-                                 high_range_piece, low_range_piece,
-                                 mid_area_coefficients, mid_range_piece,
-                                 sort_tet_vertices)
+from tetcontour.geometry import build_tet_spline, sort_tet_vertices
 from tetcontour.mesh import build_vertex_order
 from tetcontour.oracle import clip_area, clip_volume
 
-from conftest import random_tet, single_tet_mesh
+from conftest import coarea_factor, random_tet, single_tet_mesh
 
 
 def _spline(mesh):
     return build_tet_spline(mesh, 0, build_vertex_order(mesh))
-
-
-def _frame(mesh):
-    return build_tet_frame(mesh, 0, build_vertex_order(mesh))
 
 
 class TestUnitTetClosedForms:
@@ -88,27 +80,24 @@ def test_piece_continuity_exact(rng):
     """Adjacent pieces agree at the shared breakpoint to float accuracy."""
     for _ in range(60):
         pos, vals = random_tet(rng)
-        frame = _frame(single_tet_mesh(pos, vals))
-        ha, hb, hc, hd = frame.values
-        p1 = low_range_piece(frame)
-        p2 = mid_range_piece(frame)
-        p3 = high_range_piece(frame)
-        scale = frame.total_volume
-        assert abs(p1(ha) - 0.0) <= 1e-10 * scale
-        assert abs(p1(hb) - p2(hb)) <= 1e-10 * scale
-        assert abs(p2(hc) - p3(hc)) <= 1e-9 * scale
-        assert abs(p3(hd) - scale) <= 1e-10 * scale
+        spline = _spline(single_tet_mesh(pos, vals))
+        ha, hb, hc, hd = spline.breakpoints
+        p1, p2, p3 = spline.pieces
+        scale = spline.total_volume
+        assert abs(np.polyval(p1, ha) - 0.0) <= 1e-10 * scale
+        assert abs(np.polyval(p1, hb) - np.polyval(p2, hb)) <= 1e-10 * scale
+        assert abs(np.polyval(p2, hc) - np.polyval(p3, hc)) <= 1e-9 * scale
+        assert abs(np.polyval(p3, hd) - scale) <= 1e-10 * scale
 
 
 def test_derivative_is_area_times_coarea(rng):
-    """dV/dh == Area(h) / |grad f| inside every piece (finite differences)."""
+    """dV/dh == Area(h) / |grad f| inside every piece (finite differences),
+    with the area from the clipping oracle."""
     for _ in range(25):
         pos, vals = random_tet(rng)
-        mesh = single_tet_mesh(pos, vals)
-        frame = _frame(mesh)
-        spline = _spline(mesh)
-        kappa = frame.coarea_factor
-        ha, hb, hc, hd = frame.values
+        spline = _spline(single_tet_mesh(pos, vals))
+        kappa = coarea_factor(pos, vals)
+        ha, hb, hc, hd = spline.breakpoints
         for piece, (lo, hi) in enumerate(((ha, hb), (hb, hc), (hc, hd))):
             width = hi - lo
             if width <= 1e-3:
@@ -122,37 +111,28 @@ def test_derivative_is_area_times_coarea(rng):
                 h1 = h + 1e-5 * width
                 h2 = h - 1e-5 * width
                 fd = (spline(h1) - spline(h2)) / (h1 - h2)
-                expected = area_at(frame, h) * kappa
+                expected = clip_area(pos, vals, h) * kappa
                 noise = 8.0 * np.finfo(float).eps * term_mag / (h1 - h2)
                 assert abs(fd - expected) <= 1e-6 * abs(expected) + noise
 
 
-def test_area_matches_clip_oracle(rng):
-    for _ in range(60):
-        pos, vals = random_tet(rng)
-        frame = _frame(single_tet_mesh(pos, vals))
-        for h in rng.uniform(vals.min(), vals.max(), size=8):
-            got = area_at(frame, h)
-            ref = clip_area(pos, vals, h)
-            assert got == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-
 def test_mid_coefficients_match_quadratic_fit(rng):
-    """A Vandermonde fit through 3 exact polygon areas recovers the
-    analytic mid-range coefficients."""
+    """A Vandermonde fit through 3 exact polygon areas, times the co-area
+    factor, recovers the derivative (3a, 2b, c) of the mid-range piece."""
     for _ in range(40):
         pos, vals = random_tet(rng)
-        frame = _frame(single_tet_mesh(pos, vals))
-        hb, hc = frame.values[1], frame.values[2]
+        spline = _spline(single_tet_mesh(pos, vals))
+        hb, hc = spline.breakpoints[1], spline.breakpoints[2]
         if hc - hb <= 1e-3:
             continue
         hs = hb + (hc - hb) * np.array([0.25, 0.5, 0.75])
         areas = [clip_area(pos, vals, h) for h in hs]
-        fit = np.linalg.solve(np.vander(hs, 3), areas)
-        alpha, beta, gamma = mid_area_coefficients(frame)
-        scale = max(abs(alpha), abs(beta), abs(gamma), 1e-30)
-        assert np.allclose(fit, [alpha, beta, gamma],
-                           rtol=1e-8, atol=1e-8 * scale)
+        kappa = coarea_factor(pos, vals)
+        fit = np.linalg.solve(np.vander(hs, 3), areas) * kappa
+        a, b, c, _ = spline.pieces[1]
+        derivative = [3.0 * a, 2.0 * b, c]
+        scale = max(*np.abs(derivative), 1e-30)
+        assert np.allclose(fit, derivative, rtol=1e-8, atol=1e-8 * scale)
 
 
 def test_degenerate_equal_values_give_zero_width_pieces():
@@ -164,31 +144,3 @@ def test_degenerate_equal_values_give_zero_width_pieces():
     assert spline(0.5) == pytest.approx(ref_mid, rel=1e-12)
     assert spline(1.0) == pytest.approx(spline.total_volume)
     assert spline(0.0 - 1e-15) == 0.0
-
-
-def test_batch_matches_scalar_path(rng):
-    order_pos = []
-    order_val = []
-    meshes = []
-    for _ in range(50):
-        pos, vals = random_tet(rng)
-        mesh = single_tet_mesh(pos, vals)
-        order = build_vertex_order(mesh)
-        sorted_tet = sort_tet_vertices(mesh.tets[0], order)
-        order_pos.append(mesh.positions[sorted_tet])
-        order_val.append(mesh.values[sorted_tet])
-        meshes.append(mesh)
-    p1, p2, p3, total = batch_spline_coefficients(
-        np.stack(order_pos), np.stack(order_val))
-    for i, mesh in enumerate(meshes):
-        spline = _spline(mesh)
-        np.testing.assert_allclose(
-            np.stack([p1[i], p2[i], p3[i]]), spline.pieces,
-            rtol=1e-12, atol=1e-15)
-        assert total[i] == pytest.approx(spline.total_volume, rel=1e-12)
-
-
-def test_cubic_poly_eval():
-    p = CubicPoly(1.0, -2.0, 3.0, -4.0)
-    assert p(2.0) == pytest.approx(8 - 8 + 6 - 4)
-    assert CubicPoly.from_coeffs(p.coeffs())(0.7) == pytest.approx(p(0.7))

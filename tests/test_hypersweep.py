@@ -33,14 +33,16 @@ def test_deltas_independent_of_thread_count(rng):
     mesh = random_grid_mesh(rng, dims=(9, 9, 9))
     order = build_vertex_order(mesh)
     base = compute_deltas(mesh, order, threads=1)
-    # force the chunked path by shrinking the chunk size
+    # shrink the chunk size so the mesh spans many chunks
     import tetcontour.hypersweep as hs
     original = hs._CHUNK
     hs._CHUNK = 512
     try:
+        single = compute_deltas(mesh, order, threads=1)
         threaded = compute_deltas(mesh, order, threads=4)
     finally:
         hs._CHUNK = original
+    np.testing.assert_array_equal(base, single)
     np.testing.assert_array_equal(base, threaded)
 
 

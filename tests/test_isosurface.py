@@ -95,6 +95,12 @@ def test_labels_complete_and_count_components(rng):
         assert np.all(soup.superarc >= 0)
         assert len(set(soup.superarc.tolist())) == \
             reference_contour_count(mesh, h)
+        # every superarc midpoint, the isovalues `ct run` extracts at
+        for a in range(tree.superarc_count):
+            h = 0.5 * sum(tree.arc_value_range(a))
+            soup = march_tets(mesh, h)
+            label_superarcs(mesh, tree, soup, h)
+            assert np.all(soup.superarc >= 0), (a, h)
 
 
 def test_monotone_field_filter_is_identity():
