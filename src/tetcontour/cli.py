@@ -20,6 +20,7 @@ import numpy as np
 
 from . import decomposition, hypersweep, isosurface, oracle
 from .contourtree import ContourTree, build_contour_tree
+from .geometry import build_tet_spline
 from .mesh import (MeshError, TetMesh, build_topology_graph,
                    build_vertex_order, grid_to_tets, load_raw_grid,
                    load_tetgen)
@@ -96,7 +97,7 @@ def _pipeline(config: PipelineConfig):
         total_volume = mesh.total_volume()
         deltas = hypersweep.compute_deltas(mesh, order,
                                            threads=config.threads)
-        volumes = hypersweep.sweep_volumes(mesh, tree, deltas)
+        volumes = hypersweep.sweep_volumes(tree, deltas)
         if config.weights == "volume":
             weights = hypersweep.volume_weights(volumes, total_volume)
         else:
@@ -237,8 +238,6 @@ def cmd_bench(config: PipelineConfig) -> int:
 
 
 def cmd_verify(seed: int, tets: int) -> int:
-    from .geometry import build_tet_spline
-
     rng = np.random.default_rng(seed)
     failures = []
 
@@ -250,18 +249,12 @@ def cmd_verify(seed: int, tets: int) -> int:
     # random tets: spline vs clipped-polytope volume
     worst = 0.0
     for _ in range(tets):
-        pos = rng.uniform(-1.0, 1.0, size=(4, 3))
-        while abs(np.linalg.det(pos[1:] - pos[0])) < 1e-3:
-            pos = rng.uniform(-1.0, 1.0, size=(4, 3))
-        vals = rng.uniform(-1.0, 1.0, size=4)
-        while np.unique(vals).size < 4:
-            vals = rng.uniform(-1.0, 1.0, size=4)
+        pos, vals = oracle.random_tet(rng)
         mesh = TetMesh.create(pos, vals, np.arange(4)[None, :])
         spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
         hs = rng.uniform(vals.min(), vals.max(), size=64)
-        for h in hs:
-            err = abs(spline(h) - oracle.clip_volume(pos, vals, h))
-            worst = max(worst, err / spline.total_volume)
+        errors = oracle.clip_volume_errors(pos, vals, hs, spline(hs))
+        worst = max(worst, np.max(errors) / spline.total_volume)
     report("spline-vs-clip", worst <= 1e-9, f"worst {worst:.3e}")
 
     # clip volume: monotone, continuous, complementary
@@ -287,27 +280,20 @@ def cmd_verify(seed: int, tets: int) -> int:
     mesh = grid_to_tets((5, 5, 5), vals)
     order = build_vertex_order(mesh)
     tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
-    volumes = hypersweep.sweep_volumes(mesh, tree, order=order)
-    worst = 0.0
-    for sv in volumes:
-        for frac in (0.25, 0.75):
-            h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
-            ref = oracle.region_volume(mesh, tree, sv.superarc, h)
-            worst = max(worst, abs(float(sv(h)) - ref)
-                        / max(ref, 1e-12))
+    volumes = hypersweep.sweep_volumes(tree,
+                                       hypersweep.compute_deltas(mesh, order))
+    errors, refs = oracle.region_volume_errors(mesh, tree, volumes,
+                                               (0.25, 0.75))
+    worst = np.max(errors / np.maximum(refs, 1e-12))
     report("region-volume", worst <= 1e-8, f"worst {worst:.3e}")
 
-    # contour counts vs straddling superarcs
+    # contour counts vs straddling superarcs, off the supernode values
     sn_vals = tree.values[tree.supernodes]
-    ok = True
-    for _ in range(8):
-        h = float(rng.uniform(vals.min(), vals.max()))
-        if np.any(np.abs(sn_vals - h) < 1e-12):
-            continue
-        strad = int(np.sum((sn_vals[tree.superarcs[:, 0]] <= h)
-                           & (h < sn_vals[tree.superarcs[:, 1]])))
-        ok &= strad == oracle.reference_contour_count(mesh, h)
-    report("contour-count", ok)
+    hs = [h for h in rng.uniform(vals.min(), vals.max(), size=8)
+          if np.min(np.abs(sn_vals - h)) >= 1e-12]
+    mismatches = oracle.contour_count_mismatches(mesh, tree, hs)
+    report("contour-count", mismatches == 0,
+           f"{len(hs)} thresholds, {mismatches} mismatches")
 
     return 1 if failures else 0
 
@@ -319,7 +305,7 @@ def _parse_isovalue(items):
         try:
             overrides[int(arc)] = float(val)
         except ValueError:
-            raise argparse.ArgumentTypeError(
+            raise ValueError(
                 f"expected SUPERARC=H, got {item!r}") from None
     return overrides
 

@@ -9,7 +9,7 @@ superarcs with every regular vertex mapped to its superarc.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,10 +91,11 @@ class ContourTree:
     arc_of:        (n,) superarc id for every vertex; supernodes carry
                    their canonical arc (the arc toward the global maximum,
                    for the global maximum itself its single incident arc).
+    up_arcs:       per supernode, the superarcs leaving it upward (ids
+                   ascending); down_arcs likewise those arriving from below.
     root:          supernode id of the global maximum.
-    parent_arc:    (k,) superarc id toward the root per supernode (-1 at
-                   the root); arc_child[a] is the supernode on the far side
-                   of arc a from the root.
+    arc_child:     (k-1,) per superarc, the supernode on its far side from
+                   the root.
     values:        (n,) the scalar field the tree was built from.
     rank:          (n,) the global vertex order ranks.
     """
@@ -104,8 +105,9 @@ class ContourTree:
     superarcs: np.ndarray
     arc_regulars: list
     arc_of: np.ndarray
+    up_arcs: list
+    down_arcs: list
     root: int
-    parent_arc: np.ndarray
     arc_child: np.ndarray
     values: np.ndarray
     rank: np.ndarray
@@ -255,26 +257,25 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
             arc_of[regs_arr] = arc_id
     superarcs = np.asarray(superarcs, dtype=np.int64).reshape(-1, 2)
 
-    # root at the global maximum supernode; parent arcs give the canonical
-    # supernode-to-superarc assignment
     k = supernodes.shape[0]
-    order_pos = rank[supernodes]
-    root = int(np.argmax(order_pos))
-    sn_adj = [[] for _ in range(k)]
+    up_arcs = [[] for _ in range(k)]
+    down_arcs = [[] for _ in range(k)]
     for a, (lo, hi) in enumerate(superarcs):
-        sn_adj[lo].append((hi, a))
-        sn_adj[hi].append((lo, a))
-    parent_arc = np.full(k, -1, dtype=np.int64)
+        up_arcs[lo].append(a)
+        down_arcs[hi].append(a)
+    # root at the global maximum supernode; each arc's child is the end
+    # first reached through it
+    root = int(np.argmax(rank[supernodes]))
     arc_child = np.full(superarcs.shape[0], -1, dtype=np.int64)
     seen = np.zeros(k, dtype=bool)
     stack = [root]
     seen[root] = True
     while stack:
         s = stack.pop()
-        for t, a in sn_adj[s]:
+        for a in up_arcs[s] + down_arcs[s]:
+            t = superarcs[a, 1] if superarcs[a, 0] == s else superarcs[a, 0]
             if not seen[t]:
                 seen[t] = True
-                parent_arc[t] = a
                 arc_child[a] = t
                 stack.append(t)
     if not seen.all():
@@ -282,18 +283,13 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
     # canonical supernode-to-superarc assignment: the upward arc (largest
     # id when a split saddle offers several), falling back to the largest
     # downward arc at maxima
-    sn_up = [[] for _ in range(k)]
-    sn_down = [[] for _ in range(k)]
-    for a, (lo, hi) in enumerate(superarcs):
-        sn_up[lo].append(a)
-        sn_down[hi].append(a)
     for sn in range(k):
-        pick = sn_up[sn] if sn_up[sn] else sn_down[sn]
-        arc_of[supernodes[sn]] = max(pick)
+        arc_of[supernodes[sn]] = max(up_arcs[sn] or down_arcs[sn])
     return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
                        superarcs=superarcs, arc_regulars=arc_regulars,
-                       arc_of=arc_of, root=root, parent_arc=parent_arc,
-                       arc_child=arc_child, values=values, rank=rank)
+                       arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
+                       root=root, arc_child=arc_child, values=values,
+                       rank=rank)
 
 
 def build_contour_tree(graph: TopologyGraph, order: VertexOrder,
@@ -313,8 +309,7 @@ def _arc_contains(tree: ContourTree, sn_vals, arc: int, h: float) -> bool:
     return hi == tree.root and h == sn_vals[tree.root]
 
 
-def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float,
-                    up_arcs=None, down_arcs=None) -> set:
+def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float) -> set:
     """All superarcs containing isovalue h reachable from the seed by a
     value-monotone walk (upward when h is at or above the seed's value).
 
@@ -324,8 +319,7 @@ def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float,
     at an extremum with no arc that way.
     """
     sn_vals = tree.values[tree.supernodes]
-    if up_arcs is None or down_arcs is None:
-        up_arcs, down_arcs = arc_incidence(tree)
+    up_arcs, down_arcs = tree.up_arcs, tree.down_arcs
     going_up = h >= tree.values[seed_vertex]
     sn = tree.supernode_of[seed_vertex]
     starts = (up_arcs[sn] if going_up else down_arcs[sn]) if sn >= 0 else []
@@ -351,16 +345,6 @@ def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float,
                 if past:
                     stack.append(b)
     return hits
-
-
-def arc_incidence(tree: ContourTree):
-    """Per supernode: superarcs leaving upward and arriving from below."""
-    up_arcs = [[] for _ in range(tree.supernode_count)]
-    down_arcs = [[] for _ in range(tree.supernode_count)]
-    for a, (lo, hi) in enumerate(tree.superarcs):
-        up_arcs[lo].append(a)
-        down_arcs[hi].append(a)
-    return up_arcs, down_arcs
 
 
 def superarc_at_value(tree: ContourTree, seed_vertex: int, h: float) -> int:

@@ -8,11 +8,11 @@ saddle where its terminal arc lost the pairing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .contourtree import ContourTree, arc_incidence
+from .contourtree import ContourTree
 from .hypersweep import ArcWeights
 
 
@@ -47,7 +47,7 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     n_arcs = tree.superarc_count
     if n_arcs == 0:
         raise ValueError("cannot decompose a tree with no superarcs")
-    up_arcs, down_arcs = arc_incidence(tree)
+    up_arcs, down_arcs = tree.up_arcs, tree.down_arcs
 
     def best(arcs, w):
         pick = arcs[0]

@@ -114,13 +114,15 @@ class SuperarcVolume:
         return float(horner(self.segments[-1], self.h_hi))
 
 
-def subtree_sums(tree: ContourTree, per_vertex: np.ndarray):
+def below_arc_sums(tree: ContourTree, per_vertex: np.ndarray):
     """Leaf-to-root sums of a per-vertex quantity over the superarc tree.
 
-    With the tree rooted at the global maximum, sub[s] sums per_vertex over
-    the full subtree hanging off supernode s (including the regular
-    vertices of the arcs inside it but not of s's parent arc); reg_sums[a]
-    is the sum over arc a's regular vertices. Returns (sub, reg_sums).
+    With the tree rooted at the global maximum, below[a] sums per_vertex
+    over everything below a cut of arc a just above its lower supernode
+    (none of the arc's own regular vertices); reg_sums[a] is the sum over
+    arc a's regular vertices. An arc whose lower end is the child reads
+    the subtree sum of that child; an arc entered from above uses
+    total-minus-complement. Returns (below, reg_sums).
     """
     k = tree.supernode_count
     own = per_vertex[tree.supernodes]
@@ -151,39 +153,29 @@ def subtree_sums(tree: ContourTree, per_vertex: np.ndarray):
             stack.append((s, True))
             for c, _ in children[s]:
                 stack.append((c, False))
-    return sub, reg_sums
+
+    total = per_vertex.sum(axis=0)
+    below = np.empty_like(reg_sums)
+    for a, (lo, hi) in enumerate(tree.superarcs):
+        if tree.arc_child[a] == lo:
+            below[a] = sub[lo]
+        else:
+            below[a] = total - sub[hi] - reg_sums[a]
+    return below, reg_sums
 
 
-def sweep_volumes(mesh: TetMesh, tree: ContourTree,
-                  deltas: np.ndarray | None = None,
-                  order: VertexOrder | None = None) -> list:
-    """SuperarcVolume for every superarc, via one leaf-to-root pass.
-
-    An arc whose lower end is the child reads its base polynomial straight
-    from the subtree sum of that child; an arc entered from above uses
-    total-minus-complement.
-    """
-    if deltas is None:
-        from .mesh import build_vertex_order
-        if order is None:
-            order = build_vertex_order(mesh)
-        deltas = compute_deltas(mesh, order)
-    total_poly = deltas.sum(axis=0)
-    sub, reg_sums = subtree_sums(tree, deltas)
-
+def sweep_volumes(tree: ContourTree, deltas: np.ndarray) -> list:
+    """SuperarcVolume for every superarc, via one leaf-to-root pass."""
+    below, _ = below_arc_sums(tree, deltas)
     values = tree.values
     out = []
     for a in range(tree.superarc_count):
         lo, hi = tree.superarcs[a]
         regs = tree.arc_regulars[a]
-        if tree.arc_child[a] == lo:
-            base = sub[lo].copy()
-        else:
-            base = total_poly - sub[hi] - reg_sums[a]
         segs = np.empty((len(regs) + 1, 4))
-        segs[0] = base
+        segs[0] = below[a]
         if len(regs):
-            segs[1:] = base + np.cumsum(deltas[regs], axis=0)
+            segs[1:] = below[a] + np.cumsum(deltas[regs], axis=0)
         out.append(SuperarcVolume(
             superarc=a,
             h_lo=float(values[tree.supernodes[lo]]),
@@ -215,30 +207,19 @@ class ArcWeights:
     down_weight: np.ndarray
     up_weight: np.ndarray
     total: float
-    kind: str
 
 
 def volume_weights(volumes: list, total_volume: float) -> ArcWeights:
     down = np.array([v.weight_top for v in volumes])
     up = total_volume - np.array([v.weight_bottom for v in volumes])
-    return ArcWeights(down, up, float(total_volume), "volume")
+    return ArcWeights(down, up, float(total_volume))
 
 
 def count_weights(tree: ContourTree) -> ArcWeights:
     """Vertex-count analogue of the swept volume: the same subtree pass
     over a count of one per vertex."""
     n = tree.values.shape[0]
-    sub, reg_counts = subtree_sums(tree, np.ones(n))
-    down = np.empty(tree.superarc_count)
-    up = np.empty(tree.superarc_count)
-    for a in range(tree.superarc_count):
-        lo, hi = tree.superarcs[a]
-        if tree.arc_child[a] == lo:
-            low_side = sub[lo] + reg_counts[a]
-        else:
-            low_side = n - sub[hi]
-        # cut just under the top: the arc's regulars all count low;
-        # cut just above the bottom: they all count high
-        down[a] = low_side
-        up[a] = n - (low_side - reg_counts[a])
-    return ArcWeights(down, up, float(n), "count")
+    below, reg_counts = below_arc_sums(tree, np.ones(n))
+    # cut just under the top: the arc's regulars all count low;
+    # cut just above the bottom: they all count high
+    return ArcWeights(below + reg_counts, n - below, float(n))

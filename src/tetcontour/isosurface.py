@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contourtree import ContourTree, straddling_arcs, arc_incidence
+from .contourtree import ContourTree, straddling_arcs
 from .mesh import TetMesh
 
 # below-mask patterns (bit i set when sorted-corner i is below). one
@@ -142,7 +142,6 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
     """
     if soup.triangle_count == 0:
         return
-    incidence = arc_incidence(tree)
     cache_up = {}
     cache_down = {}
     tet_rows = mesh.tets[soup.tet_ids]
@@ -153,11 +152,11 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
         v, u = int(low[i]), int(high[i])
         sv = cache_up.get(v)
         if sv is None:
-            sv = straddling_arcs(tree, v, h, *incidence)
+            sv = straddling_arcs(tree, v, h)
             cache_up[v] = sv
         su = cache_down.get(u)
         if su is None:
-            su = straddling_arcs(tree, u, h, *incidence)
+            su = straddling_arcs(tree, u, h)
             cache_down[u] = su
         both = sv & su
         if len(both) == 1:

@@ -124,9 +124,6 @@ class TopologyGraph:
         return self.neighbor_indices[
             self.neighbor_offsets[v]:self.neighbor_offsets[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.neighbor_offsets[v + 1] - self.neighbor_offsets[v])
-
 
 @dataclass(frozen=True)
 class VertexOrder:

@@ -4,6 +4,10 @@ Everything here deliberately uses explicit polytope construction rather
 than the analytic coefficient algebra of the main path, so the two sides
 have independent failure modes. The inner loops run on plain floats to
 keep the reference fast enough for thousand-tet sweeps.
+
+The comparison functions at the end take the analytic results as
+arguments and return raw errors or counts; each caller applies its own
+error measure and bound.
 """
 from __future__ import annotations
 
@@ -15,6 +19,18 @@ from .mesh import TetMesh, tet_volumes
 
 _TET_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MIN_DET = 1e-3
+
+
+def random_tet(rng):
+    """Random tet in [-1, 1]^3, not near-flat, with distinct values."""
+    while True:
+        pos = rng.uniform(-1.0, 1.0, size=(4, 3))
+        if abs(np.linalg.det(pos[1:] - pos[0])) < _MIN_DET:
+            continue
+        vals = rng.uniform(-1.0, 1.0, size=4)
+        if np.unique(vals).size == 4:
+            return pos, vals
 
 
 def _clip_polygon(points, vals, h):
@@ -302,3 +318,34 @@ def reference_contour_count(mesh: TetMesh, h: float) -> int:
             else:
                 edge_owner[edge] = t
     return len({find(t) for t in range(n_tri)})
+
+
+def clip_volume_errors(positions, values, hs, volumes) -> np.ndarray:
+    """|volumes[i] - clip_volume at hs[i]| for one tet's spline values."""
+    pts = np.asarray(positions, dtype=np.float64).tolist()
+    vals = np.asarray(values, dtype=np.float64).tolist()
+    return np.array([abs(v - clip_volume(pts, vals, h))
+                     for h, v in zip(hs, volumes)])
+
+
+def region_volume_errors(mesh: TetMesh, tree, volumes, fracs):
+    """(errors, refs), each (arcs, fracs): |V_arc(h) - region_volume| and
+    region_volume at h = h_lo + frac * (h_hi - h_lo) on every superarc."""
+    errors = np.empty((len(volumes), len(fracs)))
+    refs = np.empty_like(errors)
+    for i, sv in enumerate(volumes):
+        for j, frac in enumerate(fracs):
+            h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
+            refs[i, j] = region_volume(mesh, tree, sv.superarc, h)
+            errors[i, j] = abs(float(sv(h)) - refs[i, j])
+    return errors, refs
+
+
+def contour_count_mismatches(mesh: TetMesh, tree, hs) -> int:
+    """Thresholds at which the number of superarcs straddling h differs
+    from reference_contour_count."""
+    sn_vals = tree.values[tree.supernodes]
+    lo = sn_vals[tree.superarcs[:, 0]]
+    hi = sn_vals[tree.superarcs[:, 1]]
+    return sum(int(np.sum((lo <= h) & (h < hi)))
+               != reference_contour_count(mesh, h) for h in hs)

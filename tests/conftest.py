@@ -11,17 +11,6 @@ UNIT_TET_POSITIONS = np.array([[0.0, 0.0, 0.0],
 UNIT_TET_VALUES = np.array([0.0, 1.0, 2.0, 3.0])
 
 
-def random_tet(rng, min_det=1e-3):
-    """Nondegenerate random tet with distinct values."""
-    while True:
-        pos = rng.uniform(-1.0, 1.0, size=(4, 3))
-        if abs(np.linalg.det(pos[1:] - pos[0])) < min_det:
-            continue
-        vals = rng.uniform(-1.0, 1.0, size=4)
-        if np.unique(vals).size == 4:
-            return pos, vals
-
-
 def coarea_factor(pos, vals):
     """1 / |grad f| of the linear interpolant on one tet."""
     grad = np.linalg.solve(pos[1:] - pos[0], vals[1:] - vals[0])

@@ -20,11 +20,12 @@ from tetcontour.isosurface import (euler_characteristic,
                                    march_tets)
 from tetcontour.mesh import (TetMesh, build_topology_graph,
                              build_vertex_order, grid_to_tets)
-from tetcontour.oracle import (clip_area, clip_volume,
-                               reference_contour_count, region_volume)
+from tetcontour.oracle import (clip_area, clip_volume, clip_volume_errors,
+                               contour_count_mismatches, random_tet,
+                               reference_contour_count, region_volume_errors)
 
-from conftest import (coarea_factor, gaussian_grid_mesh, random_tet,
-                      single_tet_mesh, two_peak_mesh)
+from conftest import (coarea_factor, gaussian_grid_mesh, single_tet_mesh,
+                      two_peak_mesh)
 
 
 def _report(number, name, ok, detail=""):
@@ -48,12 +49,8 @@ def test_criterion_01_per_tet_spline_vs_clip_oracle():
         mesh = single_tet_mesh(pos, vals)
         spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
         hs = rng.uniform(vals.min(), vals.max(), size=64)
-        volumes = spline(hs)
-        pos_list = pos.tolist()
-        val_list = vals.tolist()
-        for h, got in zip(hs, volumes):
-            err = abs(got - clip_volume(pos_list, val_list, h))
-            worst = max(worst, err / spline.total_volume)
+        errors = clip_volume_errors(pos, vals, hs, spline(hs))
+        worst = max(worst, np.max(errors) / spline.total_volume)
     elapsed = time.perf_counter() - start
     _report(1, "per-tet spline vs clip oracle",
             worst <= 1e-9 and elapsed < 10.0,
@@ -116,7 +113,7 @@ def test_criterion_04_conservation_on_random_grids():
         vals = rng.normal(size=512)
         mesh = grid_to_tets((8, 8, 8), vals)
         order, tree = _full_tree(mesh)
-        volumes = sweep_volumes(mesh, tree, compute_deltas(mesh, order))
+        volumes = sweep_volumes(tree, compute_deltas(mesh, order))
         root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
         total = mesh.total_volume()
         worst = max(worst, abs(volumes[root_arc].weight_top - total) / total)
@@ -133,17 +130,13 @@ def test_criterion_05_straddling_arcs_equal_contour_count():
         mesh = grid_to_tets((8, 8, 8), vals)
         order, tree = _full_tree(mesh)
         sn_vals = tree.values[tree.supernodes]
-        picked = 0
-        while picked < 16:
+        hs = []
+        while len(hs) < 16:
             h = float(rng.uniform(vals.min(), vals.max()))
-            if np.min(np.abs(sn_vals - h)) < 1e-9:
-                continue            # skip critical thresholds
-            picked += 1
-            tested += 1
-            straddling = int(np.sum((sn_vals[tree.superarcs[:, 0]] <= h)
-                                    & (h < sn_vals[tree.superarcs[:, 1]])))
-            if straddling != reference_contour_count(mesh, h):
-                mismatches += 1
+            if np.min(np.abs(sn_vals - h)) >= 1e-9:   # skip critical values
+                hs.append(h)
+        tested += len(hs)
+        mismatches += contour_count_mismatches(mesh, tree, hs)
     _report(5, "straddling superarcs == contour components",
             mismatches == 0 and tested == 320,
             f"{tested} thresholds, {mismatches} mismatches")
@@ -158,18 +151,15 @@ def test_criterion_06_hypersweep_vs_region_oracle():
     for mesh in meshes:
         assert mesh.vertex_count <= 4000
         order, tree = _full_tree(mesh)
-        volumes = sweep_volumes(mesh, tree, compute_deltas(mesh, order))
+        volumes = sweep_volumes(tree, compute_deltas(mesh, order))
         # both sides accumulate float roundoff at the total-volume scale,
         # so tiny regions get an absolute floor there instead of a pure
         # relative test
         floor = 64.0 * np.finfo(float).eps * mesh.total_volume()
-        for sv in volumes:
-            span = sv.h_hi - sv.h_lo
-            for frac in np.linspace(0.1, 0.9, 8):
-                h = sv.h_lo + frac * span
-                ref = region_volume(mesh, tree, sv.superarc, h)
-                err = max(abs(float(sv(h)) - ref) - floor, 0.0)
-                worst = max(worst, err / max(ref, 1e-12))
+        errors, refs = region_volume_errors(mesh, tree, volumes,
+                                            np.linspace(0.1, 0.9, 8))
+        worst = max(worst, np.max(np.maximum(errors - floor, 0.0)
+                                  / np.maximum(refs, 1e-12)))
     _report(6, "superarc volume vs region oracle",
             worst <= 1e-8, f"worst rel {worst:.2e}")
 
@@ -177,7 +167,7 @@ def test_criterion_06_hypersweep_vs_region_oracle():
 def test_criterion_07_two_peak_ranking():
     mesh = two_peak_mesh()
     order, tree = _full_tree(mesh)
-    volumes = sweep_volumes(mesh, tree, compute_deltas(mesh, order))
+    volumes = sweep_volumes(tree, compute_deltas(mesh, order))
 
     def peak(branch):
         return "large" if tree.supernodes[branch.upper_supernode] < 13 \
@@ -266,7 +256,7 @@ def test_criterion_10_desk_scale_performance():
     mesh = TetMesh.create(points, vals, tets)
     order = build_vertex_order(mesh)
     tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
-    volumes = sweep_volumes(mesh, tree, compute_deltas(mesh, order))
+    volumes = sweep_volumes(tree, compute_deltas(mesh, order))
     weights = volume_weights(volumes, mesh.total_volume())
     branches = decompose(tree, weights)
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tetcontour import oracle
 from tetcontour.cli import PipelineConfig, main
 
 
@@ -126,6 +127,13 @@ def test_isovalue_override_out_of_range_fails(tmp_path, grid_input):
     assert code != 0
 
 
+def test_malformed_isovalue_is_reported(tmp_path, grid_input, capsys):
+    code = main(["run", *grid_input, "--isovalue", "abc",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: expected SUPERARC=H, got 'abc'" in capsys.readouterr().err
+
+
 def test_missing_file_is_reported(tmp_path, capsys):
     code = main(["run", "--dims", "4", "4", "4",
                  "--raw", str(tmp_path / "nope.f64"),
@@ -147,3 +155,10 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS spline-vs-clip" in out
     assert "FAIL" not in out
+
+
+def test_verify_fails_when_a_check_fails(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "clip_volume_errors",
+                        lambda pos, vals, hs, volumes: np.ones(len(hs)))
+    assert main(["verify", "--seed", "42", "--tets", "5"]) == 1
+    assert "FAIL spline-vs-clip" in capsys.readouterr().out

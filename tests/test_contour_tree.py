@@ -123,6 +123,7 @@ def test_canonical_supernode_assignment(rng):
     for a, (lo, hi) in enumerate(tree.superarcs):
         up_arcs[lo].append(a)
         down_arcs[hi].append(a)
+    assert tree.up_arcs == up_arcs and tree.down_arcs == down_arcs
     for sn in range(tree.supernode_count):
         arc = tree.arc_of[tree.supernodes[sn]]
         if up_arcs[sn]:

@@ -13,7 +13,7 @@ from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
 def _both_weightings(mesh):
     order = build_vertex_order(mesh)
     tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
-    volumes = sweep_volumes(mesh, tree, compute_deltas(mesh, order))
+    volumes = sweep_volumes(tree, compute_deltas(mesh, order))
     return tree, (volume_weights(volumes, mesh.total_volume()),
                   count_weights(tree))
 

@@ -6,7 +6,7 @@ from tetcontour.hypersweep import (compute_deltas, count_regular_nodes,
                                    count_weights, sweep_volumes,
                                    volume_weights)
 from tetcontour.mesh import build_topology_graph, build_vertex_order
-from tetcontour.oracle import region_volume
+from tetcontour.oracle import region_volume_errors
 
 from conftest import random_grid_mesh, two_peak_mesh
 
@@ -51,12 +51,9 @@ def test_superarc_volumes_match_region_oracle(rng):
     for _ in range(3):
         mesh = random_grid_mesh(rng, dims=(5, 5, 5))
         order, tree, deltas = _pipeline(mesh)
-        for sv in sweep_volumes(mesh, tree, deltas):
-            for frac in (0.2, 0.5, 0.8):
-                h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
-                ref = region_volume(mesh, tree, sv.superarc, h)
-                worst = max(worst, abs(float(sv(h)) - ref)
-                            / max(ref, 1e-12))
+        errors, refs = region_volume_errors(
+            mesh, tree, sweep_volumes(tree, deltas), (0.2, 0.5, 0.8))
+        worst = max(worst, np.max(errors / np.maximum(refs, 1e-12)))
     assert worst <= 1e-8
 
 
@@ -64,7 +61,7 @@ def test_volume_function_continuous_at_breakpoints(rng):
     mesh = random_grid_mesh(rng, dims=(6, 6, 6))
     order, tree, deltas = _pipeline(mesh)
     total = mesh.total_volume()
-    for sv in sweep_volumes(mesh, tree, deltas):
+    for sv in sweep_volumes(tree, deltas):
         for j, bp in enumerate(sv.breakpoints):
             left = np.polyval(sv.segments[j], bp)
             right = np.polyval(sv.segments[j + 1], bp)
@@ -74,7 +71,7 @@ def test_volume_function_continuous_at_breakpoints(rng):
 def test_volume_function_monotone_in_h(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
-    for sv in sweep_volumes(mesh, tree, deltas):
+    for sv in sweep_volumes(tree, deltas):
         hs = np.linspace(sv.h_lo, sv.h_hi, 64)
         v = sv(hs)
         assert np.all(np.diff(v) >= -1e-9 * mesh.total_volume())
@@ -84,7 +81,7 @@ def test_weight_endpoints_bracket_the_interval(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
     total = mesh.total_volume()
-    for sv in sweep_volumes(mesh, tree, deltas):
+    for sv in sweep_volumes(tree, deltas):
         assert -1e-9 * total <= sv.weight_bottom <= sv.weight_top
         assert sv.weight_top <= total * (1 + 1e-9)
 
@@ -92,7 +89,7 @@ def test_weight_endpoints_bracket_the_interval(rng):
 def test_root_arc_sweeps_everything(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
-    volumes = sweep_volumes(mesh, tree, deltas)
+    volumes = sweep_volumes(tree, deltas)
     root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
     assert volumes[root_arc].weight_top == pytest.approx(
         mesh.total_volume(), rel=1e-9)
@@ -113,7 +110,7 @@ def test_count_nodes_partition(rng):
 def test_count_weights_mirror_volume_weights_structure(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
-    volumes = sweep_volumes(mesh, tree, deltas)
+    volumes = sweep_volumes(tree, deltas)
     vw = volume_weights(volumes, mesh.total_volume())
     cw = count_weights(tree)
     n = mesh.vertex_count
@@ -130,16 +127,11 @@ def test_count_weights_mirror_volume_weights_structure(rng):
 def test_two_peak_saddle_volumes_split_the_total():
     mesh = two_peak_mesh()
     order, tree, deltas = _pipeline(mesh)
-    volumes = sweep_volumes(mesh, tree, deltas)
+    volumes = sweep_volumes(tree, deltas)
     total = mesh.total_volume()
     # each peak arc at its own bottom (the shared saddle) sweeps the
     # complement of its own region; the two regions partition the mesh
     regions = [total - sv.weight_bottom for sv in volumes]
     assert sum(regions) == pytest.approx(total, rel=1e-9)
-    worst = 0.0
-    for sv in volumes:
-        for frac in (0.3, 0.7):
-            h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
-            ref = region_volume(mesh, tree, sv.superarc, h)
-            worst = max(worst, abs(float(sv(h)) - ref) / max(ref, 1e-12))
-    assert worst <= 1e-8
+    errors, refs = region_volume_errors(mesh, tree, volumes, (0.3, 0.7))
+    assert np.max(errors / np.maximum(refs, 1e-12)) <= 1e-8

@@ -4,10 +4,10 @@ import pytest
 from tetcontour.mesh import build_topology_graph, build_vertex_order
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.oracle import (clip_area, clip_polytope, clip_volume,
-                               reference_contour_count, region_volume)
+                               random_tet, reference_contour_count,
+                               region_volume)
 
-from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES, gaussian_grid_mesh,
-                      random_tet, single_tet_mesh)
+from conftest import UNIT_TET_POSITIONS, UNIT_TET_VALUES, gaussian_grid_mesh
 
 
 def test_clip_volume_trivial_bounds(unit_tet):
