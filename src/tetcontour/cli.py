@@ -238,6 +238,8 @@ def cmd_bench(config: PipelineConfig) -> int:
 
 
 def cmd_verify(seed: int, tets: int) -> int:
+    if tets < 1:
+        raise ValueError("--tets must be >= 1")
     rng = np.random.default_rng(seed)
     failures = []
 
@@ -289,10 +291,11 @@ def cmd_verify(seed: int, tets: int) -> int:
 
     # contour counts vs straddling superarcs, off the supernode values
     sn_vals = tree.values[tree.supernodes]
-    hs = [h for h in rng.uniform(vals.min(), vals.max(), size=8)
+    hs = [h for h in rng.uniform(mesh.values.min(), mesh.values.max(),
+                                 size=8)
           if np.min(np.abs(sn_vals - h)) >= 1e-12]
     mismatches = oracle.contour_count_mismatches(mesh, tree, hs)
-    report("contour-count", mismatches == 0,
+    report("contour-count", len(hs) > 0 and mismatches == 0,
            f"{len(hs)} thresholds, {mismatches} mismatches")
 
     return 1 if failures else 0

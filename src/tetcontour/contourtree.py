@@ -32,7 +32,6 @@ class MergeTree:
 def _sweep(graph: TopologyGraph, order: VertexOrder,
            descending: bool) -> MergeTree:
     n = graph.vertex_count
-    rank = order.rank
     parent = np.full(n, -1, dtype=np.int64)
     uf = np.full(n, -1, dtype=np.int64)       # union-find parent, -1 unseen
     frontier = np.empty(n, dtype=np.int64)    # per root: latest swept vertex
@@ -52,13 +51,9 @@ def _sweep(graph: TopologyGraph, order: VertexOrder,
     for v in sweep:
         uf[v] = v
         frontier[v] = v
-        rv = rank[v]
         for u in nbrs[offsets[v]:offsets[v + 1]]:
             if uf[u] < 0:
                 continue  # not yet swept
-            seen_later = rank[u] > rv if descending else rank[u] < rv
-            if not seen_later:
-                continue
             ru = find(u)
             rw = find(v)
             if ru != rw:
@@ -209,53 +204,35 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
     """Contract the augmented contour tree into supernodes and superarcs."""
     n = arcs.shape[0] + 1
     rank = order.rank
-    # adjacency of the augmented tree, neighbors split by rank direction
-    deg = np.zeros(n, dtype=np.int64)
-    np.add.at(deg, arcs[:, 0], 1)
-    np.add.at(deg, arcs[:, 1], 1)
-    adj_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=adj_off[1:])
-    adj = np.empty(2 * (n - 1), dtype=np.int64)
-    cursor = adj_off[:-1].copy()
-    for a, b in arcs:
-        adj[cursor[a]] = b
-        cursor[a] += 1
-        adj[cursor[b]] = a
-        cursor[b] += 1
-
-    up_deg = np.zeros(n, dtype=np.int64)
-    down_deg = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        for u in adj[adj_off[v]:adj_off[v + 1]]:
-            if rank[u] > rank[v]:
-                up_deg[v] += 1
-            else:
-                down_deg[v] += 1
-    is_super = (up_deg != 1) | (down_deg != 1)
+    flip = rank[arcs[:, 0]] > rank[arcs[:, 1]]
+    lo = np.where(flip, arcs[:, 1], arcs[:, 0])
+    hi = np.where(flip, arcs[:, 0], arcs[:, 1])
+    is_super = ((np.bincount(lo, minlength=n) != 1)
+                | (np.bincount(hi, minlength=n) != 1))
     supernodes = np.flatnonzero(is_super)
     supernode_of = np.full(n, -1, dtype=np.int64)
     supernode_of[supernodes] = np.arange(supernodes.shape[0])
+    # exact for regular vertices, whose only upward arc this is
+    up = np.empty(n, dtype=np.int64)
+    up[lo] = hi
 
-    superarcs = []
+    # this order fixes the superarc ids written to tree.json: by lower
+    # supernode vertex id, then by the merge's arc order
+    starts = np.flatnonzero(is_super[lo])
+    starts = starts[np.argsort(lo[starts], kind="stable")]
+    superarcs = np.empty((starts.shape[0], 2), dtype=np.int64)
     arc_regulars = []
     arc_of = np.full(n, -1, dtype=np.int64)
-    for sn, v in enumerate(supernodes):
-        for u in adj[adj_off[v]:adj_off[v + 1]]:
-            if rank[u] < rank[v]:
-                continue  # walk upward only, so each chain is built once
-            regs = []
-            prev, cur = v, u
-            while not is_super[cur]:
-                regs.append(cur)
-                nxt = adj[adj_off[cur]:adj_off[cur + 1]]
-                step = nxt[0] if nxt[0] != prev else nxt[1]
-                prev, cur = cur, step
-            arc_id = len(superarcs)
-            superarcs.append((sn, supernode_of[cur]))
-            regs_arr = np.asarray(regs, dtype=np.int64)
-            arc_regulars.append(regs_arr)
-            arc_of[regs_arr] = arc_id
-    superarcs = np.asarray(superarcs, dtype=np.int64).reshape(-1, 2)
+    for arc_id, row in enumerate(starts):
+        regs = []
+        cur = hi[row]
+        while not is_super[cur]:
+            regs.append(cur)
+            cur = up[cur]
+        superarcs[arc_id] = supernode_of[lo[row]], supernode_of[cur]
+        regs_arr = np.asarray(regs, dtype=np.int64)
+        arc_regulars.append(regs_arr)
+        arc_of[regs_arr] = arc_id
 
     k = supernodes.shape[0]
     up_arcs = [[] for _ in range(k)]

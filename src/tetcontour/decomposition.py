@@ -64,43 +64,21 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
         if down_arcs[s]:
             best_down[s] = best(down_arcs[s], weights.down_weight)
 
-    # chain arcs through interior supernodes where the downward choice
-    # meets the upward choice
-    uf = np.arange(n_arcs, dtype=np.int64)
-
-    def find(a):
-        root = a
-        while uf[root] != root:
-            root = uf[root]
-        while uf[a] != root:
-            uf[a], a = root, uf[a]
-        return root
-
-    for s in range(k):
-        if best_down[s] >= 0 and best_up[s] >= 0:
-            ra, rb = find(best_down[s]), find(best_up[s])
-            if ra != rb:
-                uf[ra] = rb
-
-    groups = {}
-    for a in range(n_arcs):
-        groups.setdefault(find(a), []).append(a)
-
-    sn_rank = tree.rank[tree.supernodes]
+    # an arc starts a branch unless its bottom supernode pairs it with a
+    # downward choice; the branch climbs while its top supernode pairs the
+    # last arc with an upward choice
     branches = []
-    for arcs in groups.values():
-        ends = {}
-        for a in arcs:
-            for s in tree.superarcs[a]:
-                ends[s] = ends.get(s, 0) + 1
-        endpoints = sorted((s for s, c in ends.items() if c == 1),
-                           key=lambda s: sn_rank[s])
-        lo_end, hi_end = endpoints[0], endpoints[-1]
-        arcs_sorted = sorted(arcs, key=lambda a: sn_rank[tree.superarcs[a][0]])
-        branches.append(Branch(superarcs=arcs_sorted,
-                               lower_supernode=int(lo_end),
-                               upper_supernode=int(hi_end),
-                               weight=0.0))
+    for a in range(n_arcs):
+        lo = tree.superarcs[a, 0]
+        if best_up[lo] == a and best_down[lo] >= 0:
+            continue
+        arcs = [a]
+        hi = tree.superarcs[a, 1]
+        while best_down[hi] == arcs[-1] and best_up[hi] >= 0:
+            arcs.append(int(best_up[hi]))
+            hi = tree.superarcs[arcs[-1], 1]
+        branches.append(Branch(superarcs=arcs, lower_supernode=int(lo),
+                               upper_supernode=int(hi), weight=0.0))
 
     # provisional attachment and pruned-side weight for every branch: the
     # branch attaches at the end where its terminal arc lost the pairing

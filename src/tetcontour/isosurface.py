@@ -61,12 +61,9 @@ class TriangleSoup:
         return self.triangles.shape[0]
 
 
-def march_tets(mesh: TetMesh, h: float, tet_subset=None) -> TriangleSoup:
-    """Level-set triangles at isovalue h, optionally for a tet subset."""
-    tets = mesh.tets if tet_subset is None else mesh.tets[tet_subset]
-    tet_index = (np.arange(mesh.tet_count) if tet_subset is None
-                 else np.asarray(tet_subset))
-    below = mesh.values[tets] <= h
+def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
+    """Level-set triangles at isovalue h."""
+    below = mesh.values[mesh.tets] <= h
     code = (below * (1 << np.arange(4))).sum(axis=1)
 
     tri_edges = []      # (t, 3, 2) local corner pairs
@@ -97,7 +94,7 @@ def march_tets(mesh: TetMesh, h: float, tet_subset=None) -> TriangleSoup:
 
     local = np.concatenate(tri_edges)              # (t, 3, 2)
     rows = np.concatenate(tri_tets)
-    tet_rows = tets[rows]                          # (t, 4)
+    tet_rows = mesh.tets[rows]                     # (t, 4)
     # global edge per corner, canonical endpoint order
     g = np.take_along_axis(
         tet_rows[:, None, :].repeat(3, axis=1),
@@ -126,7 +123,7 @@ def march_tets(mesh: TetMesh, h: float, tet_subset=None) -> TriangleSoup:
     flip = np.einsum("ij,ij->i", normal, ref) < 0
     triangles[flip] = triangles[flip][:, ::-1]
 
-    return TriangleSoup(points, triangles, tet_index[rows], keys,
+    return TriangleSoup(points, triangles, rows, keys,
                         np.full(rows.size, -1, dtype=np.int64))
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from tetcontour import oracle
+from tetcontour import cli, oracle
 from tetcontour.cli import PipelineConfig, main
 
 
@@ -71,6 +72,29 @@ def test_run_grid_artifacts(tmp_path, grid_input, capsys):
 
     summary = capsys.readouterr().out
     assert "supernodes" in summary and "total volume" in summary
+
+
+def test_run_golden_structure(tmp_path):
+    # an integer field under count weights makes every byte compared here
+    # independent of the platform's float roundoff; the digests pin the
+    # superarc ids of tree.json and the branch pairing of branches.json
+    raw = tmp_path / "field.f64"
+    ((np.arange(512) * 7919) % 1009).astype("<f8").tofile(raw)
+    out = tmp_path / "out"
+    assert main(["run", "--dims", "8", "8", "8", "--raw", str(raw),
+                 "--weights", "count", "--out", str(out)]) == 0
+    tree_digest = hashlib.sha256((out / "tree.json").read_bytes())
+    assert tree_digest.hexdigest() == (
+        "2213b7be7e2072df1a318c6ad6b6ed1181680d29eb4ccfe3e561d196e7b4687d")
+    doc = json.loads((out / "branches.json").read_text())
+    fields = [[b["rank"], b["parent"], b["lowerSupernode"],
+               b["upperSupernode"], b["attachmentSupernode"], b["superarcs"]]
+              for b in doc["branches"]]
+    assert len(fields) == 81
+    assert fields[0] == [0, -1, 72, 83, -1, [73, 31, 95, 72, 49, 42, 8, 3,
+                                             145, 87, 2, 63, 137, 59]]
+    assert hashlib.sha256(json.dumps(fields).encode()).hexdigest() == (
+        "d1e632ca92e869d605a2012aa3a9dbe8ec828ad1bcf7304e66e6275d630bbefa")
 
 
 def test_run_tetgen_input(tmp_path, tetgen_input):
@@ -162,3 +186,20 @@ def test_verify_fails_when_a_check_fails(monkeypatch, capsys):
                         lambda pos, vals, hs, volumes: np.ones(len(hs)))
     assert main(["verify", "--seed", "42", "--tets", "5"]) == 1
     assert "FAIL spline-vs-clip" in capsys.readouterr().out
+
+
+def test_verify_refuses_fewer_than_one_tet(capsys):
+    assert main(["verify", "--tets", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --tets must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_verify_contour_count_fails_without_thresholds(monkeypatch, capsys):
+    # on a constant field every threshold sits on a supernode value and
+    # is dropped, so the suite has nothing left to compare
+    grid_to_tets = cli.grid_to_tets
+    monkeypatch.setattr(cli, "grid_to_tets", lambda dims, values:
+                        grid_to_tets(dims, np.zeros_like(values)))
+    assert main(["verify", "--seed", "42", "--tets", "5"]) == 1
+    assert "FAIL contour-count 0 thresholds" in capsys.readouterr().out

@@ -5,8 +5,9 @@ from tetcontour.contourtree import build_contour_tree
 from tetcontour.hypersweep import (compute_deltas, count_regular_nodes,
                                    count_weights, sweep_volumes,
                                    volume_weights)
-from tetcontour.mesh import build_topology_graph, build_vertex_order
-from tetcontour.oracle import region_volume_errors
+from tetcontour.mesh import (build_topology_graph, build_vertex_order,
+                             grid_to_tets)
+from tetcontour.oracle import contour_count_mismatches, region_volume_errors
 
 from conftest import random_grid_mesh, two_peak_mesh
 
@@ -55,6 +56,30 @@ def test_superarc_volumes_match_region_oracle(rng):
             mesh, tree, sweep_volumes(tree, deltas), (0.2, 0.5, 0.8))
         worst = max(worst, np.max(errors / np.maximum(refs, 1e-12)))
     assert worst <= 1e-8
+
+
+def test_tied_integer_fields_match_both_oracles():
+    # every vertex shares its value with many others, so only the index
+    # tie-break orders them: the case where contraction could reorder
+    # supernodes; the volume bound is acceptance criterion 6's
+    rng = np.random.default_rng(29)
+    for _ in range(4):
+        mesh = grid_to_tets((6, 6, 6),
+                            rng.integers(0, 3, size=216).astype(float))
+        order, tree, deltas = _pipeline(mesh)
+        assert contour_count_mismatches(mesh, tree, (0.5, 1.5)) == 0
+        # on a flat arc (both ends at one value) the region below the cut
+        # grows along the arc at a single isovalue, which no function of
+        # h can follow, so only arcs spanning a value range are compared
+        volumes = [sv for sv in sweep_volumes(tree, deltas)
+                   if sv.h_lo < sv.h_hi]
+        assert len(volumes) >= 5
+        floor = 64.0 * np.finfo(float).eps * mesh.total_volume()
+        errors, refs = region_volume_errors(mesh, tree, volumes,
+                                            np.linspace(0.1, 0.9, 8))
+        worst = np.max(np.maximum(errors - floor, 0.0)
+                       / np.maximum(refs, 1e-12))
+        assert worst <= 1e-8
 
 
 def test_volume_function_continuous_at_breakpoints(rng):
