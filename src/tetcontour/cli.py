@@ -83,6 +83,8 @@ def _pipeline(config: PipelineConfig):
         start = time.perf_counter()
         try:
             yield
+        except MeshError:
+            raise                         # the input's fault, not the stage's
         except Exception as exc:          # noqa: BLE001 - tagged re-raise
             raise StageError(name, exc) from exc
         times[name] = time.perf_counter() - start

@@ -1,10 +1,14 @@
 """Contour tree construction: join/split sweeps, merge, augmentation.
 
-The join tree is built by a descending sweep with union-find over the
-already-seen (higher) neighbors; the split tree is its dual under the
-reversed order. The two are merged by iterated leaf pruning into the fully
-augmented contour tree, which is then contracted into supernodes and
-superarcs with every regular vertex mapped to its superarc.
+The join tree is built by a descending sweep with union-find over each
+vertex's link: its higher-ranked neighbours, filtered from the topology
+graph in one vectorised pass before the sweep, so the Python loop touches
+only neighbours that are already swept. The split tree is its dual under
+the reversed order with the lower-ranked neighbours as the link. A mesh
+that is not connected leaves more than one sweep root and is refused. The
+two trees are merged by iterated leaf pruning into the fully augmented
+contour tree, which is then contracted into supernodes and superarcs with
+every regular vertex mapped to its superarc.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TopologyGraph, VertexOrder
+from .mesh import StructuralError, TopologyGraph, VertexOrder
 
 
 @dataclass(frozen=True)
@@ -32,36 +36,41 @@ class MergeTree:
 def _sweep(graph: TopologyGraph, order: VertexOrder,
            descending: bool) -> MergeTree:
     n = graph.vertex_count
-    parent = np.full(n, -1, dtype=np.int64)
-    uf = np.full(n, -1, dtype=np.int64)       # union-find parent, -1 unseen
-    frontier = np.empty(n, dtype=np.int64)    # per root: latest swept vertex
-
     offsets = graph.neighbor_offsets
     nbrs = graph.neighbor_indices
-    sweep = order.sort_index[::-1] if descending else order.sort_index
+    rank = order.rank
+    # the link of v: its neighbours the sweep visits before v, found for
+    # every vertex in one pass and laid out in CSR form
+    src = np.repeat(np.arange(n), np.diff(offsets))
+    before = rank[nbrs] > rank[src] if descending else rank[nbrs] < rank[src]
+    link = nbrs[before].tolist()
+    link_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[before], minlength=n), out=link_offsets[1:])
+    link_offsets = link_offsets.tolist()
+    sweep = (order.sort_index[::-1] if descending
+             else order.sort_index).tolist()
 
-    def find(x):
-        root = x
-        while uf[root] != root:
-            root = uf[root]
-        while uf[x] != root:
-            uf[x], x = root, uf[x]
-        return root
-
+    # union-find with path halving; every link vertex is already swept, and
+    # v, joining each component it touches, stays the root of its own, so
+    # a component's root is always its latest swept vertex
+    parent = [-1] * n
+    uf = list(range(n))
     for v in sweep:
-        uf[v] = v
-        frontier[v] = v
-        for u in nbrs[offsets[v]:offsets[v + 1]]:
-            if uf[u] < 0:
-                continue  # not yet swept
-            ru = find(u)
-            rw = find(v)
-            if ru != rw:
-                parent[frontier[ru]] = v
-                uf[ru] = rw
-                frontier[rw] = v
-    root = int(sweep[-1])
-    return MergeTree(parent, root)
+        for u in link[link_offsets[v]:link_offsets[v + 1]]:
+            while uf[u] != u:
+                uf[u] = u = uf[uf[u]]
+            if u != v:
+                parent[u] = v
+                uf[u] = v
+    parent = np.array(parent, dtype=np.int64)
+    # each connected component leaves exactly one vertex without a parent
+    components = int(np.count_nonzero(parent < 0))
+    if components != 1:
+        unused = int(np.count_nonzero(offsets[1:] == offsets[:-1]))
+        raise StructuralError(
+            f"mesh is not connected: {components} components, "
+            f"{unused} vertices in no tet")
+    return MergeTree(parent, sweep[-1])
 
 
 def build_join_tree(graph: TopologyGraph, order: VertexOrder) -> MergeTree:

@@ -57,30 +57,33 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     with ThreadPoolExecutor(max_workers=threads) as ex:
         list(ex.map(work, range(0, m, _CHUNK)))
 
-    targets = sorted_tets.ravel()                 # (4m,) vertex per row
-    rows = contrib.reshape(-1, 4)
-    order_ix = np.argsort(targets, kind="stable")
-    targets = targets[order_ix]
-    rows = rows[order_ix]
-
     n = mesh.vertex_count
+    targets = sorted_tets.ravel()                 # (4m,) vertex per row
+    counts = np.bincount(targets, minlength=n)
+    # vertices longest run first, so those with a k-th row are a prefix
+    by_len = np.argsort(-counts, kind="stable")
+    slot = np.empty(n, dtype=np.int64)
+    slot[by_len] = np.arange(n)
+    rows = contrib.reshape(-1, 4)[np.argsort(slot[targets], kind="stable")]
+    lens = counts[by_len]
+    starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    active = n - np.cumsum(np.bincount(lens))[:-1]    # runs longer than k
+
     deltas = np.zeros((n, 4))
     comp = np.zeros((n, 4))
     # lockstep Neumaier: within each vertex's contiguous run, add the k-th
     # row for every vertex at once; k never exceeds the max vertex degree
-    starts = np.searchsorted(targets, np.arange(n))
-    ends = np.searchsorted(targets, np.arange(n), side="right")
-    counts = ends - starts
-    for k in range(int(counts.max()) if n else 0):
-        active = np.flatnonzero(counts > k)
-        x = rows[starts[active] + k]
-        s = deltas[active]
+    for k, m in enumerate(active.tolist()):
+        x = rows[starts[:m] + k]
+        s = deltas[:m]
         t = s + x
         big = np.abs(s) >= np.abs(x)
-        lost = np.where(big, (s - t) + x, (x - t) + s)
-        comp[active] += lost
-        deltas[active] = t
-    return deltas + comp
+        comp[:m] += np.where(big, (s - t) + x, (x - t) + s)
+        deltas[:m] = t
+    out = np.empty((n, 4))
+    out[by_len] = deltas + comp
+    return out
 
 
 @dataclass(frozen=True)

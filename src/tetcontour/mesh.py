@@ -146,22 +146,20 @@ def build_topology_graph(mesh: TetMesh) -> TopologyGraph:
     """
     tets = mesh.tets
     n = mesh.vertex_count
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    src = np.empty((tets.shape[0], 12), dtype=np.int64)
-    dst = np.empty_like(src)
-    for k, (i, j) in enumerate(pairs):
-        src[:, 2 * k] = tets[:, i]
-        dst[:, 2 * k] = tets[:, j]
-        src[:, 2 * k + 1] = tets[:, j]
-        dst[:, 2 * k + 1] = tets[:, i]
-    # encode (src, dst) into a single key so dedup is a 1-D unique
-    keys = src.ravel() * np.int64(n) + dst.ravel()
-    keys = np.unique(keys)
-    src_u = keys // n
-    dst_u = keys % n
+    # both directions of the 6 tet edges, encoded as src * n + dst so the
+    # dedup is a 1-D sort (np.unique's hash path is far slower)
+    src = [0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]
+    dst = [1, 0, 2, 0, 3, 0, 2, 1, 3, 1, 3, 2]
+    keys = tets[:, src] * n
+    keys += tets[:, dst]
+    keys = keys.ravel()
+    keys.sort()
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    src_u, dst_u = np.divmod(keys, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src_u + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(np.bincount(src_u, minlength=n), out=offsets[1:])
     return TopologyGraph(offsets, dst_u)
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tetcontour.contourtree import MergeTree
 from tetcontour.mesh import TetMesh, grid_to_tets
 
 UNIT_TET_POSITIONS = np.array([[0.0, 0.0, 0.0],
@@ -68,6 +69,44 @@ def two_peak_mesh():
     vals[:na] = np.arange(na, dtype=float)
     vals[na:] = 0.5 + 0.01 * np.arange(len(pos) - na)
     return TetMesh.create(pos, vals, tets)
+
+
+def reference_merge_tree(graph, order, descending):
+    """The join (descending) or split sweep over the full neighbour lists,
+    testing each neighbour for whether it is swept yet: the reference the
+    link-filtered sweep of build_join_tree and build_split_tree is
+    checked against."""
+    n = graph.vertex_count
+    parent = np.full(n, -1, dtype=np.int64)
+    uf = np.full(n, -1, dtype=np.int64)       # union-find parent, -1 unseen
+    frontier = np.empty(n, dtype=np.int64)    # per root: latest swept vertex
+
+    offsets = graph.neighbor_offsets
+    nbrs = graph.neighbor_indices
+    sweep = order.sort_index[::-1] if descending else order.sort_index
+
+    def find(x):
+        root = x
+        while uf[root] != root:
+            root = uf[root]
+        while uf[x] != root:
+            uf[x], x = root, uf[x]
+        return root
+
+    for v in sweep:
+        uf[v] = v
+        frontier[v] = v
+        for u in nbrs[offsets[v]:offsets[v + 1]]:
+            if uf[u] < 0:
+                continue  # not yet swept
+            ru = find(u)
+            rw = find(v)
+            if ru != rw:
+                parent[frontier[ru]] = v
+                uf[ru] = rw
+                frontier[rw] = v
+    root = int(sweep[-1])
+    return MergeTree(parent, root)
 
 
 @pytest.fixture

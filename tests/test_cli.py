@@ -166,6 +166,20 @@ def test_missing_file_is_reported(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_disconnected_mesh_is_reported(tmp_path, capsys):
+    node = tmp_path / "m.node"
+    node.write_text("8 3 1 0\n"
+                    "1 0 0 0 0.0\n2 1 0 0 1.0\n3 0 1 0 2.0\n4 0 0 1 3.0\n"
+                    "5 5 5 5 4.0\n6 6 5 5 5.0\n7 5 6 5 6.0\n8 5 5 6 7.0\n")
+    ele = tmp_path / "m.ele"
+    ele.write_text("2 4 0\n1 1 2 3 4\n2 5 6 7 8\n")
+    code = main(["run", "--node", str(node), "--ele", str(ele),
+                 "--field-attr", "0", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert ("error: mesh is not connected: 2 components, 0 vertices in no tet"
+            in capsys.readouterr().err)
+
+
 def test_bench_csv(grid_input, capsys):
     assert main(["bench", *grid_input]) == 0
     lines = capsys.readouterr().out.splitlines()

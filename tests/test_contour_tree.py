@@ -4,10 +4,11 @@ import pytest
 from tetcontour.contourtree import (NOT_FOUND, build_contour_tree,
                                     build_join_tree, build_split_tree,
                                     merge_trees, superarc_at_value)
-from tetcontour.mesh import (build_topology_graph, build_vertex_order,
-                             grid_to_tets)
+from tetcontour.mesh import (StructuralError, TetMesh, build_topology_graph,
+                             build_vertex_order, grid_to_tets)
 
-from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
+from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
+                      random_grid_mesh, reference_merge_tree, two_peak_mesh)
 
 
 def _tree(mesh):
@@ -197,3 +198,59 @@ def test_gaussian_two_bumps_has_two_maxima():
     up, down = _tree_degrees(tree)
     maxima = np.flatnonzero((up == 0) & (down == 1))
     assert len(maxima) == 2
+
+
+def _oracle_meshes():
+    rng = np.random.default_rng(5)
+    for n in range(4, 9):
+        yield random_grid_mesh(rng, dims=(n, n, n))
+    for _ in range(3):
+        yield grid_to_tets((6, 6, 6), rng.integers(0, 3, size=216))
+    yield grid_to_tets((5, 5, 5), np.zeros(125))
+    yield two_peak_mesh()
+    yield random_grid_mesh(rng, dims=(16, 16, 16))
+    spatial = pytest.importorskip("scipy.spatial")
+    for k in (30, 60, 120, 240):
+        points = rng.uniform(size=(k, 3))
+        yield TetMesh.create(points, rng.normal(size=k),
+                             spatial.Delaunay(points).simplices)
+
+
+def test_merge_trees_match_reference_sweep():
+    for mesh in _oracle_meshes():
+        graph = build_topology_graph(mesh)
+        order = build_vertex_order(mesh)
+        for build, descending in ((build_join_tree, True),
+                                  (build_split_tree, False)):
+            tree = build(graph, order)
+            ref = reference_merge_tree(graph, order, descending)
+            assert tree.parent.dtype == ref.parent.dtype
+            assert np.array_equal(tree.parent, ref.parent)
+            assert tree.root == ref.root
+
+
+def _disjoint_tets():
+    positions = np.concatenate([UNIT_TET_POSITIONS, UNIT_TET_POSITIONS + 5])
+    return TetMesh.create(positions, np.arange(8.0),
+                          [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def _tet_and_unused_vertex():
+    positions = np.concatenate([UNIT_TET_POSITIONS, [[5.0, 5.0, 5.0]]])
+    return TetMesh.create(positions, np.arange(5.0), [[0, 1, 2, 3]])
+
+
+def _vertices_without_tets():
+    return TetMesh.create(np.eye(3)[:2], [0.0, 1.0],
+                          np.zeros((0, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize("make, message", [
+    (_disjoint_tets, "2 components, 0 vertices in no tet"),
+    (_tet_and_unused_vertex, "2 components, 1 vertices in no tet"),
+    (_vertices_without_tets, "2 components, 2 vertices in no tet"),
+])
+def test_disconnected_mesh_is_refused(make, message):
+    mesh = make()
+    with pytest.raises(StructuralError, match=message):
+        _tree(mesh)

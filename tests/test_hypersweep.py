@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tetcontour.contourtree import build_contour_tree
+from tetcontour.geometry import batch_spline_coefficients
 from tetcontour.hypersweep import (compute_deltas, count_regular_nodes,
                                    count_weights, sweep_volumes,
                                    volume_weights)
@@ -45,6 +46,34 @@ def test_deltas_independent_of_thread_count(rng):
         hs._CHUNK = original
     np.testing.assert_array_equal(base, single)
     np.testing.assert_array_equal(base, threaded)
+
+
+def _reference_deltas(mesh, order):
+    """compute_deltas as one kernel call over every tet and a scalar
+    Neumaier sum per vertex that adds the vertex's rows in tet order."""
+    cols = np.argsort(order.rank[mesh.tets], axis=1, kind="stable")
+    sorted_tets = np.take_along_axis(mesh.tets, cols, axis=1)
+    p1, p2, p3, total = batch_spline_coefficients(
+        mesh.positions[sorted_tets], mesh.values[sorted_tets])
+    rows = np.stack([p1, p2 - p1, p3 - p2, -p3], axis=1)
+    rows[:, 3, 3] += total
+    sums = [[0.0] * 4 for _ in range(mesh.vertex_count)]
+    comps = [[0.0] * 4 for _ in range(mesh.vertex_count)]
+    for v, row in zip(sorted_tets.ravel().tolist(),
+                      rows.reshape(-1, 4).tolist()):
+        for j, x in enumerate(row):
+            s = sums[v][j]
+            t = s + x
+            comps[v][j] += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+            sums[v][j] = t
+    return np.array(sums) + np.array(comps)
+
+
+def test_deltas_match_scalar_neumaier_reference(rng):
+    for mesh in (random_grid_mesh(rng, dims=(6, 6, 6)), two_peak_mesh()):
+        order = build_vertex_order(mesh)
+        np.testing.assert_array_equal(compute_deltas(mesh, order),
+                                      _reference_deltas(mesh, order))
 
 
 def test_superarc_volumes_match_region_oracle(rng):
