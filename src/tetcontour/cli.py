@@ -20,7 +20,7 @@ import numpy as np
 
 from . import decomposition, hypersweep, isosurface, oracle
 from .contourtree import ContourTree, build_contour_tree
-from .geometry import build_tet_spline
+from .geometry import build_tet_spline, horner
 from .mesh import (MeshError, TetMesh, build_topology_graph,
                    build_vertex_order, grid_to_tets, load_raw_grid,
                    load_tetgen)
@@ -74,28 +74,29 @@ def _load(config: PipelineConfig) -> TetMesh:
     return load_raw_grid(config.raw, config.dims, config.spacing)
 
 
+@contextmanager
+def _stage(times, name):
+    """Record the block's wall time under name; tag its errors with it."""
+    start = time.perf_counter()
+    try:
+        yield
+    except MeshError:
+        raise                             # the input's fault, not the stage's
+    except Exception as exc:              # noqa: BLE001 - tagged re-raise
+        raise StageError(name, exc) from exc
+    times[name] = time.perf_counter() - start
+
+
 def _pipeline(config: PipelineConfig):
     """All stages, returning artifacts plus per-stage wall times."""
     times = {}
-
-    @contextmanager
-    def stage(name):
-        start = time.perf_counter()
-        try:
-            yield
-        except MeshError:
-            raise                         # the input's fault, not the stage's
-        except Exception as exc:          # noqa: BLE001 - tagged re-raise
-            raise StageError(name, exc) from exc
-        times[name] = time.perf_counter() - start
-
-    with stage("load"):
+    with _stage(times, "load"):
         mesh = _load(config)
-    with stage("construction"):
+    with _stage(times, "construction"):
         graph = build_topology_graph(mesh)
         order = build_vertex_order(mesh)
         tree = build_contour_tree(graph, order, mesh.values)
-    with stage("weights"):
+    with _stage(times, "weights"):
         total_volume = mesh.total_volume()
         deltas = hypersweep.compute_deltas(mesh, order,
                                            threads=config.threads)
@@ -104,7 +105,7 @@ def _pipeline(config: PipelineConfig):
             weights = hypersweep.volume_weights(volumes, total_volume)
         else:
             weights = hypersweep.count_weights(tree)
-    with stage("branch decomposition"):
+    with _stage(times, "branch decomposition"):
         branches = decomposition.decompose(tree, weights)
     return mesh, tree, volumes, weights, branches, total_volume, times
 
@@ -198,7 +199,7 @@ def cmd_run(config: PipelineConfig) -> int:
     mesh, tree, volumes, weights, branches, total_volume, times = \
         _pipeline(config)
 
-    try:
+    with _stage(times, "output"):
         _write_tree_json(out / "tree.json", mesh, tree)
         _write_weights_csv(out / "weights.csv", volumes, weights)
         top = decomposition.top_branches(branches, config.top)
@@ -217,8 +218,6 @@ def cmd_run(config: PipelineConfig) -> int:
         isosurface.write_mtl(out / "branches.mtl", materials)
         _write_branches_json(out / "branches.json", tree, branches,
                              extractions)
-    except Exception as exc:              # noqa: BLE001 - tagged re-raise
-        raise StageError("output", exc) from exc
 
     print(f"vertices {mesh.vertex_count} tets {mesh.tet_count} "
           f"supernodes {tree.supernode_count} "
@@ -284,11 +283,29 @@ def cmd_verify(seed: int, tets: int) -> int:
     mesh = grid_to_tets((5, 5, 5), vals)
     order = build_vertex_order(mesh)
     tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
-    volumes = hypersweep.sweep_volumes(tree,
-                                       hypersweep.compute_deltas(mesh, order))
-    errors, refs = oracle.region_volume_errors(mesh, tree, volumes,
-                                               (0.25, 0.75))
-    worst = np.max(errors / np.maximum(refs, 1e-12))
+    deltas = hypersweep.compute_deltas(mesh, order)
+    fracs = (0.25, 0.75)
+    errors, refs = oracle.region_volume_errors(
+        mesh, tree, hypersweep.sweep_volumes(tree, deltas), fracs)
+    # roundoff floor: V_arc(h) is Horner on a cubic row c whose coefficients
+    # each sum the deltas of the K vertices below the cut. In any order the
+    # sum errs by at most g(K-1) A_i, A_i = sum of |delta_i| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 4.2), and Horner by
+    # g(6) sum |c_i| |h|^i (5.1); by Lemma 3.3 together at most
+    # g(K+5) sum A_i |h|^i, g(k) = k u / (1 - k u), u = eps / 2. The deltas
+    # count as exact data, and a row formed as total minus complement is
+    # charged only for the region's own terms.
+    below, _ = hypersweep.below_arc_sums(tree, np.ones(mesh.vertex_count))
+    u = np.finfo(float).eps / 2
+    floor = np.empty_like(errors)
+    for a, sv in enumerate(hypersweep.sweep_volumes(tree, np.abs(deltas))):
+        for j, frac in enumerate(fracs):
+            h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
+            k = np.searchsorted(sv.breakpoints, h, side="right")
+            g = (below[a] + k + 5) * u / (1 - (below[a] + k + 5) * u)
+            floor[a, j] = g * horner(np.abs(sv.segments[k]), abs(h))
+    # relative to the region, or to the floor where that is larger
+    worst = np.max(errors / np.maximum(refs, floor / 1e-8))
     report("region-volume", worst <= 1e-8, f"worst {worst:.3e}")
 
     # contour counts vs straddling superarcs, off the supernode values
@@ -334,13 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(1.0, 1.0, 1.0), metavar=("SX", "SY", "SZ"))
         p.add_argument("--weights", choices=("count", "volume"),
                        default="volume")
-        p.add_argument("--top", type=int, default=3)
-        p.add_argument("--isovalue", action="append", metavar="SUPERARC=H",
-                       help="override the extraction isovalue of a superarc")
-        p.add_argument("--out", default=".")
         p.add_argument("--threads", type=int, default=1)
+        return p
 
-    add_input_flags(sub.add_parser("run", help="full pipeline"))
+    run = add_input_flags(sub.add_parser("run", help="full pipeline"))
+    run.add_argument("--top", type=int, default=3)
+    run.add_argument("--isovalue", action="append", metavar="SUPERARC=H",
+                     help="override the extraction isovalue of a superarc")
+    run.add_argument("--out", default=".")
     add_input_flags(sub.add_parser("bench", help="per-stage timings"))
     verify = sub.add_parser("verify", help="oracle property suites")
     verify.add_argument("--seed", type=int, default=42)
@@ -349,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
+    run_only = ({"top": args.top, "isovalues": _parse_isovalue(args.isovalue),
+                 "out": args.out} if args.command == "run" else {})
     return PipelineConfig(
         node=args.node, ele=args.ele, fld=args.fld,
         field_attr=args.field_attr,
         dims=tuple(args.dims) if args.dims else None,
         raw=args.raw, spacing=tuple(args.spacing),
-        weights=args.weights, top=args.top,
-        isovalues=_parse_isovalue(args.isovalue),
-        out=args.out, threads=args.threads)
+        weights=args.weights, threads=args.threads, **run_only)
 
 
 def main(argv=None) -> int:

@@ -139,7 +139,10 @@ class InconsistentTreesError(Exception):
 
 def merge_trees(join: MergeTree, split: MergeTree, order: VertexOrder,
                 values: np.ndarray) -> ContourTree:
-    """Iterated leaf pruning of the two merge trees into the contour tree."""
+    """Iterated leaf pruning of the two merge trees into the contour tree
+    (Carr, Snoeyink & Axen, CGTA 2003), over flat per-vertex int lists of
+    each tree's parents, child counts and child-id sums. A pruned vertex
+    has at most one child in the other tree: its child-id sum there."""
     n = join.parent.shape[0]
     values = np.asarray(values, dtype=np.float64)
     if split.parent.shape[0] != n:
@@ -147,65 +150,66 @@ def merge_trees(join: MergeTree, split: MergeTree, order: VertexOrder,
     if n == 1:
         raise InconsistentTreesError("need at least 2 vertices")
 
-    jp = join.parent.copy()
-    sp = split.parent.copy()
-    j_children = [set() for _ in range(n)]
-    s_children = [set() for _ in range(n)]
-    for v in range(n):
-        if jp[v] >= 0:
-            j_children[jp[v]].add(v)
-        if sp[v] >= 0:
-            s_children[sp[v]].add(v)
+    def children(parent):
+        has = parent >= 0
+        count = np.bincount(parent[has], minlength=n)
+        id_sum = np.zeros(n, dtype=np.int64)
+        np.add.at(id_sum, parent[has], np.flatnonzero(has))
+        return count, id_sum
 
-    arcs = np.empty((n - 1, 2), dtype=np.int64)
-    n_arcs = 0
-    removed = np.zeros(n, dtype=bool)
+    j_count, j_sum = children(join.parent)
+    s_count, s_sum = children(split.parent)
+    leaves = (((j_count == 0) & (s_count <= 1))
+              | ((s_count == 0) & (j_count <= 1)))
+    queue = deque(np.flatnonzero(leaves).tolist())
+    jp, jn, js = join.parent.tolist(), j_count.tolist(), j_sum.tolist()
+    sp, sn, ss = split.parent.tolist(), s_count.tolist(), s_sum.tolist()
+    arcs = []
+    removed = [False] * n
 
     def is_leaf(v):
-        return ((not j_children[v] and len(s_children[v]) <= 1)
-                or (not s_children[v] and len(j_children[v]) <= 1))
+        return (not jn[v] and sn[v] <= 1) or (not sn[v] and jn[v] <= 1)
 
-    queue = deque(v for v in range(n) if is_leaf(v))
     remaining = n
     while queue and remaining > 1:
         v = queue.popleft()
         if removed[v] or not is_leaf(v):
             continue
-        if not j_children[v] and jp[v] >= 0:
+        if not jn[v] and jp[v] >= 0:
             w = jp[v]
-            leaf_parent, leaf_children = jp, j_children
-            other_parent, other_children = sp, s_children
-        elif not s_children[v] and sp[v] >= 0:
+            leaf_count, leaf_sum = jn, js
+            other_parent, other_count, other_sum = sp, sn, ss
+        elif not sn[v] and sp[v] >= 0:
             w = sp[v]
-            leaf_parent, leaf_children = sp, s_children
-            other_parent, other_children = jp, j_children
+            leaf_count, leaf_sum = sn, ss
+            other_parent, other_count, other_sum = jp, jn, js
         else:
             # root of one tree with no remaining arc in the other: done
             continue
-        arcs[n_arcs, 0] = v
-        arcs[n_arcs, 1] = w
-        n_arcs += 1
+        arcs += (v, w)
         removed[v] = True
         remaining -= 1
         # leaf deletion from the tree that supplied the arc
-        leaf_children[w].discard(v)
-        # bypass deletion from the other tree
+        leaf_count[w] -= 1
+        leaf_sum[w] -= v
+        # bypass deletion from the other tree: v's child c takes its place
         p = other_parent[v]
-        c = next(iter(other_children[v])) if other_children[v] else -1
+        c = other_sum[v] if other_count[v] else -1
         if c >= 0:
             other_parent[c] = p
             if p >= 0:
-                other_children[p].discard(v)
-                other_children[p].add(c)
+                other_sum[p] += c - v
         elif p >= 0:
-            other_children[p].discard(v)
+            other_count[p] -= 1
+            other_sum[p] -= v
         for cand in (w, p, c):
             if cand >= 0 and not removed[cand] and is_leaf(cand):
                 queue.append(cand)
-    if n_arcs != n - 1:
+    if len(arcs) != 2 * (n - 1):
         raise InconsistentTreesError(
-            f"merge produced {n_arcs} arcs for {n} vertices")
-    return _contract(arcs, order, values)
+            f"merge produced {len(arcs) // 2} arcs for {n} vertices")
+    return _contract(np.array(arcs, dtype=np.int64).reshape(n - 1, 2),
+                     order, values)
 
 
 def _contract(arcs: np.ndarray, order: VertexOrder,
@@ -285,9 +289,6 @@ def build_contour_tree(graph: TopologyGraph, order: VertexOrder,
                        build_split_tree(graph, order), order, values)
 
 
-NOT_FOUND = -1
-
-
 def _arc_contains(tree: ContourTree, sn_vals, arc: int, h: float) -> bool:
     lo, hi = tree.superarcs[arc]
     if sn_vals[lo] <= h < sn_vals[hi]:
@@ -332,18 +333,3 @@ def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float) -> set:
                     stack.append(b)
     return hits
 
-
-def superarc_at_value(tree: ContourTree, seed_vertex: int, h: float) -> int:
-    """Superarc whose contour at isovalue h the seed's arc flows into.
-
-    Walks monotonically from the seed toward h, branching where a
-    saddle offers several continuations; the result is the unique superarc
-    straddling h reachable that way, or NOT_FOUND when there is none or
-    the straddling superarc is ambiguous. Queries exactly at a supernode
-    value resolve upward (h is treated as h+), except at the global
-    maximum where the top arc still contains its endpoint value.
-    """
-    hits = straddling_arcs(tree, seed_vertex, h)
-    if len(hits) == 1:
-        return hits.pop()
-    return NOT_FOUND

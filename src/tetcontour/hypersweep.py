@@ -188,15 +188,6 @@ def sweep_volumes(tree: ContourTree, deltas: np.ndarray) -> list:
     return out
 
 
-def count_regular_nodes(tree: ContourTree) -> np.ndarray:
-    """Vertices per superarc: regular vertices plus the canonically
-    assigned supernodes; sums to the mesh vertex count."""
-    counts = np.array([len(r) for r in tree.arc_regulars], dtype=np.int64)
-    sn_arcs = tree.arc_of[tree.supernodes]
-    np.add.at(counts, sn_arcs, 1)
-    return counts
-
-
 @dataclass(frozen=True)
 class ArcWeights:
     """Directional weights per superarc for branch decomposition.

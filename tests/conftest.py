@@ -1,4 +1,6 @@
 """Shared fixtures: reference meshes and fields used across test modules."""
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,67 @@ def reference_merge_tree(graph, order, descending):
                 frontier[rw] = v
     root = int(sweep[-1])
     return MergeTree(parent, root)
+
+
+def reference_merge_arcs(join, split):
+    """The leaf pruning of merge_trees over per-vertex child sets: the
+    reference its count-and-sum pruning is checked against. Returns the
+    (n - 1, 2) augmented arc rows in pruning order."""
+    n = join.parent.shape[0]
+    jp = join.parent.copy()
+    sp = split.parent.copy()
+    j_children = [set() for _ in range(n)]
+    s_children = [set() for _ in range(n)]
+    for v in range(n):
+        if jp[v] >= 0:
+            j_children[jp[v]].add(v)
+        if sp[v] >= 0:
+            s_children[sp[v]].add(v)
+
+    arcs = np.empty((n - 1, 2), dtype=np.int64)
+    n_arcs = 0
+    removed = np.zeros(n, dtype=bool)
+
+    def is_leaf(v):
+        return ((not j_children[v] and len(s_children[v]) <= 1)
+                or (not s_children[v] and len(j_children[v]) <= 1))
+
+    queue = deque(v for v in range(n) if is_leaf(v))
+    remaining = n
+    while queue and remaining > 1:
+        v = queue.popleft()
+        if removed[v] or not is_leaf(v):
+            continue
+        if not j_children[v] and jp[v] >= 0:
+            w = jp[v]
+            leaf_children = j_children
+            other_parent, other_children = sp, s_children
+        elif not s_children[v] and sp[v] >= 0:
+            w = sp[v]
+            leaf_children = s_children
+            other_parent, other_children = jp, j_children
+        else:
+            continue
+        arcs[n_arcs, 0] = v
+        arcs[n_arcs, 1] = w
+        n_arcs += 1
+        removed[v] = True
+        remaining -= 1
+        leaf_children[w].discard(v)
+        p = other_parent[v]
+        c = next(iter(other_children[v])) if other_children[v] else -1
+        if c >= 0:
+            other_parent[c] = p
+            if p >= 0:
+                other_children[p].discard(v)
+                other_children[p].add(c)
+        elif p >= 0:
+            other_children[p].discard(v)
+        for cand in (w, p, c):
+            if cand >= 0 and not removed[cand] and is_leaf(cand):
+                queue.append(cand)
+    assert n_arcs == n - 1
+    return arcs
 
 
 @pytest.fixture

@@ -72,6 +72,7 @@ def test_run_grid_artifacts(tmp_path, grid_input, capsys):
 
     summary = capsys.readouterr().out
     assert "supernodes" in summary and "total volume" in summary
+    assert "\ntime output " in summary
 
 
 def test_run_golden_structure(tmp_path):
@@ -188,11 +189,27 @@ def test_bench_csv(grid_input, capsys):
     assert stages == ["construction", "weights", "branch decomposition"]
 
 
+def test_bench_refuses_run_only_flags(grid_input, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *grid_input, "--top", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --top 2" in capsys.readouterr().err
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--seed", "42", "--tets", "60"]) == 0
     out = capsys.readouterr().out
     assert "PASS spline-vs-clip" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12])
+def test_verify_region_volume_roundoff_passes(seed, capsys):
+    # each seed's grid has a small region (1.7e-10 to 3.9e-6) whose volume
+    # cancels deltas of absolute sum 6e2 to 2e4, so its error is roundoff
+    # above 1e-8 relative but under the derived floor
+    assert main(["verify", "--seed", str(seed), "--tets", "10"]) == 0
+    assert "PASS region-volume" in capsys.readouterr().out
 
 
 def test_verify_fails_when_a_check_fails(monkeypatch, capsys):

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tetcontour.contourtree import (NOT_FOUND, build_contour_tree,
+from tetcontour.contourtree import (_contract, build_contour_tree,
                                     build_join_tree, build_split_tree,
-                                    merge_trees, superarc_at_value)
+                                    merge_trees, straddling_arcs)
 from tetcontour.mesh import (StructuralError, TetMesh, build_topology_graph,
                              build_vertex_order, grid_to_tets)
 
 from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
-                      random_grid_mesh, reference_merge_tree, two_peak_mesh)
+                      random_grid_mesh, reference_merge_arcs,
+                      reference_merge_tree, two_peak_mesh)
 
 
 def _tree(mesh):
@@ -145,37 +148,35 @@ def test_two_peak_tree_shape():
     assert tree.supernode_value(int(splits[0])) == 0.0
 
 
-def test_superarc_at_value_containment(rng):
+def test_straddling_arcs_containment(rng):
     mesh = random_grid_mesh(rng, dims=(6, 6, 6))
     tree, _, _ = _tree(mesh)
     sn_vals = tree.values[tree.supernodes]
-    hits = misses = 0
+    hits = 0
     for _ in range(200):
         v = int(rng.integers(mesh.vertex_count))
         h = float(rng.normal())
-        arc = superarc_at_value(tree, v, h)
-        if arc == NOT_FOUND:
-            misses += 1
-            continue
-        hits += 1
-        lo, hi = tree.superarcs[arc]
-        assert (sn_vals[lo] <= h < sn_vals[hi]
-                or (hi == tree.root and h == sn_vals[tree.root]))
+        for arc in straddling_arcs(tree, v, h):
+            hits += 1
+            lo, hi = tree.superarcs[arc]
+            assert (sn_vals[lo] <= h < sn_vals[hi]
+                    or (hi == tree.root and h == sn_vals[tree.root]))
     assert hits > 0
     # out-of-range values can never land on an arc
-    assert superarc_at_value(tree, 0, mesh.values.max() + 1.0) == NOT_FOUND
-    assert superarc_at_value(tree, 0, mesh.values.min() - 1.0) == NOT_FOUND
+    assert straddling_arcs(tree, 0, mesh.values.max() + 1.0) == set()
+    assert straddling_arcs(tree, 0, mesh.values.min() - 1.0) == set()
 
 
-def test_superarc_at_value_own_interval(rng):
-    """A query inside the seed's own superarc interval returns that arc."""
+def test_straddling_arcs_own_interval(rng):
+    """A regular vertex queried at its own value finds only its arc."""
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     tree, _, _ = _tree(mesh)
     for a, regs in enumerate(tree.arc_regulars):
         if not len(regs):
             continue
         v = int(regs[len(regs) // 2])
-        assert superarc_at_value(tree, v, float(mesh.values[v])) == a
+        assert tree.arc_of[v] == a
+        assert straddling_arcs(tree, v, float(mesh.values[v])) == {a}
 
 
 def test_merge_rejects_mismatched_trees():
@@ -227,6 +228,29 @@ def test_merge_trees_match_reference_sweep():
             assert tree.parent.dtype == ref.parent.dtype
             assert np.array_equal(tree.parent, ref.parent)
             assert tree.root == ref.root
+
+
+def _same(a, b):
+    """Equal values, and for arrays equal dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def test_merge_trees_match_reference_arcs():
+    for mesh in _oracle_meshes():
+        graph = build_topology_graph(mesh)
+        order = build_vertex_order(mesh)
+        join = build_join_tree(graph, order)
+        split = build_split_tree(graph, order)
+        tree = merge_trees(join, split, order, mesh.values)
+        ref = _contract(reference_merge_arcs(join, split), order,
+                        mesh.values)
+        for f in dataclasses.fields(tree):
+            assert _same(getattr(tree, f.name), getattr(ref, f.name)), f.name
 
 
 def _disjoint_tets():

@@ -3,9 +3,8 @@ import pytest
 
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.geometry import batch_spline_coefficients
-from tetcontour.hypersweep import (compute_deltas, count_regular_nodes,
-                                   count_weights, sweep_volumes,
-                                   volume_weights)
+from tetcontour.hypersweep import (compute_deltas, count_weights,
+                                   sweep_volumes, volume_weights)
 from tetcontour.mesh import (build_topology_graph, build_vertex_order,
                              grid_to_tets)
 from tetcontour.oracle import contour_count_mismatches, region_volume_errors
@@ -147,18 +146,6 @@ def test_root_arc_sweeps_everything(rng):
     root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
     assert volumes[root_arc].weight_top == pytest.approx(
         mesh.total_volume(), rel=1e-9)
-
-
-def test_count_nodes_partition(rng):
-    for _ in range(4):
-        mesh = random_grid_mesh(rng, dims=(6, 6, 6))
-        order, tree, _ = _pipeline(mesh)
-        counts = count_regular_nodes(tree)
-        assert counts.sum() == mesh.vertex_count
-        # arcs own their regulars plus canonically assigned supernodes;
-        # an arc whose lower supernode belongs to a sibling can own zero
-        assert np.all(counts >= 0)
-        assert np.all(counts >= [len(r) for r in tree.arc_regulars])
 
 
 def test_count_weights_mirror_volume_weights_structure(rng):
