@@ -198,6 +198,10 @@ def cmd_run(config: PipelineConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mesh, tree, volumes, weights, branches, total_volume, times = \
         _pipeline(config)
+    for arc in config.isovalues:
+        if not 0 <= arc < tree.superarc_count:
+            raise ValueError(f"--isovalue names superarc {arc}; the tree "
+                             f"has superarcs 0..{tree.superarc_count - 1}")
 
     with _stage(times, "output"):
         _write_tree_json(out / "tree.json", mesh, tree)

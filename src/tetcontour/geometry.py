@@ -12,9 +12,9 @@ interpolant, with the constant of integration pinned by continuity at h_B.
 All polynomials are kept in unnormalized standard form a*h^3+b*h^2+c*h+d so
 that coefficient vectors from different tets can be summed directly.
 
-batch_spline_coefficients is the one implementation of this math, vectorized
-over many tets; build_tet_spline runs it on a single tet. Independent checks
-come from the clipping oracles in oracle.py, not from a second derivation.
+batch_spline_coefficients, the one implementation of this math, works row by
+row over many tets, so a tet's bits never depend on the batch it is in.
+Checks come from the clipping oracles in oracle.py, not a second derivation.
 """
 from __future__ import annotations
 
@@ -89,6 +89,13 @@ def _corner_cubic(volume, h0, width):
     return rows
 
 
+def _cross(a, b):
+    """Row-wise a x b with np.cross's own products and differences."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=1)
+
+
 def batch_spline_coefficients(positions, values):
     """Vectorized spline coefficients for many pre-sorted tets.
 
@@ -106,7 +113,7 @@ def batch_spline_coefficients(positions, values):
 
     edges = positions[:, 1:] - positions[:, :1]
     det = np.einsum("ij,ij->i", edges[:, 0],
-                    np.cross(edges[:, 1], edges[:, 2]))
+                    _cross(edges[:, 1], edges[:, 2]))
     total = np.abs(det) / 6.0
 
     def cut(p0, p1, v0, v1, h):
@@ -121,9 +128,9 @@ def batch_spline_coefficients(positions, values):
     hh = cut(pb, pd, hb, hd, hc)
 
     vol_abef = np.abs(np.einsum("ij,ij->i", pb - pa,
-                                np.cross(e - pa, f - pa))) / 6.0
+                                _cross(e - pa, f - pa))) / 6.0
     vol_dcgh = np.abs(np.einsum("ij,ij->i", pc - pd,
-                                np.cross(g - pd, hh - pd))) / 6.0
+                                _cross(g - pd, hh - pd))) / 6.0
 
     # gradient of the linear interpolant; degenerate (constant) tets get 0
     nondeg = hd > ha
@@ -145,15 +152,14 @@ def batch_spline_coefficients(positions, values):
     # direction n expands exactly to a quadratic alpha h^2 + beta h + gamma
     w2 = hc - hb
     mid_ok = w2 > 0.0
-    starts = np.stack([e, f, pb, pb], axis=1)        # (m, 4, 3)
-    ends = np.stack([g, pc, pc, hh], axis=1)
-    u = (ends - starts) * _ratio(1.0, w2, mid_ok)[:, None, None]
-    w = starts - u * hb[:, None, None]
-    u_next = np.roll(u, -1, axis=1)
-    w_next = np.roll(w, -1, axis=1)
-    s2 = np.sum(np.cross(u, u_next), axis=1)
-    s1 = np.sum(np.cross(u, w_next) + np.cross(w, u_next), axis=1)
-    s0 = np.sum(np.cross(w, w_next), axis=1)
+    inv_w2 = _ratio(1.0, w2, mid_ok)[:, None]
+    u = [(q - p) * inv_w2 for p, q in ((e, g), (f, pc), (pb, pc), (pb, hh))]
+    w = [p - ui * hb[:, None] for p, ui in zip((e, f, pb, pb), u)]
+    s2 = s1 = s0 = 0.0      # from 0.0 in corner order: this fixes the bits
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        s2 = s2 + _cross(u[i], u[j])
+        s1 = s1 + (_cross(u[i], w[j]) + _cross(w[i], u[j]))
+        s0 = s0 + _cross(w[i], w[j])
     normal = grad / np.where(gmag > 0.0, gmag, 1.0)[:, None]
     alpha = 0.5 * np.einsum("ij,ij->i", normal, s2)
     beta = 0.5 * np.einsum("ij,ij->i", normal, s1)

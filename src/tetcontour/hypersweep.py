@@ -21,7 +21,7 @@ from .geometry import batch_spline_coefficients, horner
 from .mesh import TetMesh, VertexOrder
 
 
-_CHUNK = 65536
+_CHUNK = 8192
 
 
 def compute_deltas(mesh: TetMesh, order: VertexOrder,
@@ -31,32 +31,16 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     Summed over any vertex subset that is downward-closed along the tree
     these give the subset's exact swept volume polynomial; summed over all
     vertices they telescope to (0, 0, 0, total mesh volume). The spline
-    kernel always runs over fixed blocks of _CHUNK tets, each writing its
-    per-corner differences straight into one contribution array; threads
-    only sets how many blocks run at once. Accumulation uses Neumaier
-    compensation in a fixed order, so results are bit-identical for any
-    thread count and reproducible run to run.
+    kernel runs over blocks of _CHUNK tets, threads of them at once, each
+    writing its per-corner differences straight into their summation rows.
+    Neither block size nor threads play a part in the bits: each tet's rows
+    depend only on that tet, and each vertex adds its rows with Neumaier
+    compensation in fixed (tet, corner) order.
     """
     tets = mesh.tets
     sort_cols = np.argsort(order.rank[tets], axis=1, kind="stable")
     sorted_tets = np.take_along_axis(tets, sort_cols, axis=1)
     m = tets.shape[0]
-    contrib = np.empty((m, 4, 4))
-
-    def work(lo):
-        block = sorted_tets[lo:lo + _CHUNK]
-        p1, p2, p3, total = batch_spline_coefficients(
-            mesh.positions[block], mesh.values[block])
-        out = contrib[lo:lo + _CHUNK]
-        out[:, 0] = p1
-        out[:, 1] = p2 - p1
-        out[:, 2] = p3 - p2
-        out[:, 3] = -p3
-        out[:, 3, 3] += total
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(work, range(0, m, _CHUNK)))
-
     n = mesh.vertex_count
     targets = sorted_tets.ravel()                 # (4m,) vertex per row
     counts = np.bincount(targets, minlength=n)
@@ -64,7 +48,23 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     by_len = np.argsort(-counts, kind="stable")
     slot = np.empty(n, dtype=np.int64)
     slot[by_len] = np.arange(n)
-    rows = contrib.reshape(-1, 4)[np.argsort(slot[targets], kind="stable")]
+    # dest[t, c]: tet t's corner-c row in its vertex's (tet, corner) run
+    dest = np.empty((m, 4), dtype=np.int64)
+    dest.reshape(-1)[np.argsort(slot[targets], kind="stable")] = \
+        np.arange(4 * m)
+    rows = np.empty((4 * m, 4))
+
+    def work(lo):
+        block = sorted_tets[lo:lo + _CHUNK]
+        p1, p2, p3, total = batch_spline_coefficients(
+            mesh.positions[block], mesh.values[block])
+        last = -p3
+        last[:, 3] += total
+        rows[dest[lo:lo + _CHUNK].T] = (p1, p2 - p1, p3 - p2, last)
+
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        list(ex.map(work, range(0, m, _CHUNK)))
+
     lens = counts[by_len]
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(lens[:-1], out=starts[1:])

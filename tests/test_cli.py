@@ -159,6 +159,26 @@ def test_malformed_isovalue_is_reported(tmp_path, grid_input, capsys):
     assert "error: expected SUPERARC=H, got 'abc'" in capsys.readouterr().err
 
 
+def test_isovalue_for_missing_superarc_is_reported(tmp_path, grid_input,
+                                                   capsys):
+    out0 = tmp_path / "a"
+    assert main(["run", *grid_input, "--top", "1", "--out", str(out0)]) == 0
+    k = len(json.loads((out0 / "tree.json").read_text())["superarcs"])
+    extracted = json.loads((out0 / "branches.json").read_text())[
+        "branches"][0]["extraction"]["superarc"]
+    capsys.readouterr()
+    for arc in (k, 999, -3):
+        code = main(["run", *grid_input, "--top", "1",
+                     f"--isovalue={arc}=0.5", "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert (f"error: --isovalue names superarc {arc}; the tree has "
+                f"superarcs 0..{k - 1}") in capsys.readouterr().err
+    # an existing arc that is not extracted is accepted, as before
+    other = 0 if extracted else 1
+    assert main(["run", *grid_input, "--top", "1",
+                 f"--isovalue={other}=0.5", "--out", str(tmp_path / "c")]) == 0
+
+
 def test_missing_file_is_reported(tmp_path, capsys):
     code = main(["run", "--dims", "4", "4", "4",
                  "--raw", str(tmp_path / "nope.f64"),

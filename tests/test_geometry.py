@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from tetcontour.geometry import build_tet_spline, sort_tet_vertices
-from tetcontour.mesh import build_vertex_order
+from tetcontour.geometry import (batch_spline_coefficients, build_tet_spline,
+                                 sort_tet_vertices)
+from tetcontour.mesh import TetMesh, build_vertex_order
 from tetcontour.oracle import (clip_area, clip_volume, clip_volume_errors,
                                random_tet)
 
-from conftest import coarea_factor, single_tet_mesh
+from conftest import (coarea_factor, gaussian_grid_mesh,
+                      reference_spline_coefficients, single_tet_mesh)
 
 
 def _spline(mesh):
@@ -145,3 +147,32 @@ def test_degenerate_equal_values_give_zero_width_pieces():
     assert spline(0.5) == pytest.approx(ref_mid, rel=1e-12)
     assert spline(1.0) == pytest.approx(spline.total_volume)
     assert spline(0.0 - 1e-15) == 0.0
+
+
+def _sorted_tet_inputs(mesh):
+    order = build_vertex_order(mesh)
+    cols = np.argsort(order.rank[mesh.tets], axis=1, kind="stable")
+    tets = np.take_along_axis(mesh.tets, cols, axis=1)
+    return mesh.positions[tets], mesh.values[tets]
+
+
+def test_kernel_matches_reference_bits(rng):
+    spatial = pytest.importorskip("scipy.spatial")
+    points = rng.uniform(size=(2000, 3))
+    delaunay = TetMesh.create(points, rng.normal(size=2000),
+                              spatial.Delaunay(points).simplices)
+    m = 20_000
+    inputs = [
+        _sorted_tet_inputs(gaussian_grid_mesh(12, [(0.3, 0.4, 0.5)], [1.0])),
+        _sorted_tet_inputs(delaunay),
+        # ties: constant tets and pieces of zero width
+        (rng.normal(size=(m, 4, 3)),
+         np.sort(rng.integers(0, 3, size=(m, 4)), axis=1).astype(float)),
+        (rng.normal(size=(m, 4, 3)), np.sort(rng.normal(size=(m, 4)), axis=1)),
+    ]
+    for positions, values in inputs:
+        got = batch_spline_coefficients(positions, values)
+        want = reference_spline_coefficients(positions, values)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))

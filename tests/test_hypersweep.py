@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from tetcontour.mesh import (build_topology_graph, build_vertex_order,
                              grid_to_tets)
 from tetcontour.oracle import contour_count_mismatches, region_volume_errors
 
-from conftest import random_grid_mesh, two_peak_mesh
+from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
 
 
 def _pipeline(mesh):
@@ -45,6 +47,28 @@ def test_deltas_independent_of_thread_count(rng):
         hs._CHUNK = original
     np.testing.assert_array_equal(base, single)
     np.testing.assert_array_equal(base, threaded)
+
+    # at the default chunk size: 13,182 tets span two chunks
+    mesh = random_grid_mesh(rng, dims=(14, 14, 14))
+    order = build_vertex_order(mesh)
+    ref = _reference_deltas(mesh, order)
+    for threads in (1, 2, 4):
+        np.testing.assert_array_equal(
+            compute_deltas(mesh, order, threads=threads), ref)
+
+
+def test_deltas_peak_memory():
+    mesh = gaussian_grid_mesh(24, [(0.3, 0.4, 0.5), (0.7, 0.5, 0.4)],
+                              [1.0, 0.8])
+    assert mesh.tet_count == 73_002
+    order = build_vertex_order(mesh)
+    tracemalloc.start()
+    try:
+        compute_deltas(mesh, order, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def _reference_deltas(mesh, order):
