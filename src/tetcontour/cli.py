@@ -198,20 +198,24 @@ def cmd_run(config: PipelineConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     mesh, tree, volumes, weights, branches, total_volume, times = \
         _pipeline(config)
+    # every (superarc, isovalue) is settled before the first file is written
+    top = decomposition.top_branches(branches, config.top)
+    extractions = {b.rank: _branch_extraction(tree, b, config.isovalues)
+                   for b in top}
     for arc in config.isovalues:
         if not 0 <= arc < tree.superarc_count:
             raise ValueError(f"--isovalue names superarc {arc}; the tree "
                              f"has superarcs 0..{tree.superarc_count - 1}")
+        if arc not in {a for a, _ in extractions.values()}:
+            raise ValueError(f"--isovalue names superarc {arc}, which no "
+                             "extracted branch uses")
 
     with _stage(times, "output"):
         _write_tree_json(out / "tree.json", mesh, tree)
         _write_weights_csv(out / "weights.csv", volumes, weights)
-        top = decomposition.top_branches(branches, config.top)
-        extractions = {}
         materials = []
         for b in top:
-            arc, h = _branch_extraction(tree, b, config.isovalues)
-            extractions[b.rank] = (arc, h)
+            arc, h = extractions[b.rank]
             soup = isosurface.extract_superarc_contour(mesh, tree, arc, h)
             name = f"branch_{b.rank}"
             color = _PALETTE[b.rank % len(_PALETTE)]

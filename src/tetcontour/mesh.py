@@ -7,8 +7,9 @@ tet edges, and the global sorted vertex order used by all sweep algorithms.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, islice
 
 import numpy as np
 
@@ -42,11 +43,13 @@ class TetMesh:
     values:    (n,)  float64 scalar field, finite.
     tets:      (m, 4) int64 vertex indices, 0-based, pairwise distinct,
                each tet with strictly positive geometric volume.
+    volume:    sum of the tet volumes, taken once by create.
     """
 
     positions: np.ndarray
     values: np.ndarray
     tets: np.ndarray
+    volume: float
 
     @property
     def vertex_count(self) -> int:
@@ -75,34 +78,35 @@ class TetMesh:
             raise DataError("non-finite vertex coordinates")
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise DataError("tets must have shape (m, 4)")
-        if tets.size:
-            if tets.min() < 0 or tets.max() >= n:
-                raise StructuralError(
-                    f"tet vertex index out of range [0, {n})")
-            sorted_rows = np.sort(tets, axis=1)
-            if np.any(sorted_rows[:, :-1] == sorted_rows[:, 1:]):
-                dup = np.flatnonzero(
-                    np.any(sorted_rows[:, :-1] == sorted_rows[:, 1:], axis=1))
-                raise StructuralError(
-                    f"repeated vertex within tets {dup[:10].tolist()}")
-            vols = tet_volumes(positions, tets)
-            degenerate = np.flatnonzero(vols <= 0.0)
-            if degenerate.size:
-                raise StructuralError(
-                    "degenerate (zero-volume) tets: "
-                    f"{degenerate[:20].tolist()}")
-        return TetMesh(positions, values, tets)
+        if tets.size and (tets.min() < 0 or tets.max() >= n):
+            raise StructuralError(f"tet vertex index out of range [0, {n})")
+        sorted_rows = np.sort(tets, axis=1)
+        dup = np.flatnonzero(
+            np.any(sorted_rows[:, :-1] == sorted_rows[:, 1:], axis=1))
+        if dup.size:
+            raise StructuralError(
+                f"repeated vertex within tets {dup[:10].tolist()}")
+        vols = tet_volumes(positions, tets)
+        degenerate = np.flatnonzero(vols <= 0.0)
+        if degenerate.size:
+            raise StructuralError(
+                f"degenerate (zero-volume) tets: {degenerate[:20].tolist()}")
+        return TetMesh(positions, values, tets, float(np.sum(vols)))
 
     def total_volume(self) -> float:
-        return float(np.sum(tet_volumes(self.positions, self.tets)))
+        return self.volume
+
+
+def _triple_products(positions, tets) -> np.ndarray:
+    """Signed scalar triple product of every tet's edges from corner 0."""
+    p = positions[tets]
+    e = p[:, 1:] - p[:, :1]
+    return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
 
 
 def tet_volumes(positions, tets) -> np.ndarray:
     """Unsigned volume |scalar triple product| / 6 for every tet."""
-    p = positions[tets]
-    e = p[:, 1:] - p[:, :1]
-    det = np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
-    return np.abs(det) / 6.0
+    return np.abs(_triple_products(positions, tets)) / 6.0
 
 
 @dataclass(frozen=True)
@@ -222,12 +226,8 @@ def grid_to_tets(dims, values, spacing=(1.0, 1.0, 1.0)) -> TetMesh:
         tets[k::6, 2] = v2
         tets[k::6, 3] = far
     # canonical orientation: positive scalar triple product
-    p = positions[tets]
-    e = p[:, 1:] - p[:, :1]
-    det = np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
-    flip = det < 0.0
-    tets[flip, 2], tets[flip, 3] = (tets[flip, 3].copy(),
-                                    tets[flip, 2].copy())
+    flip = _triple_products(positions, tets) < 0.0
+    tets[flip, 2:] = tets[flip][:, [3, 2]]
     return TetMesh.create(positions, values, tets)
 
 
@@ -240,93 +240,75 @@ def _data_lines(path):
                 yield line_no, text.split()
 
 
-def _parse_node_file(node_path):
-    rows = _data_lines(node_path)
-    try:
-        line_no, header = next(rows)
-    except StopIteration:
-        raise ParseError(node_path, 0, "empty .node file")
-    if len(header) < 4:
-        raise ParseError(node_path, line_no,
-                         f"expected 4 header fields, got {len(header)}")
-    try:
-        n_points, dim, n_attrs, n_markers = (int(t) for t in header[:4])
-    except ValueError:
-        raise ParseError(node_path, line_no, "non-integer .node header")
-    if dim != 3:
-        raise ParseError(node_path, line_no, f"expected dimension 3, got {dim}")
-
-    indices = np.empty(n_points, dtype=np.int64)
-    positions = np.empty((n_points, 3), dtype=np.float64)
-    attrs = np.empty((n_points, n_attrs), dtype=np.float64)
-    want = 1 + 3 + n_attrs  # marker column, if declared, is ignored
-    for i in range(n_points):
-        try:
-            line_no, tokens = next(rows)
-        except StopIteration:
-            raise ParseError(node_path, line_no,
-                             f"expected {n_points} points, file ended at {i}")
-        if len(tokens) < want:
-            raise ParseError(node_path, line_no,
-                             f"expected at least {want} fields, got {len(tokens)}")
-        try:
-            indices[i] = int(tokens[0])
-            positions[i] = [float(t) for t in tokens[1:4]]
-            attrs[i] = [float(t) for t in tokens[4:4 + n_attrs]]
-        except ValueError:
-            raise ParseError(node_path, line_no, "malformed point line")
-    return indices, positions, attrs
+def _header(path, what, fields, second):
+    """Line number and first `fields` counts of a TetGen header line; the
+    second count is fixed (the dimension, or the nodes per tet)."""
+    no = next(_data_lines(path), (0,))[0]
+    counts = _body(path, f"{what} header", 0, 1, fields, np.int64)[0]
+    if counts.min() < 0:
+        raise ParseError(path, no, f"negative count in {what} header")
+    if counts[1] != second:
+        raise ParseError(path, no, f"count 2 is {counts[1]}, not {second}")
+    return no, counts.tolist()
 
 
-def _parse_ele_file(ele_path):
-    rows = _data_lines(ele_path)
-    try:
-        line_no, header = next(rows)
-    except StopIteration:
-        raise ParseError(ele_path, 0, "empty .ele file")
-    if len(header) < 2:
-        raise ParseError(ele_path, line_no,
-                         f"expected at least 2 header fields, got {len(header)}")
-    try:
-        n_tets = int(header[0])
-        nodes_per_tet = int(header[1])
-    except ValueError:
-        raise ParseError(ele_path, line_no, "non-integer .ele header")
-    if nodes_per_tet != 4:
-        raise ParseError(ele_path, line_no,
-                         f"expected 4 nodes per tet, got {nodes_per_tet}")
-    tets = np.empty((n_tets, 4), dtype=np.int64)
-    for i in range(n_tets):
+def _body(path, what, after, rows, width, dtype, exact=False):
+    """The first `rows` data lines after line `after` (all if rows=None)
+    as a (rows, width) table of `dtype`, read in one loadtxt pass. Columns
+    past `width` are ignored, or refused if `exact`.
+
+    Otherwise the lines are rescanned and the first offending one is
+    reported; a TetGen line (not `exact`) starts with an integer.
+    """
+    if rows == 0:
+        return np.empty((0, width), dtype)
+    lines = ((no, t) for no, t in _data_lines(path) if no > after)
+    first = list(islice(lines, 1))
+    with warnings.catch_warnings():
+        # loadtxt warns of blank lines under max_rows and of empty tables;
+        # numpy < 2 reads "4.0" as an int under the warning made an error
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.filterwarnings("error", ".*integer via a float",
+                                DeprecationWarning)
+        cause = f"no table of {width} columns"
         try:
-            line_no, tokens = next(rows)
-        except StopIteration:
-            raise ParseError(ele_path, line_no,
-                             f"expected {n_tets} tets, file ended at {i}")
-        if len(tokens) < 5:
-            raise ParseError(ele_path, line_no,
-                             f"expected at least 5 fields, got {len(tokens)}")
-        try:
-            tets[i] = [int(t) for t in tokens[1:5]]
-        except ValueError:
-            raise ParseError(ele_path, line_no, "malformed tet line")
-    return tets
+            # a width from a corrupt header count fails on the first row
+            # below, before loadtxt sets up that many columns
+            if exact or first and width <= len(first[0][1]):
+                table = np.loadtxt(path, dtype=dtype, comments="#",
+                                   skiprows=after, max_rows=rows,
+                                   usecols=None if exact else range(width),
+                                   ndmin=2)
+                if table.shape[1] == width and rows in (None, len(table)):
+                    return table
+        except (ValueError, DeprecationWarning) as exc:
+            cause = str(exc)
+        line_no, count = after, 0
+        lines = chain(first, lines)
+        for count, (line_no, tokens) in enumerate(islice(lines, rows), 1):
+            if len(tokens) < width or (exact and len(tokens) > width):
+                raise ParseError(path, line_no, f"{len(tokens)} fields, "
+                                 f"expected {width}")
+            try:       # the line alone, by loadtxt's own rules
+                row = dtype if exact else [("first", np.int64),
+                                           ("rest", dtype, (width - 1,))]
+                np.loadtxt([" ".join(tokens[:width])], dtype=row)
+            except (ValueError, DeprecationWarning):
+                raise ParseError(path, line_no,
+                                 f"malformed {what} line") from None
+    if rows is not None and count < rows:
+        raise ParseError(path, line_no, f"file ended after {count} of "
+                         f"{rows} {what} lines")
+    raise ParseError(path, line_no, cause)
 
 
 def load_scalar_file(path, expected_count) -> np.ndarray:
     """One decimal value per line; count must equal the vertex count."""
-    values = []
-    for line_no, tokens in _data_lines(path):
-        if len(tokens) != 1:
-            raise ParseError(path, line_no,
-                             f"expected one value per line, got {len(tokens)}")
-        try:
-            values.append(float(tokens[0]))
-        except ValueError:
-            raise ParseError(path, line_no, f"not a number: {tokens[0]!r}")
-    if len(values) != expected_count:
+    values = _body(path, "value", 0, None, 1, np.float64, exact=True)[:, 0]
+    if values.shape[0] != expected_count:
         raise DataError(
-            f"{path}: expected {expected_count} values, got {len(values)}")
-    return np.asarray(values, dtype=np.float64)
+            f"{path}: expected {expected_count} values, got {values.shape[0]}")
+    return values
 
 
 def load_tetgen(node_path, ele_path, field_path=None,
@@ -338,32 +320,31 @@ def load_tetgen(node_path, ele_path, field_path=None,
     index base (0 or 1) is detected from the first point index and
     normalized to 0-based.
     """
-    node_path = Path(node_path)
-    ele_path = Path(ele_path)
-    indices, positions, attrs = _parse_node_file(node_path)
-    tets = _parse_ele_file(ele_path)
-
-    base = int(indices[0]) if indices.size else 0
-    if base not in (0, 1):
-        raise StructuralError(
-            f"{node_path}: first point index {base} is neither 0 nor 1")
-    if not np.array_equal(indices, np.arange(base, base + indices.size)):
-        raise StructuralError(f"{node_path}: point indices are not consecutive")
-    tets = tets - base
+    line, (n_points, _, n_attrs, _) = _header(node_path, ".node", 4, 3)
+    points = _body(node_path, "point", line, n_points, 4 + n_attrs,
+                   np.float64)
+    indices = _body(node_path, "point", line, n_points, 1, np.int64)[:, 0]
+    base = int(indices[0]) if n_points else 0
+    if base not in (0, 1) or not np.array_equal(
+            indices, np.arange(base, base + n_points)):
+        raise StructuralError(f"{node_path}: point indices do not run "
+                              "0, 1, 2, ... or 1, 2, 3, ...")
+    line, (n_tets, _) = _header(ele_path, ".ele", 2, 4)
+    tets = _body(ele_path, "tet", line, n_tets, 5, np.int64)[:, 1:]
 
     if field_attr is not None:
         if field_path is not None:
             raise DataError("give either field_attr or field_path, not both")
-        if not 0 <= field_attr < attrs.shape[1]:
+        if not 0 <= field_attr < n_attrs:
             raise DataError(
                 f"field attribute {field_attr} out of range; "
-                f".node declares {attrs.shape[1]} attributes")
-        values = attrs[:, field_attr]
+                f".node declares {n_attrs} attributes")
+        values = points[:, 4 + field_attr]
     elif field_path is not None:
-        values = load_scalar_file(field_path, positions.shape[0])
+        values = load_scalar_file(field_path, n_points)
     else:
         raise DataError("a field source is required (field_attr or field_path)")
-    return TetMesh.create(positions, values, tets)
+    return TetMesh.create(points[:, 1:4], values, tets - base)
 
 
 def load_raw_grid(raw_path, dims, spacing=(1.0, 1.0, 1.0)) -> TetMesh:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tetcontour.contourtree import MergeTree
-from tetcontour.mesh import TetMesh, grid_to_tets
+from tetcontour.mesh import (DataError, ParseError, TetMesh,
+                             grid_to_tets)
 
 UNIT_TET_POSITIONS = np.array([[0.0, 0.0, 0.0],
                                [1.0, 0.0, 0.0],
@@ -271,6 +272,112 @@ def reference_spline_coefficients(positions, values):
     p2[:, 3] = vol_abef - ((p2[:, 0] * hb + p2[:, 1]) * hb + p2[:, 2]) * hb
     p2[~mid_ok] = 0.0
     return p1, p2, p3, total
+
+
+def _data_lines(path):
+    """Yield (line_no, tokens) for non-comment, non-blank lines."""
+    with open(path, "r") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield line_no, text.split()
+
+
+def reference_parse_node_file(node_path):
+    """The per-line .node parser that the one-pass loadtxt reader of
+    load_tetgen replaced: the reference its arrays are checked against.
+    Returns (indices, positions, attrs) as read."""
+    rows = _data_lines(node_path)
+    try:
+        line_no, header = next(rows)
+    except StopIteration:
+        raise ParseError(node_path, 0, "empty .node file")
+    if len(header) < 4:
+        raise ParseError(node_path, line_no,
+                         f"expected 4 header fields, got {len(header)}")
+    try:
+        n_points, dim, n_attrs, n_markers = (int(t) for t in header[:4])
+    except ValueError:
+        raise ParseError(node_path, line_no, "non-integer .node header")
+    if dim != 3:
+        raise ParseError(node_path, line_no, f"expected dimension 3, got {dim}")
+
+    indices = np.empty(n_points, dtype=np.int64)
+    positions = np.empty((n_points, 3), dtype=np.float64)
+    attrs = np.empty((n_points, n_attrs), dtype=np.float64)
+    want = 1 + 3 + n_attrs  # marker column, if declared, is ignored
+    for i in range(n_points):
+        try:
+            line_no, tokens = next(rows)
+        except StopIteration:
+            raise ParseError(node_path, line_no,
+                             f"expected {n_points} points, file ended at {i}")
+        if len(tokens) < want:
+            raise ParseError(node_path, line_no,
+                             f"expected at least {want} fields, got {len(tokens)}")
+        try:
+            indices[i] = int(tokens[0])
+            positions[i] = [float(t) for t in tokens[1:4]]
+            attrs[i] = [float(t) for t in tokens[4:4 + n_attrs]]
+        except ValueError:
+            raise ParseError(node_path, line_no, "malformed point line")
+    return indices, positions, attrs
+
+
+def reference_parse_ele_file(ele_path):
+    """The per-line .ele parser replaced with load_tetgen's reader;
+    returns the tets as written, before the index base is taken off."""
+    rows = _data_lines(ele_path)
+    try:
+        line_no, header = next(rows)
+    except StopIteration:
+        raise ParseError(ele_path, 0, "empty .ele file")
+    if len(header) < 2:
+        raise ParseError(ele_path, line_no,
+                         f"expected at least 2 header fields, got {len(header)}")
+    try:
+        n_tets = int(header[0])
+        nodes_per_tet = int(header[1])
+    except ValueError:
+        raise ParseError(ele_path, line_no, "non-integer .ele header")
+    if nodes_per_tet != 4:
+        raise ParseError(ele_path, line_no,
+                         f"expected 4 nodes per tet, got {nodes_per_tet}")
+    tets = np.empty((n_tets, 4), dtype=np.int64)
+    for i in range(n_tets):
+        try:
+            line_no, tokens = next(rows)
+        except StopIteration:
+            raise ParseError(ele_path, line_no,
+                             f"expected {n_tets} tets, file ended at {i}")
+        if len(tokens) < 5:
+            raise ParseError(ele_path, line_no,
+                             f"expected at least 5 fields, got {len(tokens)}")
+        try:
+            tets[i] = [int(t) for t in tokens[1:5]]
+        except ValueError:
+            raise ParseError(ele_path, line_no, "malformed tet line")
+    return tets
+
+
+def reference_load_scalar_file(path, expected_count) -> np.ndarray:
+    """The per-line field-file parser replaced with load_scalar_file's
+    reader. One decimal value per line; count must equal the vertex
+    count."""
+    values = []
+    for line_no, tokens in _data_lines(path):
+        if len(tokens) != 1:
+            raise ParseError(path, line_no,
+                             f"expected one value per line, got {len(tokens)}")
+        try:
+            values.append(float(tokens[0]))
+        except ValueError:
+            raise ParseError(path, line_no, f"not a number: {tokens[0]!r}")
+    if len(values) != expected_count:
+        raise DataError(
+            f"{path}: expected {expected_count} values, got {len(values)}")
+    return np.asarray(values, dtype=np.float64)
+
 
 
 @pytest.fixture

@@ -150,6 +150,8 @@ def test_isovalue_override_out_of_range_fails(tmp_path, grid_input):
     code = main(["run", *grid_input, "--top", "1", "--out", str(out1),
                  "--isovalue", f"{arc}=999.0"])
     assert code != 0
+    # refused before the first file is written
+    assert list(out1.glob("*")) == []
 
 
 def test_malformed_isovalue_is_reported(tmp_path, grid_input, capsys):
@@ -173,10 +175,13 @@ def test_isovalue_for_missing_superarc_is_reported(tmp_path, grid_input,
         assert code == 1
         assert (f"error: --isovalue names superarc {arc}; the tree has "
                 f"superarcs 0..{k - 1}") in capsys.readouterr().err
-    # an existing arc that is not extracted is accepted, as before
+    # an existing arc that no extracted branch uses is refused too
     other = 0 if extracted else 1
     assert main(["run", *grid_input, "--top", "1",
-                 f"--isovalue={other}=0.5", "--out", str(tmp_path / "c")]) == 0
+                 f"--isovalue={other}=0.5", "--out", str(tmp_path / "c")]) == 1
+    assert (f"error: --isovalue names superarc {other}, which no extracted "
+            f"branch uses") in capsys.readouterr().err
+    assert list((tmp_path / "c").glob("*")) == []
 
 
 def test_missing_file_is_reported(tmp_path, capsys):
