@@ -21,9 +21,8 @@ import numpy as np
 from . import decomposition, hypersweep, isosurface, oracle
 from .contourtree import ContourTree, build_contour_tree
 from .geometry import build_tet_spline, horner
-from .mesh import (MeshError, TetMesh, build_topology_graph,
-                   build_vertex_order, grid_to_tets, load_raw_grid,
-                   load_tetgen)
+from .mesh import (MeshError, TetMesh, build_vertex_order, grid_to_tets,
+                   load_raw_grid, load_tetgen)
 
 
 @dataclass
@@ -93,9 +92,8 @@ def _pipeline(config: PipelineConfig):
     with _stage(times, "load"):
         mesh = _load(config)
     with _stage(times, "construction"):
-        graph = build_topology_graph(mesh)
         order = build_vertex_order(mesh)
-        tree = build_contour_tree(graph, order, mesh.values)
+        tree = build_contour_tree(mesh, order)
     with _stage(times, "weights"):
         total_volume = mesh.total_volume()
         deltas = hypersweep.compute_deltas(mesh, order,
@@ -195,7 +193,6 @@ _PALETTE = [(0.894, 0.102, 0.110), (0.216, 0.494, 0.722),
 def cmd_run(config: PipelineConfig) -> int:
     config.validate()
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     mesh, tree, volumes, weights, branches, total_volume, times = \
         _pipeline(config)
     # every (superarc, isovalue) is settled before the first file is written
@@ -211,6 +208,7 @@ def cmd_run(config: PipelineConfig) -> int:
                              "extracted branch uses")
 
     with _stage(times, "output"):
+        out.mkdir(parents=True, exist_ok=True)
         _write_tree_json(out / "tree.json", mesh, tree)
         _write_weights_csv(out / "weights.csv", volumes, weights)
         materials = []
@@ -290,7 +288,7 @@ def cmd_verify(seed: int, tets: int) -> int:
     vals = rng.normal(size=125)
     mesh = grid_to_tets((5, 5, 5), vals)
     order = build_vertex_order(mesh)
-    tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    tree = build_contour_tree(mesh, order)
     deltas = hypersweep.compute_deltas(mesh, order)
     fracs = (0.25, 0.75)
     errors, refs = oracle.region_volume_errors(

@@ -1,14 +1,19 @@
 """Contour tree construction: join/split sweeps, merge, augmentation.
 
-The join tree is built by a descending sweep with union-find over each
-vertex's link: its higher-ranked neighbours, filtered from the topology
-graph in one vectorised pass before the sweep, so the Python loop touches
-only neighbours that are already swept. The split tree is its dual under
-the reversed order with the lower-ranked neighbours as the link. A mesh
-that is not connected leaves more than one sweep root and is refused. The
-two trees are merged by iterated leaf pruning into the fully augmented
-contour tree, which is then contracted into supernodes and superarcs with
-every regular vertex mapped to its superarc.
+The sweeps run in rank space over monotone links taken from the tets: in
+each tet's corners sorted by rank, the consecutive pairs (r0,r1), (r1,r2)
+and (r2,r3), less any pair that some tet skips over as (r0,r2), (r0,r3) or
+(r1,r3). A dropped pair (v,u) has a vertex w ranked between them in a
+common tet; u and w are joined before v is swept, and w is nearer to v, so
+v's kept links touch every component its full link touches and every
+parent pointer equals the full edge graph's sweep (Carr, Snoeyink & Axen,
+CGTA 2003; monotone paths as in Chiang, Lenz, Lu & Vegter, CGTA 2005). The
+join tree is a descending union-find sweep over each vertex's upper links,
+the split tree its dual over the lower links. A mesh that is not connected
+leaves more than one sweep root and is refused. The two trees are merged
+by iterated leaf pruning into the fully augmented contour tree, which is
+then contracted into supernodes and superarcs with every regular vertex
+mapped to its superarc.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import StructuralError, TopologyGraph, VertexOrder
+from .mesh import StructuralError, TetMesh, VertexOrder
 
 
 @dataclass(frozen=True)
@@ -33,54 +38,100 @@ class MergeTree:
     root: int
 
 
-def _sweep(graph: TopologyGraph, order: VertexOrder,
-           descending: bool) -> MergeTree:
-    n = graph.vertex_count
-    offsets = graph.neighbor_offsets
-    nbrs = graph.neighbor_indices
-    rank = order.rank
-    # the link of v: its neighbours the sweep visits before v, found for
-    # every vertex in one pass and laid out in CSR form
-    src = np.repeat(np.arange(n), np.diff(offsets))
-    before = rank[nbrs] > rank[src] if descending else rank[nbrs] < rank[src]
-    link = nbrs[before].tolist()
-    link_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[before], minlength=n), out=link_offsets[1:])
-    link_offsets = link_offsets.tolist()
-    sweep = (order.sort_index[::-1] if descending
-             else order.sort_index).tolist()
+@dataclass(frozen=True)
+class MonotoneLinks:
+    """The rank pairs the join and split sweeps union over.
 
-    # union-find with path halving; every link vertex is already swept, and
-    # v, joining each component it touches, stays the root of its own, so
-    # a component's root is always its latest swept vertex
+    lo, hi:  (k,) int64 vertex ranks, lo < hi, sorted by (lo, hi).
+    unused:  number of vertices in no tet, reported when the mesh is
+             refused as not connected.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    unused: int
+
+
+# each tet's sorted corner ranks: consecutive pairs, then skipping pairs
+_PAIR_LO = [0, 1, 2, 0, 0, 1]
+_PAIR_HI = [1, 2, 3, 2, 3, 3]
+
+
+def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
+    """Consecutive rank pairs of every tet that no tet skips over.
+
+    One 1-D sort of the codes (lo * n + hi) * 2 + skip: a key's group ends
+    in a skipping code whenever any tet skips the pair, so the pairs kept
+    are the keys whose last code is consecutive.
+    """
+    n = mesh.vertex_count
+    r = np.sort(order.rank[mesh.tets], axis=1)
+    codes = r[:, _PAIR_LO] * n
+    codes += r[:, _PAIR_HI]
+    codes *= 2
+    codes[:, 3:] += 1
+    codes = codes.ravel()
+    codes.sort()
+    keys = codes >> 1
+    last = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last &= (codes & 1) == 0
+    lo, hi = np.divmod(keys[last], n)
+    unused = np.bincount(mesh.tets.ravel(), minlength=n) == 0
+    return MonotoneLinks(lo, hi, int(np.count_nonzero(unused)))
+
+
+def _sweep(links: MonotoneLinks, order: VertexOrder,
+           descending: bool) -> MergeTree:
+    sort_index = order.sort_index
+    n = sort_index.shape[0]
+    # the link of rank v: its linked ranks the sweep visits before v, in
+    # CSR form; the pairs come grouped by lo, and are regrouped by hi
+    if descending:
+        src, nbrs = links.lo, links.hi
+    else:
+        by_hi = np.argsort(links.hi, kind="stable")
+        src, nbrs = links.hi[by_hi], links.lo[by_hi]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    offsets = offsets.tolist()
+    nbrs = nbrs.tolist()
+
+    # union-find with path halving over ranks; every link rank is already
+    # swept, and v, joining each component it touches, stays the root of
+    # its own, so a component's root is always its latest swept rank
     parent = [-1] * n
     uf = list(range(n))
-    for v in sweep:
-        for u in link[link_offsets[v]:link_offsets[v + 1]]:
+    for v in (range(n - 1, -1, -1) if descending else range(n)):
+        for u in nbrs[offsets[v]:offsets[v + 1]]:
             while uf[u] != u:
                 uf[u] = u = uf[uf[u]]
             if u != v:
                 parent[u] = v
                 uf[u] = v
     parent = np.array(parent, dtype=np.int64)
-    # each connected component leaves exactly one vertex without a parent
+    # each connected component leaves exactly one rank without a parent
     components = int(np.count_nonzero(parent < 0))
     if components != 1:
-        unused = int(np.count_nonzero(offsets[1:] == offsets[:-1]))
         raise StructuralError(
             f"mesh is not connected: {components} components, "
-            f"{unused} vertices in no tet")
-    return MergeTree(parent, sweep[-1])
+            f"{links.unused} vertices in no tet")
+    # from ranks back to vertex ids
+    tree = np.empty(n, dtype=np.int64)
+    tree[sort_index] = np.where(parent >= 0, sort_index[parent], -1)
+    return MergeTree(tree, int(sort_index[0 if descending else n - 1]))
 
 
-def build_join_tree(graph: TopologyGraph, order: VertexOrder) -> MergeTree:
-    """Descending sweep; leaves are the local maxima, root the global min."""
-    return _sweep(graph, order, descending=True)
+def build_join_tree(links: MonotoneLinks, order: VertexOrder) -> MergeTree:
+    """Descending sweep over each rank's upper links; leaves are the local
+    maxima, root the global min."""
+    return _sweep(links, order, descending=True)
 
 
-def build_split_tree(graph: TopologyGraph, order: VertexOrder) -> MergeTree:
-    """Ascending sweep; leaves are the local minima, root the global max."""
-    return _sweep(graph, order, descending=False)
+def build_split_tree(links: MonotoneLinks, order: VertexOrder) -> MergeTree:
+    """Ascending sweep over each rank's lower links; leaves are the local
+    minima, root the global max."""
+    return _sweep(links, order, descending=False)
 
 
 @dataclass
@@ -282,11 +333,11 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
                        rank=rank)
 
 
-def build_contour_tree(graph: TopologyGraph, order: VertexOrder,
-                       values: np.ndarray) -> ContourTree:
-    """Convenience: join + split + merge."""
-    return merge_trees(build_join_tree(graph, order),
-                       build_split_tree(graph, order), order, values)
+def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:
+    """Convenience: links + join + split + merge."""
+    links = build_monotone_links(mesh, order)
+    return merge_trees(build_join_tree(links, order),
+                       build_split_tree(links, order), order, mesh.values)
 
 
 def _arc_contains(tree: ContourTree, sn_vals, arc: int, h: float) -> bool:

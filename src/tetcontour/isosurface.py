@@ -198,10 +198,11 @@ def write_obj(path, soup: TriangleSoup, group: str | None = None,
             fh.write(f"g {group}\n")
         if material:
             fh.write(f"usemtl {material}\n")
-        for p in soup.positions:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for a, b, c in soup.triangles + 1:
-            fh.write(f"f {a} {b} {c}\n")
+        # one format call per section: the same text as one call per line
+        fh.write(("v %.17g %.17g %.17g\n" * soup.positions.shape[0])
+                 % tuple(soup.positions.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * soup.triangles.shape[0])
+                 % tuple((soup.triangles + 1).ravel().tolist()))
 
 
 def read_obj(path):

@@ -3,7 +3,9 @@
 Provides the core mesh container (vertex positions, scalar values, tets),
 loading of TetGen .node/.ele pairs, Kuhn/Freudenthal subdivision of regular
 grids for comparison runs, the per-vertex neighbor structure derived from
-tet edges, and the global sorted vertex order used by all sweep algorithms.
+tet edges (the full edge graph, which the tests' reference sweep reads; the
+run's sweeps use contourtree's monotone links), and the global sorted vertex
+order used by all sweep algorithms.
 """
 from __future__ import annotations
 

@@ -75,10 +75,10 @@ def two_peak_mesh():
 
 
 def reference_merge_tree(graph, order, descending):
-    """The join (descending) or split sweep over the full neighbour lists,
-    testing each neighbour for whether it is swept yet: the reference the
-    link-filtered sweep of build_join_tree and build_split_tree is
-    checked against."""
+    """The join (descending) or split sweep over the full neighbour lists
+    of the edge graph, testing each neighbour for whether it is swept yet:
+    the reference the monotone-link sweeps of build_join_tree and
+    build_split_tree are checked against."""
     n = graph.vertex_count
     parent = np.full(n, -1, dtype=np.int64)
     uf = np.full(n, -1, dtype=np.int64)       # union-find parent, -1 unseen
@@ -171,6 +171,23 @@ def reference_merge_arcs(join, split):
                 queue.append(cand)
     assert n_arcs == n - 1
     return arcs
+
+
+def reference_write_obj(path, soup, group=None, material=None,
+                        mtllib=None):
+    """write_obj as one formatted write per line: the reference its
+    one-call-per-section formatting is checked against byte for byte."""
+    with open(path, "w") as fh:
+        if mtllib:
+            fh.write(f"mtllib {mtllib}\n")
+        if group:
+            fh.write(f"g {group}\n")
+        if material:
+            fh.write(f"usemtl {material}\n")
+        for p in soup.positions:
+            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        for a, b, c in soup.triangles + 1:
+            fh.write(f"f {a} {b} {c}\n")
 
 
 def _ratio(num, den, ok):

@@ -18,8 +18,7 @@ from tetcontour.hypersweep import (compute_deltas, count_weights,
 from tetcontour.isosurface import (euler_characteristic,
                                    extract_superarc_contour, label_superarcs,
                                    march_tets)
-from tetcontour.mesh import (TetMesh, build_topology_graph,
-                             build_vertex_order, grid_to_tets)
+from tetcontour.mesh import TetMesh, build_vertex_order, grid_to_tets
 from tetcontour.oracle import (clip_area, clip_volume, clip_volume_errors,
                                contour_count_mismatches, random_tet,
                                reference_contour_count, region_volume_errors)
@@ -36,7 +35,7 @@ def _report(number, name, ok, detail=""):
 
 def _full_tree(mesh):
     order = build_vertex_order(mesh)
-    tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    tree = build_contour_tree(mesh, order)
     return order, tree
 
 
@@ -255,7 +254,7 @@ def test_criterion_10_desk_scale_performance():
     start = time.perf_counter()
     mesh = TetMesh.create(points, vals, tets)
     order = build_vertex_order(mesh)
-    tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    tree = build_contour_tree(mesh, order)
     volumes = sweep_volumes(tree, compute_deltas(mesh, order))
     weights = volume_weights(volumes, mesh.total_volume())
     branches = decompose(tree, weights)

@@ -150,8 +150,8 @@ def test_isovalue_override_out_of_range_fails(tmp_path, grid_input):
     code = main(["run", *grid_input, "--top", "1", "--out", str(out1),
                  "--isovalue", f"{arc}=999.0"])
     assert code != 0
-    # refused before the first file is written
-    assert list(out1.glob("*")) == []
+    # refused before the output directory is made
+    assert not out1.exists()
 
 
 def test_malformed_isovalue_is_reported(tmp_path, grid_input, capsys):
@@ -181,7 +181,7 @@ def test_isovalue_for_missing_superarc_is_reported(tmp_path, grid_input,
                  f"--isovalue={other}=0.5", "--out", str(tmp_path / "c")]) == 1
     assert (f"error: --isovalue names superarc {other}, which no extracted "
             f"branch uses") in capsys.readouterr().err
-    assert list((tmp_path / "c").glob("*")) == []
+    assert not (tmp_path / "c").exists()
 
 
 def test_missing_file_is_reported(tmp_path, capsys):
@@ -204,6 +204,7 @@ def test_disconnected_mesh_is_reported(tmp_path, capsys):
     assert code == 1
     assert ("error: mesh is not connected: 2 components, 0 vertices in no tet"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_csv(grid_input, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tetcontour.contourtree import (_contract, build_contour_tree,
-                                    build_join_tree, build_split_tree,
-                                    merge_trees, straddling_arcs)
+                                    build_join_tree, build_monotone_links,
+                                    build_split_tree, merge_trees,
+                                    straddling_arcs)
 from tetcontour.mesh import (StructuralError, TetMesh, build_topology_graph,
                              build_vertex_order, grid_to_tets)
 
@@ -15,9 +16,8 @@ from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
 
 
 def _tree(mesh):
-    graph = build_topology_graph(mesh)
     order = build_vertex_order(mesh)
-    return build_contour_tree(graph, order, mesh.values), graph, order
+    return build_contour_tree(mesh, order), order
 
 
 def _local_extrema(mesh, graph, order):
@@ -43,7 +43,7 @@ def _tree_degrees(tree):
 
 def test_monotone_field_single_superarc():
     mesh = grid_to_tets((2, 2, 2), np.arange(8, dtype=float))
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     assert tree.supernode_count == 2
     assert tree.superarc_count == 1
     assert len(tree.arc_regulars[0]) == 6
@@ -51,10 +51,10 @@ def test_monotone_field_single_superarc():
 
 def test_join_split_tree_roots():
     mesh = random_grid_mesh(np.random.default_rng(1), dims=(4, 4, 4))
-    graph = build_topology_graph(mesh)
     order = build_vertex_order(mesh)
-    join = build_join_tree(graph, order)
-    split = build_split_tree(graph, order)
+    links = build_monotone_links(mesh, order)
+    join = build_join_tree(links, order)
+    split = build_split_tree(links, order)
     assert join.root == order.sort_index[0]          # global minimum
     assert split.root == order.sort_index[-1]        # global maximum
     # each tree has exactly one parentless vertex
@@ -71,7 +71,7 @@ def test_join_split_tree_roots():
 def test_tree_structure_invariants(rng):
     for _ in range(6):
         mesh = random_grid_mesh(rng, dims=(6, 6, 6))
-        tree, graph, order = _tree(mesh)
+        tree, order = _tree(mesh)
         n = mesh.vertex_count
         assert tree.superarc_count == tree.supernode_count - 1
         # partition: every vertex in exactly one arc
@@ -95,18 +95,19 @@ def test_tree_structure_invariants(rng):
 def test_leaf_count_matches_local_extrema(rng):
     for _ in range(6):
         mesh = random_grid_mesh(rng, dims=(6, 6, 6))
-        tree, graph, order = _tree(mesh)
+        tree, order = _tree(mesh)
         up, down = _tree_degrees(tree)
         leaves = int(np.sum(up + down == 1))
-        n_min, n_max = _local_extrema(mesh, graph, order)
+        n_min, n_max = _local_extrema(mesh, build_topology_graph(mesh),
+                                      order)
         assert leaves == n_min + n_max
 
 
 def test_negated_field_flips_orientations(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     neg = grid_to_tets((5, 5, 5), -mesh.values)
-    neg_tree, _, _ = _tree(neg)
+    neg_tree, _ = _tree(neg)
     assert neg_tree.supernode_count == tree.supernode_count
     # the same vertex pairs are joined, with lo/hi swapped
     def arc_set(t, flip):
@@ -121,7 +122,7 @@ def test_negated_field_flips_orientations(rng):
 
 def test_canonical_supernode_assignment(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     up_arcs = [[] for _ in range(tree.supernode_count)]
     down_arcs = [[] for _ in range(tree.supernode_count)]
     for a, (lo, hi) in enumerate(tree.superarcs):
@@ -138,7 +139,7 @@ def test_canonical_supernode_assignment(rng):
 
 def test_two_peak_tree_shape():
     mesh = two_peak_mesh()
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     assert tree.supernode_count == 3
     assert tree.superarc_count == 2
     up, down = _tree_degrees(tree)
@@ -150,7 +151,7 @@ def test_two_peak_tree_shape():
 
 def test_straddling_arcs_containment(rng):
     mesh = random_grid_mesh(rng, dims=(6, 6, 6))
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     sn_vals = tree.values[tree.supernodes]
     hits = 0
     for _ in range(200):
@@ -170,7 +171,7 @@ def test_straddling_arcs_containment(rng):
 def test_straddling_arcs_own_interval(rng):
     """A regular vertex queried at its own value finds only its arc."""
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     for a, regs in enumerate(tree.arc_regulars):
         if not len(regs):
             continue
@@ -181,12 +182,12 @@ def test_straddling_arcs_own_interval(rng):
 
 def test_merge_rejects_mismatched_trees():
     mesh = random_grid_mesh(np.random.default_rng(2), dims=(4, 4, 4))
-    graph = build_topology_graph(mesh)
     order = build_vertex_order(mesh)
-    join = build_join_tree(graph, order)
+    join = build_join_tree(build_monotone_links(mesh, order), order)
     small = random_grid_mesh(np.random.default_rng(3), dims=(3, 3, 3))
-    split_small = build_split_tree(build_topology_graph(small),
-                                   build_vertex_order(small))
+    small_order = build_vertex_order(small)
+    split_small = build_split_tree(build_monotone_links(small, small_order),
+                                   small_order)
     from tetcontour.contourtree import InconsistentTreesError
     with pytest.raises(InconsistentTreesError):
         merge_trees(join, split_small, order, mesh.values)
@@ -195,10 +196,33 @@ def test_merge_rejects_mismatched_trees():
 def test_gaussian_two_bumps_has_two_maxima():
     mesh = gaussian_grid_mesh(
         9, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)], [1.0, 0.8], width=40.0)
-    tree, _, _ = _tree(mesh)
+    tree, _ = _tree(mesh)
     up, down = _tree_degrees(tree)
     maxima = np.flatnonzero((up == 0) & (down == 1))
     assert len(maxima) == 2
+
+
+def test_single_tet_links_are_its_consecutive_rank_pairs():
+    mesh = TetMesh.create(UNIT_TET_POSITIONS, [2.0, 0.0, 3.0, 1.0],
+                          [[0, 1, 2, 3]])
+    links = build_monotone_links(mesh, build_vertex_order(mesh))
+    assert links.lo.tolist() == [0, 1, 2]
+    assert links.hi.tolist() == [1, 2, 3]
+    assert links.unused == 0
+
+
+def test_pair_skipped_by_a_neighbour_tet_is_dropped():
+    # two tets on the face {0, 2, 3}, with values equal to the ranks;
+    # ranks 0 and 2 are consecutive in tet (0, 2, 3, 4) but skip rank 1
+    # in tet (0, 1, 2, 3), so that pair is dropped
+    positions = np.array([[0.0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0],
+                          [0, 0, -1]])
+    mesh = TetMesh.create(positions, [0.0, 1.0, 2.0, 3.0, 4.0],
+                          [[0, 1, 2, 3], [0, 2, 3, 4]])
+    links = build_monotone_links(mesh, build_vertex_order(mesh))
+    pairs = list(zip(links.lo.tolist(), links.hi.tolist()))
+    assert pairs == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert links.lo.dtype == links.hi.dtype == np.int64
 
 
 def _oracle_meshes():
@@ -210,20 +234,25 @@ def _oracle_meshes():
     yield grid_to_tets((5, 5, 5), np.zeros(125))
     yield two_peak_mesh()
     yield random_grid_mesh(rng, dims=(16, 16, 16))
+    yield grid_to_tets((12, 12, 12), rng.integers(0, 2, size=1728) * 1.0)
     spatial = pytest.importorskip("scipy.spatial")
     for k in (30, 60, 120, 240):
         points = rng.uniform(size=(k, 3))
         yield TetMesh.create(points, rng.normal(size=k),
                              spatial.Delaunay(points).simplices)
+    points = rng.uniform(size=(600, 3))
+    yield TetMesh.create(points, rng.integers(0, 5, size=600) * 1.0,
+                         spatial.Delaunay(points).simplices)
 
 
 def test_merge_trees_match_reference_sweep():
     for mesh in _oracle_meshes():
         graph = build_topology_graph(mesh)
         order = build_vertex_order(mesh)
+        links = build_monotone_links(mesh, order)
         for build, descending in ((build_join_tree, True),
                                   (build_split_tree, False)):
-            tree = build(graph, order)
+            tree = build(links, order)
             ref = reference_merge_tree(graph, order, descending)
             assert tree.parent.dtype == ref.parent.dtype
             assert np.array_equal(tree.parent, ref.parent)
@@ -242,10 +271,10 @@ def _same(a, b):
 
 def test_merge_trees_match_reference_arcs():
     for mesh in _oracle_meshes():
-        graph = build_topology_graph(mesh)
         order = build_vertex_order(mesh)
-        join = build_join_tree(graph, order)
-        split = build_split_tree(graph, order)
+        links = build_monotone_links(mesh, order)
+        join = build_join_tree(links, order)
+        split = build_split_tree(links, order)
         tree = merge_trees(join, split, order, mesh.values)
         ref = _contract(reference_merge_arcs(join, split), order,
                         mesh.values)

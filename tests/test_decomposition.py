@@ -5,14 +5,14 @@ from tetcontour.contourtree import build_contour_tree
 from tetcontour.decomposition import decompose, top_branches
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
-from tetcontour.mesh import build_topology_graph, build_vertex_order
+from tetcontour.mesh import build_vertex_order
 
 from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
 
 
 def _both_weightings(mesh):
     order = build_vertex_order(mesh)
-    tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    tree = build_contour_tree(mesh, order)
     volumes = sweep_volumes(tree, compute_deltas(mesh, order))
     return tree, (volume_weights(volumes, mesh.total_volume()),
                   count_weights(tree))

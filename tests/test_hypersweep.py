@@ -7,8 +7,7 @@ from tetcontour.contourtree import build_contour_tree
 from tetcontour.geometry import batch_spline_coefficients
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
-from tetcontour.mesh import (build_topology_graph, build_vertex_order,
-                             grid_to_tets)
+from tetcontour.mesh import build_vertex_order, grid_to_tets
 from tetcontour.oracle import contour_count_mismatches, region_volume_errors
 
 from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
@@ -16,7 +15,7 @@ from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
 
 def _pipeline(mesh):
     order = build_vertex_order(mesh)
-    tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    tree = build_contour_tree(mesh, order)
     deltas = compute_deltas(mesh, order)
     return order, tree, deltas
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,17 @@ from tetcontour.contourtree import build_contour_tree
 from tetcontour.isosurface import (euler_characteristic,
                                    extract_superarc_contour, label_superarcs,
                                    march_tets, read_obj, write_mtl, write_obj)
-from tetcontour.mesh import build_topology_graph, build_vertex_order
+from tetcontour.mesh import build_vertex_order
 from tetcontour.oracle import reference_contour_count
 
-from conftest import (gaussian_grid_mesh, random_grid_mesh, single_tet_mesh,
-                      two_peak_mesh, UNIT_TET_POSITIONS, UNIT_TET_VALUES)
+from conftest import (gaussian_grid_mesh, random_grid_mesh,
+                      reference_write_obj, single_tet_mesh, two_peak_mesh,
+                      UNIT_TET_POSITIONS, UNIT_TET_VALUES)
 
 
 def _tree(mesh):
     order = build_vertex_order(mesh)
-    return build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    return build_contour_tree(mesh, order)
 
 
 def test_single_tet_low_cut_is_one_triangle(unit_tet):
@@ -153,6 +156,29 @@ def test_empty_soup_writes_valid_file(tmp_path, unit_tet):
     pos, tris = read_obj(path)
     assert pos.shape == (0, 3)
     assert tris.shape == (0, 3)
+
+
+@pytest.mark.parametrize("labels", [
+    {}, {"group": "superarc_3", "material": "branch_1",
+         "mtllib": "branches.mtl"}])
+def test_write_obj_matches_reference_bytes(tmp_path, rng, labels):
+    coords = np.concatenate([
+        rng.normal(size=30), -rng.uniform(size=12) * 1e-3,
+        [5e-324, -5e-324, 1e300, -1e300, 0.0, -0.0, 1.0, -7.0, 3.0e6],
+        rng.integers(-50, 50, size=6) * 1.0])
+    soup = march_tets(random_grid_mesh(rng, dims=(4, 4, 4)), 0.0)
+    soups = [
+        dataclasses.replace(soup, positions=coords.reshape(-1, 3),
+                            triangles=rng.integers(0, 19, size=(25, 3))),
+        soup,
+        march_tets(random_grid_mesh(rng, dims=(3, 3, 3)), -99.0),  # empty
+    ]
+    for i, s in enumerate(soups):
+        path, ref = tmp_path / f"{i}.obj", tmp_path / f"{i}.ref.obj"
+        write_obj(path, s, **labels)
+        reference_write_obj(ref, s, **labels)
+        assert path.read_bytes() == ref.read_bytes()
+    assert soups[-1].triangle_count == 0
 
 
 def test_write_mtl(tmp_path):

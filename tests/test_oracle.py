@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tetcontour.mesh import build_topology_graph, build_vertex_order
+from tetcontour.mesh import build_vertex_order
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.oracle import (clip_area, clip_polytope, clip_volume,
                                random_tet, reference_contour_count,
@@ -66,7 +66,7 @@ def test_clip_area_triangle_case():
 def test_region_volume_whole_tree_is_total(rng):
     mesh = gaussian_grid_mesh(5, [(0.3, 0.5, 0.5)], [1.0])
     order = build_vertex_order(mesh)
-    tree = build_contour_tree(build_topology_graph(mesh), order, mesh.values)
+    tree = build_contour_tree(mesh, order)
     # cutting the root arc just under the global maximum captures all
     root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
     h = tree.supernode_value(tree.root) - 1e-9
