@@ -63,7 +63,6 @@ def _fmt(x: float) -> str:
 class StageError(Exception):
     def __init__(self, stage, cause):
         super().__init__(f"{stage}: {cause}")
-        self.stage = stage
 
 
 def _load(config: PipelineConfig) -> TetMesh:
@@ -165,7 +164,7 @@ def _write_weights_csv(path, volumes, weights):
                              _fmt(weights.down_weight[sv.superarc])])
 
 
-def _write_branches_json(path, tree, branches, extractions):
+def _write_branches_json(path, branches, extractions):
     doc = {
         "schema": 1,
         "branches": [
@@ -222,8 +221,7 @@ def cmd_run(config: PipelineConfig) -> int:
                                  group=f"superarc_{arc}", material=name,
                                  mtllib="branches.mtl")
         isosurface.write_mtl(out / "branches.mtl", materials)
-        _write_branches_json(out / "branches.json", tree, branches,
-                             extractions)
+        _write_branches_json(out / "branches.json", branches, extractions)
 
     print(f"vertices {mesh.vertex_count} tets {mesh.tet_count} "
           f"supernodes {tree.supernode_count} "

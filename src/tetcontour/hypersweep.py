@@ -30,60 +30,55 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
 
     Summed over any vertex subset that is downward-closed along the tree
     these give the subset's exact swept volume polynomial; summed over all
-    vertices they telescope to (0, 0, 0, total mesh volume). The spline
-    kernel runs over blocks of _CHUNK tets, threads of them at once, each
-    writing its per-corner differences straight into their summation rows.
-    Neither block size nor threads play a part in the bits: each tet's rows
-    depend only on that tet, and each vertex adds its rows with Neumaier
-    compensation in fixed (tet, corner) order.
-    """
-    tets = mesh.tets
-    sort_cols = np.argsort(order.rank[tets], axis=1, kind="stable")
-    sorted_tets = np.take_along_axis(tets, sort_cols, axis=1)
-    m = tets.shape[0]
-    n = mesh.vertex_count
-    targets = sorted_tets.ravel()                 # (4m,) vertex per row
-    counts = np.bincount(targets, minlength=n)
-    # vertices longest run first, so those with a k-th row are a prefix
-    by_len = np.argsort(-counts, kind="stable")
-    slot = np.empty(n, dtype=np.int64)
-    slot[by_len] = np.arange(n)
-    # dest[t, c]: tet t's corner-c row in its vertex's (tet, corner) run
-    dest = np.empty((m, 4), dtype=np.int64)
-    dest.reshape(-1)[np.argsort(slot[targets], kind="stable")] = \
-        np.arange(4 * m)
-    rows = np.empty((4 * m, 4))
+    vertices they telescope to (0, 0, 0, total mesh volume).
 
-    def work(lo):
-        block = sorted_tets[lo:lo + _CHUNK]
+    The tets are taken in blocks of _CHUNK, threads blocks at once. Each
+    block sorts its own corners by rank, runs the spline kernel and groups
+    its per-corner difference rows into rounds: round k holds the k-th row
+    of every vertex in the block, in tet order, so no vertex appears twice
+    in a round. The calling thread adds the rounds into per-vertex Neumaier
+    (sum, compensation) pairs, block after block in ascending order.
+
+    Float addition is not associative, so the bits follow the order in
+    which each vertex adds its rows. Blocks are added in ascending order,
+    and a vertex's rows within a block in tet order, so every vertex adds
+    its rows in ascending (tet, corner) order; each tet's rows depend only
+    on that tet. Neither the block size nor the thread count plays a part
+    in the bits.
+    """
+    n = mesh.vertex_count
+    deltas = np.zeros((n, 4))
+    comp = np.zeros((n, 4))
+
+    def rounds(lo):
+        block = mesh.tets[lo:lo + _CHUNK]
+        block = np.take_along_axis(
+            block, np.argsort(order.rank[block], axis=1, kind="stable"),
+            axis=1)
         p1, p2, p3, total = batch_spline_coefficients(
             mesh.positions[block], mesh.values[block])
         last = -p3
         last[:, 3] += total
-        rows[dest[lo:lo + _CHUNK].T] = (p1, p2 - p1, p3 - p2, last)
+        rows = np.stack((p1, p2 - p1, p3 - p2, last), axis=1).reshape(-1, 4)
+        # rows grouped by vertex, each vertex's run in tet order; k is a
+        # row's place in its vertex's run
+        by_vertex = np.argsort(block.ravel(), kind="stable")
+        targets = block.ravel()[by_vertex]
+        k = np.arange(targets.size) - np.searchsorted(targets, targets)
+        by_round = np.argsort(k, kind="stable")
+        cuts = np.cumsum(np.bincount(k))[:-1]
+        return zip(np.split(targets[by_round], cuts),
+                   np.split(rows[by_vertex[by_round]], cuts))
 
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(work, range(0, m, _CHUNK)))
-
-    lens = counts[by_len]
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    active = n - np.cumsum(np.bincount(lens))[:-1]    # runs longer than k
-
-    deltas = np.zeros((n, 4))
-    comp = np.zeros((n, 4))
-    # lockstep Neumaier: within each vertex's contiguous run, add the k-th
-    # row for every vertex at once; k never exceeds the max vertex degree
-    for k, m in enumerate(active.tolist()):
-        x = rows[starts[:m] + k]
-        s = deltas[:m]
-        t = s + x
-        big = np.abs(s) >= np.abs(x)
-        comp[:m] += np.where(big, (s - t) + x, (x - t) + s)
-        deltas[:m] = t
-    out = np.empty((n, 4))
-    out[by_len] = deltas + comp
-    return out
+        for block_rounds in ex.map(rounds, range(0, mesh.tet_count, _CHUNK)):
+            for v, x in block_rounds:
+                s = deltas[v]
+                t = s + x
+                big = np.abs(s) >= np.abs(x)
+                comp[v] += np.where(big, (s - t) + x, (x - t) + s)
+                deltas[v] = t
+    return deltas + comp
 
 
 @dataclass(frozen=True)

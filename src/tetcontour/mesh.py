@@ -219,17 +219,21 @@ def grid_to_tets(dims, values, spacing=(1.0, 1.0, 1.0)) -> TetMesh:
     axis_perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
                   (2, 0, 1), (2, 1, 0))
     step = (np.int64(1), np.int64(nx), np.int64(nx * ny))
+    # canonical orientation: positive scalar triple product. The edges from
+    # corner 0 are partial sums of the steps spacing[a_i] * e_a_i, so their
+    # triple product is prod(spacing) times the sign of (a0, a1, a2); where
+    # that is negative, swapping corners 2 and 3 makes it positive
+    negative = bool(np.prod(spacing) < 0.0)
     tets = np.empty((base.shape[0] * 6, 4), dtype=np.int64)
     for k, (a0, a1, _a2) in enumerate(axis_perms):
         v1 = base + step[a0]
         v2 = v1 + step[a1]
+        odd = (a1 - a0) % 3 == 2          # the even ones are cyclic shifts
+        swap = int(odd != negative)
         tets[k::6, 0] = base
         tets[k::6, 1] = v1
-        tets[k::6, 2] = v2
-        tets[k::6, 3] = far
-    # canonical orientation: positive scalar triple product
-    flip = _triple_products(positions, tets) < 0.0
-    tets[flip, 2:] = tets[flip][:, [3, 2]]
+        tets[k::6, 2 + swap] = v2
+        tets[k::6, 3 - swap] = far
     return TetMesh.create(positions, values, tets)
 
 

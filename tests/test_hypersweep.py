@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tetcontour.hypersweep as hs
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.geometry import batch_spline_coefficients
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
-from tetcontour.mesh import build_vertex_order, grid_to_tets
+from tetcontour.mesh import TetMesh, build_vertex_order, grid_to_tets
 from tetcontour.oracle import contour_count_mismatches, region_volume_errors
 
 from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
@@ -36,7 +37,6 @@ def test_deltas_independent_of_thread_count(rng):
     order = build_vertex_order(mesh)
     base = compute_deltas(mesh, order, threads=1)
     # shrink the chunk size so the mesh spans many chunks
-    import tetcontour.hypersweep as hs
     original = hs._CHUNK
     hs._CHUNK = 512
     try:
@@ -70,6 +70,23 @@ def test_deltas_peak_memory():
     assert peak < 48e6
 
 
+def test_deltas_peak_memory_independent_of_tet_count():
+    # staging every row of the mesh before summing takes over 90 MB here;
+    # blocks streamed into the per-vertex sums peak near 21 MB, the sums
+    # and a few blocks in flight, however many tets there are
+    mesh = grid_to_tets((40, 40, 40),
+                        np.random.default_rng(1).normal(size=40 ** 3))
+    assert mesh.tet_count == 355_914
+    order = build_vertex_order(mesh)
+    tracemalloc.start()
+    try:
+        compute_deltas(mesh, order, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def _reference_deltas(mesh, order):
     """compute_deltas as one kernel call over every tet and a scalar
     Neumaier sum per vertex that adds the vertex's rows in tet order."""
@@ -91,11 +108,28 @@ def _reference_deltas(mesh, order):
     return np.array(sums) + np.array(comps)
 
 
-def test_deltas_match_scalar_neumaier_reference(rng):
-    for mesh in (random_grid_mesh(rng, dims=(6, 6, 6)), two_peak_mesh()):
+def test_deltas_match_scalar_neumaier_reference(rng, monkeypatch):
+    spatial = pytest.importorskip("scipy.spatial")
+    meshes = [random_grid_mesh(rng, dims=(6, 6, 6)), two_peak_mesh()]
+    points = rng.uniform(size=(2000, 3))
+    meshes.append(TetMesh.create(points, rng.normal(size=2000),
+                                 spatial.Delaunay(points).simplices))
+    # a Delaunay vertex's tets are spread over many blocks, so the order in
+    # which blocks are added reaches each vertex's sum
+    monkeypatch.setattr(hs, "_CHUNK", 1024)
+    assert meshes[-1].tet_count >= 8 * hs._CHUNK
+    # mirror-symmetric bumps: values tied to within an ulp give some
+    # vertices rows of +-2.6e13 from tets in two blocks, and only there do
+    # the sums' bits change when the blocks are added in another order
+    meshes.append(gaussian_grid_mesh(16, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                                     [1.0, 1.0], width=20.0))
+    for mesh in meshes:
         order = build_vertex_order(mesh)
-        np.testing.assert_array_equal(compute_deltas(mesh, order),
-                                      _reference_deltas(mesh, order))
+        ref = _reference_deltas(mesh, order)
+        for threads in (1, 2, 4):
+            got = compute_deltas(mesh, order, threads=threads)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_superarc_volumes_match_region_oracle(rng):

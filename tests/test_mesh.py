@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tetcontour.mesh import (DataError, ParseError, StructuralError, TetMesh,
-                             build_topology_graph, build_vertex_order,
-                             grid_to_tets, load_raw_grid, load_scalar_file,
-                             load_tetgen, tet_volumes)
+                             _triple_products, build_topology_graph,
+                             build_vertex_order, grid_to_tets, load_raw_grid,
+                             load_scalar_file, load_tetgen, tet_volumes)
 
 from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES,
                       reference_load_scalar_file, reference_parse_ele_file,
@@ -58,6 +60,23 @@ def test_grid_to_tets_counts_and_volume():
     assert mesh.tet_count == 6 * 2 * 3 * 4
     # the 6-tet split tiles each cube exactly
     assert mesh.total_volume() == pytest.approx(2 * 0.5 * 3 * 1.0 * 4 * 2.0)
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0),
+                                                         repeat=3)))
+def test_grid_to_tets_orientation_matches_triple_products(signs):
+    nx, ny, nz = 4, 3, 5
+    mesh = grid_to_tets((nx, ny, nz), np.zeros(nx * ny * nz),
+                        spacing=np.multiply(signs, (0.5, 1.25, 2.0)))
+    # each lattice path with its cube's far corner last, then the
+    # orientation step that flips tets of negative triple product
+    ref = mesh.tets.copy()
+    far_third = ref[:, 2] == ref[:, 0] + 1 + nx + nx * ny
+    ref[far_third, 2:] = ref[far_third][:, [3, 2]]
+    flip = _triple_products(mesh.positions, ref) < 0.0
+    ref[flip, 2:] = ref[flip][:, [3, 2]]
+    assert flip.any()
+    np.testing.assert_array_equal(mesh.tets, ref)
 
 
 def test_grid_to_tets_x_fastest_layout():
