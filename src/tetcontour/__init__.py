@@ -3,8 +3,8 @@
 from .contourtree import (ContourTree, build_contour_tree, build_join_tree,
                           build_monotone_links, build_split_tree,
                           merge_trees)
-from .decomposition import Branch, decompose, top_branches
-from .geometry import TetSpline, build_tet_spline
+from .decomposition import Branch, decompose
+from .geometry import PiecewiseCubic, build_tet_spline
 from .hypersweep import (ArcWeights, SuperarcVolume, compute_deltas,
                          count_weights, sweep_volumes, volume_weights)
 from .isosurface import (TriangleSoup, euler_characteristic,
@@ -13,14 +13,14 @@ from .mesh import (TetMesh, build_topology_graph, build_vertex_order,
                    grid_to_tets, load_raw_grid, load_tetgen)
 
 __all__ = [
-    "ArcWeights", "Branch", "ContourTree", "SuperarcVolume", "TetMesh",
-    "TetSpline", "TriangleSoup", "build_contour_tree", "build_join_tree",
+    "ArcWeights", "Branch", "ContourTree", "PiecewiseCubic", "SuperarcVolume",
+    "TetMesh", "TriangleSoup", "build_contour_tree", "build_join_tree",
     "build_monotone_links", "build_split_tree", "build_tet_spline",
     "build_topology_graph", "build_vertex_order", "compute_deltas",
     "count_weights", "decompose", "euler_characteristic",
     "extract_superarc_contour", "grid_to_tets", "load_raw_grid",
     "load_tetgen", "march_tets", "merge_trees", "sweep_volumes",
-    "top_branches", "volume_weights", "write_obj",
+    "volume_weights", "write_obj",
 ]
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,35 +24,21 @@ from .mesh import (MeshError, TetMesh, build_vertex_order, grid_to_tets,
                    load_raw_grid, load_tetgen)
 
 
-@dataclass
-class PipelineConfig:
-    node: str | None = None
-    ele: str | None = None
-    fld: str | None = None
-    field_attr: int | None = None
-    dims: tuple | None = None
-    raw: str | None = None
-    spacing: tuple = (1.0, 1.0, 1.0)
-    weights: str = "volume"
-    top: int = 3
-    isovalues: dict = field(default_factory=dict)
-    out: str = "."
-    threads: int = 1
-
-    def validate(self):
-        tetgen = self.node is not None or self.ele is not None
-        grid = self.dims is not None or self.raw is not None
-        if tetgen == grid:
-            raise ValueError(
-                "exactly one input required: --node/--ele or --dims/--raw")
-        if tetgen and (self.node is None or self.ele is None):
-            raise ValueError("--node and --ele must be given together")
-        if grid and (self.dims is None or self.raw is None):
-            raise ValueError("--dims and --raw must be given together")
-        if self.top < 1:
-            raise ValueError("--top must be >= 1")
-        if self.threads < 1:
-            raise ValueError("--threads must be >= 1")
+def _check_inputs(args):
+    """Refuse `run` or `bench` flags that do not name exactly one input."""
+    tetgen = args.node is not None or args.ele is not None
+    grid = args.dims is not None or args.raw is not None
+    if tetgen == grid:
+        raise ValueError(
+            "exactly one input required: --node/--ele or --dims/--raw")
+    if tetgen and (args.node is None or args.ele is None):
+        raise ValueError("--node and --ele must be given together")
+    if grid and (args.dims is None or args.raw is None):
+        raise ValueError("--dims and --raw must be given together")
+    if args.command == "run" and args.top < 1:
+        raise ValueError("--top must be >= 1")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
 
 
 def _fmt(x: float) -> str:
@@ -65,11 +50,11 @@ class StageError(Exception):
         super().__init__(f"{stage}: {cause}")
 
 
-def _load(config: PipelineConfig) -> TetMesh:
-    if config.node:
-        return load_tetgen(config.node, config.ele, field_path=config.fld,
-                           field_attr=config.field_attr)
-    return load_raw_grid(config.raw, config.dims, config.spacing)
+def _load(args) -> TetMesh:
+    if args.node is not None:
+        return load_tetgen(args.node, args.ele, field_path=args.fld,
+                           field_attr=args.field_attr)
+    return load_raw_grid(args.raw, args.dims, args.spacing)
 
 
 @contextmanager
@@ -85,20 +70,19 @@ def _stage(times, name):
     times[name] = time.perf_counter() - start
 
 
-def _pipeline(config: PipelineConfig):
+def _pipeline(args):
     """All stages, returning artifacts plus per-stage wall times."""
     times = {}
     with _stage(times, "load"):
-        mesh = _load(config)
+        mesh = _load(args)
     with _stage(times, "construction"):
         order = build_vertex_order(mesh)
         tree = build_contour_tree(mesh, order)
     with _stage(times, "weights"):
         total_volume = mesh.total_volume()
-        deltas = hypersweep.compute_deltas(mesh, order,
-                                           threads=config.threads)
+        deltas = hypersweep.compute_deltas(mesh, order, threads=args.threads)
         volumes = hypersweep.sweep_volumes(tree, deltas)
-        if config.weights == "volume":
+        if args.weights == "volume":
             weights = hypersweep.volume_weights(volumes, total_volume)
         else:
             weights = hypersweep.count_weights(tree)
@@ -189,16 +173,17 @@ _PALETTE = [(0.894, 0.102, 0.110), (0.216, 0.494, 0.722),
             (1.000, 0.498, 0.000), (1.000, 1.000, 0.200)]
 
 
-def cmd_run(config: PipelineConfig) -> int:
-    config.validate()
-    out = Path(config.out)
+def cmd_run(args) -> int:
+    overrides = _parse_isovalue(args.isovalue)
+    _check_inputs(args)
+    out = Path(args.out)
     mesh, tree, volumes, weights, branches, total_volume, times = \
-        _pipeline(config)
+        _pipeline(args)
     # every (superarc, isovalue) is settled before the first file is written
-    top = decomposition.top_branches(branches, config.top)
-    extractions = {b.rank: _branch_extraction(tree, b, config.isovalues)
+    top = branches[:args.top]
+    extractions = {b.rank: _branch_extraction(tree, b, overrides)
                    for b in top}
-    for arc in config.isovalues:
+    for arc in overrides:
         if not 0 <= arc < tree.superarc_count:
             raise ValueError(f"--isovalue names superarc {arc}; the tree "
                              f"has superarcs 0..{tree.superarc_count - 1}")
@@ -232,9 +217,9 @@ def cmd_run(config: PipelineConfig) -> int:
     return 0
 
 
-def cmd_bench(config: PipelineConfig) -> int:
-    config.validate()
-    *_, times = _pipeline(config)
+def cmd_bench(args) -> int:
+    _check_inputs(args)
+    *_, times = _pipeline(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["stage", "seconds"])
     for name in ("construction", "weights", "branch decomposition"):
@@ -261,7 +246,7 @@ def cmd_verify(seed: int, tets: int) -> int:
         spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
         hs = rng.uniform(vals.min(), vals.max(), size=64)
         errors = oracle.clip_volume_errors(pos, vals, hs, spline(hs))
-        worst = max(worst, np.max(errors) / spline.total_volume)
+        worst = max(worst, np.max(errors) / spline.segments[-1, 3])
     report("spline-vs-clip", worst <= 1e-9, f"worst {worst:.3e}")
 
     # clip volume: monotone, continuous, complementary
@@ -370,24 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> PipelineConfig:
-    run_only = ({"top": args.top, "isovalues": _parse_isovalue(args.isovalue),
-                 "out": args.out} if args.command == "run" else {})
-    return PipelineConfig(
-        node=args.node, ele=args.ele, fld=args.fld,
-        field_attr=args.field_attr,
-        dims=tuple(args.dims) if args.dims else None,
-        raw=args.raw, spacing=tuple(args.spacing),
-        weights=args.weights, threads=args.threads, **run_only)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(_config_from_args(args))
+            return cmd_run(args)
         if args.command == "bench":
-            return cmd_bench(_config_from_args(args))
+            return cmd_bench(args)
         return cmd_verify(args.seed, args.tets)
     except StageError as exc:
         print(f"error in {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ v's kept links touch every component its full link touches and every
 parent pointer equals the full edge graph's sweep (Carr, Snoeyink & Axen,
 CGTA 2003; monotone paths as in Chiang, Lenz, Lu & Vegter, CGTA 2005). The
 join tree is a descending union-find sweep over each vertex's upper links,
-the split tree its dual over the lower links. A mesh that is not connected
+the split tree its dual over the lower links; each comes back as an (n,)
+array of parent vertices, -1 at its root. A mesh that is not connected
 leaves more than one sweep root and is refused. The two trees are merged
 by iterated leaf pruning into the fully augmented contour tree, which is
 then contracted into supernodes and superarcs with every regular vertex
@@ -23,19 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import StructuralError, TetMesh, VertexOrder
-
-
-@dataclass(frozen=True)
-class MergeTree:
-    """Augmented merge tree as per-vertex parent pointers.
-
-    For the join tree parents point toward lower values (root is the
-    global minimum); for the split tree toward higher values (root is the
-    global maximum). root has parent -1.
-    """
-
-    parent: np.ndarray
-    root: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,7 @@ def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
 
 
 def _sweep(links: MonotoneLinks, order: VertexOrder,
-           descending: bool) -> MergeTree:
+           descending: bool) -> np.ndarray:
     sort_index = order.sort_index
     n = sort_index.shape[0]
     # the link of rank v: its linked ranks the sweep visits before v, in
@@ -119,18 +107,18 @@ def _sweep(links: MonotoneLinks, order: VertexOrder,
     # from ranks back to vertex ids
     tree = np.empty(n, dtype=np.int64)
     tree[sort_index] = np.where(parent >= 0, sort_index[parent], -1)
-    return MergeTree(tree, int(sort_index[0 if descending else n - 1]))
+    return tree
 
 
-def build_join_tree(links: MonotoneLinks, order: VertexOrder) -> MergeTree:
-    """Descending sweep over each rank's upper links; leaves are the local
-    maxima, root the global min."""
+def build_join_tree(links: MonotoneLinks, order: VertexOrder) -> np.ndarray:
+    """Descending sweep over each rank's upper links: parents point down,
+    leaves are the local maxima, -1 marks the root, the global min."""
     return _sweep(links, order, descending=True)
 
 
-def build_split_tree(links: MonotoneLinks, order: VertexOrder) -> MergeTree:
-    """Ascending sweep over each rank's lower links; leaves are the local
-    minima, root the global max."""
+def build_split_tree(links: MonotoneLinks, order: VertexOrder) -> np.ndarray:
+    """Ascending sweep over each rank's lower links: parents point up,
+    leaves are the local minima, -1 marks the root, the global max."""
     return _sweep(links, order, descending=False)
 
 
@@ -152,7 +140,6 @@ class ContourTree:
     arc_child:     (k-1,) per superarc, the supernode on its far side from
                    the root.
     values:        (n,) the scalar field the tree was built from.
-    rank:          (n,) the global vertex order ranks.
     """
 
     supernodes: np.ndarray
@@ -165,7 +152,6 @@ class ContourTree:
     root: int
     arc_child: np.ndarray
     values: np.ndarray
-    rank: np.ndarray
 
     @property
     def supernode_count(self) -> int:
@@ -188,15 +174,15 @@ class InconsistentTreesError(Exception):
     """Join/split trees do not describe the same simply connected field."""
 
 
-def merge_trees(join: MergeTree, split: MergeTree, order: VertexOrder,
+def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                 values: np.ndarray) -> ContourTree:
     """Iterated leaf pruning of the two merge trees into the contour tree
     (Carr, Snoeyink & Axen, CGTA 2003), over flat per-vertex int lists of
     each tree's parents, child counts and child-id sums. A pruned vertex
     has at most one child in the other tree: its child-id sum there."""
-    n = join.parent.shape[0]
+    n = join.shape[0]
     values = np.asarray(values, dtype=np.float64)
-    if split.parent.shape[0] != n:
+    if split.shape[0] != n:
         raise InconsistentTreesError("vertex count mismatch")
     if n == 1:
         raise InconsistentTreesError("need at least 2 vertices")
@@ -208,13 +194,13 @@ def merge_trees(join: MergeTree, split: MergeTree, order: VertexOrder,
         np.add.at(id_sum, parent[has], np.flatnonzero(has))
         return count, id_sum
 
-    j_count, j_sum = children(join.parent)
-    s_count, s_sum = children(split.parent)
+    j_count, j_sum = children(join)
+    s_count, s_sum = children(split)
     leaves = (((j_count == 0) & (s_count <= 1))
               | ((s_count == 0) & (j_count <= 1)))
     queue = deque(np.flatnonzero(leaves).tolist())
-    jp, jn, js = join.parent.tolist(), j_count.tolist(), j_sum.tolist()
-    sp, sn, ss = split.parent.tolist(), s_count.tolist(), s_sum.tolist()
+    jp, jn, js = join.tolist(), j_count.tolist(), j_sum.tolist()
+    sp, sn, ss = split.tolist(), s_count.tolist(), s_sum.tolist()
     arcs = []
     removed = [False] * n
 
@@ -329,8 +315,7 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
     return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
                        superarcs=superarcs, arc_regulars=arc_regulars,
                        arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root, arc_child=arc_child, values=values,
-                       rank=rank)
+                       root=root, arc_child=arc_child, values=values)
 
 
 def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:

@@ -138,6 +138,3 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
         b.parent = int(owner[parent_arc])
     return ranked
 
-
-def top_branches(branches: list, count: int) -> list:
-    return branches[:max(0, count)]

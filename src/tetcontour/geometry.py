@@ -11,6 +11,8 @@ interpolant, with the constant of integration pinned by continuity at h_B.
 
 All polynomials are kept in unnormalized standard form a*h^3+b*h^2+c*h+d so
 that coefficient vectors from different tets can be summed directly.
+PiecewiseCubic evaluates a tet's V(h), and each superarc's swept volume as
+hypersweep.SuperarcVolume.
 
 batch_spline_coefficients, the one implementation of this math, works row by
 row over many tets, so a tet's bits never depend on the batch it is in.
@@ -38,38 +40,33 @@ def horner(rows, h):
 
 
 @dataclass(frozen=True)
-class TetSpline:
-    """Piecewise cubic cumulative volume V(h) for one tet.
-
-    breakpoints are (h_A, h_B, h_C, h_D); pieces[i] is the standard-form
-    coefficient row valid on [breakpoints[i], breakpoints[i+1]). Outside the
-    support V clamps to 0 below and total_volume above; pieces of zero
-    numeric width are skipped, making V right-continuous at shared values.
+class PiecewiseCubic:
+    """Piecewise cubic V(h): breakpoints (k,) ascending, segments (k + 1, 4)
+    standard-form rows [a, b, c, d], segment j valid on [breakpoints[j-1],
+    breakpoints[j]), the first and last open-ended. Segments of zero numeric
+    width are never selected, making V right-continuous at shared values.
     """
 
-    breakpoints: np.ndarray     # (4,)
-    pieces: np.ndarray          # (3, 4) rows [a, b, c, d]
-    total_volume: float
+    breakpoints: np.ndarray
+    segments: np.ndarray
 
     def __call__(self, h):
         h = np.asarray(h, dtype=np.float64)
-        idx = np.clip(np.searchsorted(self.breakpoints, h, side="right") - 1,
-                      0, 2)
-        out = horner(self.pieces[idx], h)
-        out = np.where(h < self.breakpoints[0], 0.0, out)
-        out = np.where(h >= self.breakpoints[3], self.total_volume, out)
+        out = horner(self.segments[
+            np.searchsorted(self.breakpoints, h, side="right")], h)
         return out if out.ndim else float(out)
 
 
 def build_tet_spline(mesh: TetMesh, tet_index: int,
-                     order: VertexOrder) -> TetSpline:
-    """The spline of one tet: the batch kernel applied to a batch of one."""
+                     order: VertexOrder) -> PiecewiseCubic:
+    """The batch kernel on a batch of one: breakpoints (h_A, h_B, h_C, h_D),
+    segments 0, the three pieces and the constant tet volume."""
     verts = sort_tet_vertices(mesh.tets[tet_index], order)
     values = mesh.values[verts]
     p1, p2, p3, total = batch_spline_coefficients(
         mesh.positions[verts][None], values[None])
-    return TetSpline(values, np.concatenate([p1, p2, p3]),
-                     float(total[0]))
+    return PiecewiseCubic(values, np.concatenate(
+        [np.zeros((1, 4)), p1, p2, p3, [[0.0, 0.0, 0.0, total[0]]]]))
 
 
 def _ratio(num, den, ok):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contourtree import ContourTree
-from .geometry import batch_spline_coefficients, horner
+from .geometry import PiecewiseCubic, batch_spline_coefficients, horner
 from .mesh import TetMesh, VertexOrder
 
 
@@ -45,6 +45,9 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     its rows in ascending (tet, corner) order; each tet's rows depend only
     on that tet. Neither the block size nor the thread count plays a part
     in the bits.
+
+    Raises FloatingPointError where values tied to within a few ulp make
+    a piece so narrow that its coefficients overflow.
     """
     n = mesh.vertex_count
     deltas = np.zeros((n, 4))
@@ -55,11 +58,12 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
         block = np.take_along_axis(
             block, np.argsort(order.rank[block], axis=1, kind="stable"),
             axis=1)
-        p1, p2, p3, total = batch_spline_coefficients(
-            mesh.positions[block], mesh.values[block])
-        last = -p3
-        last[:, 3] += total
-        rows = np.stack((p1, p2 - p1, p3 - p2, last), axis=1).reshape(-1, 4)
+        # numpy's error state is per thread; overflow is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            p1, p2, p3, total = batch_spline_coefficients(
+                mesh.positions[block], mesh.values[block])
+            rows = np.stack((p1, p2 - p1, p3 - p2, -p3), axis=1)
+        rows[:, 3, 3] += total
         # rows grouped by vertex, each vertex's run in tet order; k is a
         # row's place in its vertex's run
         by_vertex = np.argsort(block.ravel(), kind="stable")
@@ -68,9 +72,10 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
         by_round = np.argsort(k, kind="stable")
         cuts = np.cumsum(np.bincount(k))[:-1]
         return zip(np.split(targets[by_round], cuts),
-                   np.split(rows[by_vertex[by_round]], cuts))
+                   np.split(rows.reshape(-1, 4)[by_vertex[by_round]], cuts))
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex, \
+            np.errstate(over="ignore", invalid="ignore"):
         for block_rounds in ex.map(rounds, range(0, mesh.tet_count, _CHUNK)):
             for v, x in block_rounds:
                 s = deltas[v]
@@ -78,30 +83,28 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
                 big = np.abs(s) >= np.abs(x)
                 comp[v] += np.where(big, (s - t) + x, (x - t) + s)
                 deltas[v] = t
-    return deltas + comp
+        deltas += comp
+    bad = np.count_nonzero(~np.isfinite(deltas).all(axis=1))
+    if bad:
+        raise FloatingPointError(
+            f"non-finite volume deltas at {bad} vertices; the field likely "
+            "has values tied to within a few ulp")
+    return deltas
 
 
 @dataclass(frozen=True)
-class SuperarcVolume:
+class SuperarcVolume(PiecewiseCubic):
     """Piecewise cubic swept volume along one superarc.
 
     breakpoints: (k,) values of the arc's regular vertices, ascending;
-    segments: (k + 1, 4) standard-form cubic rows, segment j valid for
-    isovalues between breakpoints j-1 and j (first segment from the lower
-    supernode value, last up to the upper supernode value). The volume is
-    the measure of the region hanging below a cut of the arc at h.
+    segments: (k + 1, 4), the first from the lower supernode value h_lo,
+    the last up to the upper supernode value h_hi. The volume is the
+    measure of the region hanging below a cut of the arc at h.
     """
 
     superarc: int
     h_lo: float
     h_hi: float
-    breakpoints: np.ndarray
-    segments: np.ndarray
-
-    def __call__(self, h):
-        h = np.asarray(h, dtype=np.float64)
-        return horner(self.segments[
-            np.searchsorted(self.breakpoints, h, side="right")], h)
 
     @property
     def weight_bottom(self) -> float:

@@ -169,12 +169,9 @@ def build_topology_graph(mesh: TetMesh) -> TopologyGraph:
     return TopologyGraph(offsets, dst_u)
 
 
-def build_vertex_order(mesh_or_values) -> VertexOrder:
+def build_vertex_order(mesh: TetMesh) -> VertexOrder:
     """Stable total order by (value, vertex index)."""
-    values = (mesh_or_values.values
-              if isinstance(mesh_or_values, TetMesh) else
-              np.asarray(mesh_or_values, dtype=np.float64))
-    sort_index = np.argsort(values, kind="stable")
+    sort_index = np.argsort(mesh.values, kind="stable")
     rank = np.empty_like(sort_index)
     rank[sort_index] = np.arange(sort_index.shape[0])
     return VertexOrder(sort_index, rank)

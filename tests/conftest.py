@@ -4,7 +4,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from tetcontour.contourtree import MergeTree
 from tetcontour.mesh import (DataError, ParseError, TetMesh,
                              grid_to_tets)
 
@@ -108,17 +107,16 @@ def reference_merge_tree(graph, order, descending):
                 parent[frontier[ru]] = v
                 uf[ru] = rw
                 frontier[rw] = v
-    root = int(sweep[-1])
-    return MergeTree(parent, root)
+    return parent
 
 
 def reference_merge_arcs(join, split):
     """The leaf pruning of merge_trees over per-vertex child sets: the
     reference its count-and-sum pruning is checked against. Returns the
     (n - 1, 2) augmented arc rows in pruning order."""
-    n = join.parent.shape[0]
-    jp = join.parent.copy()
-    sp = split.parent.copy()
+    n = join.shape[0]
+    jp = join.copy()
+    sp = split.copy()
     j_children = [set() for _ in range(n)]
     s_children = [set() for _ in range(n)]
     for v in range(n):

@@ -49,7 +49,7 @@ def test_criterion_01_per_tet_spline_vs_clip_oracle():
         spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
         hs = rng.uniform(vals.min(), vals.max(), size=64)
         errors = clip_volume_errors(pos, vals, hs, spline(hs))
-        worst = max(worst, np.max(errors) / spline.total_volume)
+        worst = max(worst, np.max(errors) / spline.segments[-1, 3])
     elapsed = time.perf_counter() - start
     _report(1, "per-tet spline vs clip oracle",
             worst <= 1e-9 and elapsed < 10.0,
@@ -77,8 +77,8 @@ def test_criterion_03_continuity_and_coarea():
         mesh = single_tet_mesh(pos, vals)
         spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
         ha, hb, hc, hd = spline.breakpoints
-        total = spline.total_volume
-        p1, p2, p3 = spline.pieces
+        total = spline.segments[-1, 3]
+        p1, p2, p3 = spline.segments[1:4]
         worst_c0 = max(worst_c0,
                        abs(np.polyval(p1, hb) - np.polyval(p2, hb)) / total,
                        abs(np.polyval(p2, hc) - np.polyval(p3, hc)) / total)
@@ -87,7 +87,7 @@ def test_criterion_03_continuity_and_coarea():
             width = hi - lo
             if width <= 1e-2 * (hd - ha):
                 continue
-            a, b, c, d = np.abs(spline.pieces[piece])
+            a, b, c, d = np.abs(spline.segments[1 + piece])
             hm = max(abs(lo), abs(hi))
             term_mag = ((a * hm + b) * hm + c) * hm + d
             for h in np.linspace(lo + 0.03 * width, hi - 0.03 * width, 16):

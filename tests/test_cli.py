@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tetcontour import cli, oracle
-from tetcontour.cli import PipelineConfig, main
+from tetcontour.cli import main
 
 
 @pytest.fixture
@@ -33,16 +33,16 @@ def tetgen_input(tmp_path):
     return ["--node", str(node), "--ele", str(ele), "--field-attr", "0"]
 
 
-def test_config_requires_exactly_one_input():
-    with pytest.raises(ValueError):
-        PipelineConfig().validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(node="a", ele="b", dims=(2, 2, 2),
-                       raw="c").validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(node="a").validate()      # .ele missing
-    with pytest.raises(ValueError):
-        PipelineConfig(dims=(2, 2, 2), raw="c", top=0).validate()
+def test_config_requires_exactly_one_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    for flags in ([],
+                  ["--node", "a", "--ele", "b",
+                   "--dims", "2", "2", "2", "--raw", "c"],
+                  ["--node", "a"],                  # .ele missing
+                  ["--dims", "2", "2", "2", "--raw", "c", "--top", "0"]):
+        assert main(["run", *flags, "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_grid_artifacts(tmp_path, grid_input, capsys):
@@ -53,6 +53,7 @@ def test_run_grid_artifacts(tmp_path, grid_input, capsys):
     for name in ("tree.json", "weights.csv", "branches.json",
                  "branch_0.obj", "branch_1.obj", "branches.mtl"):
         assert (out / name).exists(), name
+    assert len(list(out.glob("branch_*.obj"))) == 2     # --top 2
 
     tree = json.loads((out / "tree.json").read_text())
     assert tree["schema"] == 1
@@ -182,6 +183,49 @@ def test_isovalue_for_missing_superarc_is_reported(tmp_path, grid_input,
     assert (f"error: --isovalue names superarc {other}, which no extracted "
             f"branch uses") in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_run_loads_through_module_hook(tmp_path, grid_input, monkeypatch):
+    # the benchmark times set-up by swapping cli.load_raw_grid and
+    # cli.load_tetgen for wrappers, so the run must call them through cli
+    calls = []
+    load = cli.load_raw_grid
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_raw_grid", recording)
+    assert main(["run", *grid_input, "--top", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_ulp_tied_values_are_refused(tmp_path, capsys):
+    # values on a 0.1 lattice, half of them moved up one ulp: pieces a
+    # few ulp wide overflow the spline coefficients, and the run must
+    # refuse instead of writing NaN weights
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(0)
+    points = rng.uniform(size=(2000, 3))
+    values = np.round(rng.normal(size=2000), 1)
+    values[::2] = np.nextafter(values[::2], np.inf)
+    tets = spatial.Delaunay(points).simplices
+    node = tmp_path / "m.node"
+    node.write_text("2000 3 1 0\n" + "".join(
+        f"{i} {x!r} {y!r} {z!r} {v!r}\n" for i, ((x, y, z), v)
+        in enumerate(zip(points.tolist(), values.tolist()))))
+    ele = tmp_path / "m.ele"
+    ele.write_text(f"{len(tets)} 4 0\n" + "".join(
+        f"{i} {a} {b} {c} {d}\n" for i, (a, b, c, d)
+        in enumerate(tets.tolist())))
+    out = tmp_path / "out"
+    assert main(["run", "--node", str(node), "--ele", str(ele),
+                 "--field-attr", "0", "--top", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error in weights: non-finite volume deltas at " in err
+    assert "tied to within a few ulp" in err
+    assert not out.exists()
 
 
 def test_missing_file_is_reported(tmp_path, capsys):

@@ -55,17 +55,17 @@ def test_join_split_tree_roots():
     links = build_monotone_links(mesh, order)
     join = build_join_tree(links, order)
     split = build_split_tree(links, order)
-    assert join.root == order.sort_index[0]          # global minimum
-    assert split.root == order.sort_index[-1]        # global maximum
+    assert join[order.sort_index[0]] == -1           # global minimum
+    assert split[order.sort_index[-1]] == -1         # global maximum
     # each tree has exactly one parentless vertex
-    assert np.sum(join.parent < 0) == 1
-    assert np.sum(split.parent < 0) == 1
+    assert np.sum(join < 0) == 1
+    assert np.sum(split < 0) == 1
     # join parents point downward, split parents upward
     for v in range(mesh.vertex_count):
-        if join.parent[v] >= 0:
-            assert order.rank[join.parent[v]] < order.rank[v]
-        if split.parent[v] >= 0:
-            assert order.rank[split.parent[v]] > order.rank[v]
+        if join[v] >= 0:
+            assert order.rank[join[v]] < order.rank[v]
+        if split[v] >= 0:
+            assert order.rank[split[v]] > order.rank[v]
 
 
 def test_tree_structure_invariants(rng):
@@ -80,11 +80,11 @@ def test_tree_structure_invariants(rng):
             counts[regs] += 1
             assert np.all(tree.arc_of[regs] == a)
             lo, hi = tree.superarcs[a]
-            rlo = tree.rank[tree.supernodes[lo]]
-            rhi = tree.rank[tree.supernodes[hi]]
+            rlo = order.rank[tree.supernodes[lo]]
+            rhi = order.rank[tree.supernodes[hi]]
             assert rlo < rhi
             if len(regs):
-                rr = tree.rank[regs]
+                rr = order.rank[regs]
                 assert np.all(np.diff(rr) > 0)       # ascending along arc
                 assert rlo < rr[0] and rr[-1] < rhi
         counts[tree.supernodes] += 1
@@ -254,9 +254,8 @@ def test_merge_trees_match_reference_sweep():
                                   (build_split_tree, False)):
             tree = build(links, order)
             ref = reference_merge_tree(graph, order, descending)
-            assert tree.parent.dtype == ref.parent.dtype
-            assert np.array_equal(tree.parent, ref.parent)
-            assert tree.root == ref.root
+            assert tree.dtype == ref.dtype
+            assert np.array_equal(tree, ref)
 
 
 def _same(a, b):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tetcontour.contourtree import build_contour_tree
-from tetcontour.decomposition import decompose, top_branches
+from tetcontour.decomposition import decompose
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
 from tetcontour.mesh import build_vertex_order
@@ -22,7 +22,7 @@ def test_branch_invariants(rng):
     for _ in range(5):
         mesh = random_grid_mesh(rng, dims=(6, 6, 6))
         tree, weightings = _both_weightings(mesh)
-        sn_rank = tree.rank[tree.supernodes]
+        sn_rank = build_vertex_order(mesh).rank[tree.supernodes]
         for weights in weightings:
             branches = decompose(tree, weights)
             seen = np.zeros(tree.superarc_count, dtype=int)
@@ -93,15 +93,6 @@ def test_two_gaussian_field_heavier_bump_wins():
     top_value = max(tree.supernode_value(b.upper_supernode)
                     for b in branches)
     assert tree.supernode_value(branches[0].upper_supernode) == top_value
-
-
-def test_top_branches_slicing(rng):
-    mesh = random_grid_mesh(rng, dims=(5, 5, 5))
-    tree, (weights, _) = _both_weightings(mesh)
-    branches = decompose(tree, weights)
-    assert top_branches(branches, 2) == branches[:2]
-    assert top_branches(branches, 10 ** 6) == branches
-    assert top_branches(branches, 0) == []
 
 
 def test_deterministic_across_runs(rng):

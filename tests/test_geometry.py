@@ -61,7 +61,7 @@ def test_random_tets_match_clip_oracle(rng):
         spline = _spline(mesh)
         hs = rng.uniform(vals.min(), vals.max(), size=16)
         errors = clip_volume_errors(pos, vals, hs, spline(hs))
-        worst = max(worst, np.max(errors) / spline.total_volume)
+        worst = max(worst, np.max(errors) / spline.segments[-1, 3])
     assert worst <= 1e-9
 
 
@@ -71,12 +71,12 @@ def test_spline_monotone_and_continuous(rng):
         spline = _spline(single_tet_mesh(pos, vals))
         hs = np.linspace(vals.min(), vals.max(), 200)
         v = spline(hs)
-        assert np.all(np.diff(v) >= -1e-12 * spline.total_volume)
+        assert np.all(np.diff(v) >= -1e-12 * spline.segments[-1, 3])
         # continuity at the interior breakpoints
         for h in spline.breakpoints[1:3]:
             lo = spline(h - 1e-12)
             hi = spline(h + 1e-12)
-            assert abs(hi - lo) <= 1e-9 * spline.total_volume
+            assert abs(hi - lo) <= 1e-9 * spline.segments[-1, 3]
 
 
 def test_piece_continuity_exact(rng):
@@ -85,8 +85,8 @@ def test_piece_continuity_exact(rng):
         pos, vals = random_tet(rng)
         spline = _spline(single_tet_mesh(pos, vals))
         ha, hb, hc, hd = spline.breakpoints
-        p1, p2, p3 = spline.pieces
-        scale = spline.total_volume
+        p1, p2, p3 = spline.segments[1:4]
+        scale = spline.segments[-1, 3]
         assert abs(np.polyval(p1, ha) - 0.0) <= 1e-10 * scale
         assert abs(np.polyval(p1, hb) - np.polyval(p2, hb)) <= 1e-10 * scale
         assert abs(np.polyval(p2, hc) - np.polyval(p3, hc)) <= 1e-9 * scale
@@ -107,7 +107,7 @@ def test_derivative_is_area_times_coarea(rng):
                 continue
             # Horner on the standard form loses ~eps * (term magnitude)
             # per evaluation; dividing by the step amplifies that floor
-            a, b, c, d = np.abs(spline.pieces[piece])
+            a, b, c, d = np.abs(spline.segments[1 + piece])
             hm = max(abs(lo), abs(hi))
             term_mag = ((a * hm + b) * hm + c) * hm + d
             for h in np.linspace(lo + 0.05 * width, hi - 0.05 * width, 16):
@@ -132,7 +132,7 @@ def test_mid_coefficients_match_quadratic_fit(rng):
         areas = [clip_area(pos, vals, h) for h in hs]
         kappa = coarea_factor(pos, vals)
         fit = np.linalg.solve(np.vander(hs, 3), areas) * kappa
-        a, b, c, _ = spline.pieces[1]
+        a, b, c, _ = spline.segments[2]
         derivative = [3.0 * a, 2.0 * b, c]
         scale = max(*np.abs(derivative), 1e-30)
         assert np.allclose(fit, derivative, rtol=1e-8, atol=1e-8 * scale)
@@ -145,7 +145,7 @@ def test_degenerate_equal_values_give_zero_width_pieces():
     spline = _spline(mesh)
     ref_mid = clip_volume(pos, vals, 0.5)
     assert spline(0.5) == pytest.approx(ref_mid, rel=1e-12)
-    assert spline(1.0) == pytest.approx(spline.total_volume)
+    assert spline(1.0) == pytest.approx(spline.segments[-1, 3])
     assert spline(0.0 - 1e-15) == 0.0
 
 

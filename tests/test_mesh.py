@@ -112,8 +112,8 @@ def test_topology_graph_symmetric_and_complete(rng):
 
 
 def test_vertex_order_total_and_stable():
-    values = np.array([2.0, 1.0, 2.0, 0.5])
-    order = build_vertex_order(values)
+    mesh = single_tet_mesh(UNIT_TET_POSITIONS, np.array([2.0, 1.0, 2.0, 0.5]))
+    order = build_vertex_order(mesh)
     assert list(order.sort_index) == [3, 1, 0, 2]   # value, then index
     assert list(order.rank[order.sort_index]) == [0, 1, 2, 3]
 
