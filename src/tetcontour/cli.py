@@ -1,8 +1,8 @@
 """Command line pipeline: load mesh, build tree, weigh, decompose, extract.
 
 Subcommands: `run` writes tree.json, weights.csv, branches.json and one
-OBJ per top-ranked branch; `verify` replays the brute-force oracle suites;
-`bench` reports per-stage wall-clock times as CSV. Reruns with the same
+OBJ per top-ranked branch off a flat arc, and prints per-stage wall times;
+`verify` replays the brute-force oracle suites. Reruns with the same
 inputs produce byte-identical JSON/CSV regardless of --threads.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .mesh import (MeshError, TetMesh, build_vertex_order, grid_to_tets,
 
 
 def _check_inputs(args):
-    """Refuse `run` or `bench` flags that do not name exactly one input."""
+    """Refuse `run` flags that do not name exactly one input."""
     tetgen = args.node is not None or args.ele is not None
     grid = args.dims is not None or args.raw is not None
     if tetgen == grid:
@@ -35,7 +35,7 @@ def _check_inputs(args):
         raise ValueError("--node and --ele must be given together")
     if grid and (args.dims is None or args.raw is None):
         raise ValueError("--dims and --raw must be given together")
-    if args.command == "run" and args.top < 1:
+    if args.top < 1:
         raise ValueError("--top must be >= 1")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
@@ -79,20 +79,21 @@ def _pipeline(args):
         order = build_vertex_order(mesh)
         tree = build_contour_tree(mesh, order)
     with _stage(times, "weights"):
-        total_volume = mesh.total_volume()
         deltas = hypersweep.compute_deltas(mesh, order, threads=args.threads)
         volumes = hypersweep.sweep_volumes(tree, deltas)
         if args.weights == "volume":
-            weights = hypersweep.volume_weights(volumes, total_volume)
+            weights = hypersweep.volume_weights(volumes, mesh.volume)
         else:
             weights = hypersweep.count_weights(tree)
     with _stage(times, "branch decomposition"):
         branches = decomposition.decompose(tree, weights)
-    return mesh, tree, volumes, weights, branches, total_volume, times
+    return mesh, tree, volumes, weights, branches, times
 
 
 def _branch_extraction(tree: ContourTree, branch, overrides):
-    """(superarc, isovalue) a branch's contour is extracted at."""
+    """(superarc, isovalue) a branch's contour is extracted at; a vertex at
+    h counts as below, so only h in [h_lo, h_hi) cuts the arc. An override
+    outside it is refused; a flat arc's isovalue is None."""
     if branch.rank == 0 or branch.attachment_supernode < 0:
         lo = tree.supernode_value(branch.lower_supernode)
         hi = tree.supernode_value(branch.upper_supernode)
@@ -109,10 +110,12 @@ def _branch_extraction(tree: ContourTree, branch, overrides):
         arc = branch.superarcs[0]
     alo, ahi = tree.arc_value_range(arc)
     h = overrides.get(arc, 0.5 * (alo + ahi))
-    if not (min(alo, ahi) <= h <= max(alo, ahi)):
+    if alo <= h < ahi:
+        return arc, h
+    if arc in overrides:
         raise ValueError(
-            f"isovalue {h} outside superarc {arc} range [{alo}, {ahi}]")
-    return arc, h
+            f"isovalue {h} outside superarc {arc} range [{alo}, {ahi})")
+    return arc, None
 
 
 def _write_tree_json(path, mesh, tree):
@@ -149,6 +152,11 @@ def _write_weights_csv(path, volumes, weights):
 
 
 def _write_branches_json(path, branches, extractions):
+    def extraction(rank):
+        arc, h = extractions.get(rank, (None, None))
+        return None if h is None else {"superarc": int(arc),
+                                       "isovalue": float(h)}
+
     doc = {
         "schema": 1,
         "branches": [
@@ -158,9 +166,7 @@ def _write_branches_json(path, branches, extractions):
              "upperSupernode": int(b.upper_supernode),
              "attachmentSupernode": int(b.attachment_supernode),
              "superarcs": [int(a) for a in b.superarcs],
-             "extraction": ({"superarc": int(extractions[b.rank][0]),
-                             "isovalue": float(extractions[b.rank][1])}
-                            if b.rank in extractions else None)}
+             "extraction": extraction(b.rank)}
             for b in branches],
     }
     with open(path, "w") as fh:
@@ -177,8 +183,7 @@ def cmd_run(args) -> int:
     overrides = _parse_isovalue(args.isovalue)
     _check_inputs(args)
     out = Path(args.out)
-    mesh, tree, volumes, weights, branches, total_volume, times = \
-        _pipeline(args)
+    mesh, tree, volumes, weights, branches, times = _pipeline(args)
     # every (superarc, isovalue) is settled before the first file is written
     top = branches[:args.top]
     extractions = {b.rank: _branch_extraction(tree, b, overrides)
@@ -198,6 +203,10 @@ def cmd_run(args) -> int:
         materials = []
         for b in top:
             arc, h = extractions[b.rank]
+            if h is None:
+                print(f"branch {b.rank}: superarc {arc} is flat; "
+                      "not extracted")
+                continue
             soup = isosurface.extract_superarc_contour(mesh, tree, arc, h)
             name = f"branch_{b.rank}"
             color = _PALETTE[b.rank % len(_PALETTE)]
@@ -211,19 +220,9 @@ def cmd_run(args) -> int:
     print(f"vertices {mesh.vertex_count} tets {mesh.tet_count} "
           f"supernodes {tree.supernode_count} "
           f"superarcs {tree.superarc_count}")
-    print(f"total volume {_fmt(total_volume)}")
+    print(f"total volume {_fmt(mesh.volume)}")
     for name, secs in times.items():
         print(f"time {name} {secs:.3f}s")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    _check_inputs(args)
-    *_, times = _pipeline(args)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["stage", "seconds"])
-    for name in ("construction", "weights", "branch decomposition"):
-        writer.writerow([name, f"{times[name]:.6f}"])
     return 0
 
 
@@ -326,29 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ct",
         description="contour trees with exact sweep volumes on tet meshes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input_flags(p):
-        p.add_argument("--node", help="TetGen .node vertex file")
-        p.add_argument("--ele", help="TetGen .ele tetrahedron file")
-        p.add_argument("--field", dest="fld",
-                       help="scalar field file, one value per vertex")
-        p.add_argument("--field-attr", type=int, default=None,
-                       help="use this .node attribute column as the field")
-        p.add_argument("--dims", nargs=3, type=int, metavar=("NX", "NY", "NZ"))
-        p.add_argument("--raw", help="little-endian float64 grid values")
-        p.add_argument("--spacing", nargs=3, type=float,
-                       default=(1.0, 1.0, 1.0), metavar=("SX", "SY", "SZ"))
-        p.add_argument("--weights", choices=("count", "volume"),
-                       default="volume")
-        p.add_argument("--threads", type=int, default=1)
-        return p
-
-    run = add_input_flags(sub.add_parser("run", help="full pipeline"))
+    run = sub.add_parser("run", help="full pipeline")
+    run.add_argument("--node", help="TetGen .node vertex file")
+    run.add_argument("--ele", help="TetGen .ele tetrahedron file")
+    run.add_argument("--field", dest="fld",
+                     help="scalar field file, one value per vertex")
+    run.add_argument("--field-attr", type=int, default=None,
+                     help="use this .node attribute column as the field")
+    run.add_argument("--dims", nargs=3, type=int, metavar=("NX", "NY", "NZ"))
+    run.add_argument("--raw", help="little-endian float64 grid values")
+    run.add_argument("--spacing", nargs=3, type=float,
+                     default=(1.0, 1.0, 1.0), metavar=("SX", "SY", "SZ"))
+    run.add_argument("--weights", choices=("count", "volume"),
+                     default="volume")
+    run.add_argument("--threads", type=int, default=1)
     run.add_argument("--top", type=int, default=3)
     run.add_argument("--isovalue", action="append", metavar="SUPERARC=H",
                      help="override the extraction isovalue of a superarc")
     run.add_argument("--out", default=".")
-    add_input_flags(sub.add_parser("bench", help="per-stage timings"))
     verify = sub.add_parser("verify", help="oracle property suites")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--tets", type=int, default=1000)
@@ -360,8 +354,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "bench":
-            return cmd_bench(args)
         return cmd_verify(args.seed, args.tets)
     except StageError as exc:
         print(f"error in {exc}", file=sys.stderr)

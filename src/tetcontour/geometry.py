@@ -15,7 +15,8 @@ PiecewiseCubic evaluates a tet's V(h), and each superarc's swept volume as
 hypersweep.SuperarcVolume.
 
 batch_spline_coefficients, the one implementation of this math, works row by
-row over many tets, so a tet's bits never depend on the batch it is in.
+row over many tets, so a tet's bits never depend on the batch it is in; its
+cross and triple products are mesh's, and VertexOrder.sort_tets orders corners.
 Checks come from the clipping oracles in oracle.py, not a second derivation.
 """
 from __future__ import annotations
@@ -24,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TetMesh, VertexOrder
-
-
-def sort_tet_vertices(tet, order: VertexOrder) -> np.ndarray:
-    """Relabel a 4-tuple of vertex indices so global ranks strictly ascend."""
-    tet = np.asarray(tet, dtype=np.int64)
-    return tet[np.argsort(order.rank[tet], kind="stable")]
+from .mesh import TetMesh, VertexOrder, _cross, _triple
 
 
 def horner(rows, h):
@@ -61,7 +56,7 @@ def build_tet_spline(mesh: TetMesh, tet_index: int,
                      order: VertexOrder) -> PiecewiseCubic:
     """The batch kernel on a batch of one: breakpoints (h_A, h_B, h_C, h_D),
     segments 0, the three pieces and the constant tet volume."""
-    verts = sort_tet_vertices(mesh.tets[tet_index], order)
+    verts = order.sort_tets(mesh.tets[tet_index])
     values = mesh.values[verts]
     p1, p2, p3, total = batch_spline_coefficients(
         mesh.positions[verts][None], values[None])
@@ -86,13 +81,6 @@ def _corner_cubic(volume, h0, width):
     return rows
 
 
-def _cross(a, b):
-    """Row-wise a x b with np.cross's own products and differences."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0], axis=1)
-
-
 def batch_spline_coefficients(positions, values):
     """Vectorized spline coefficients for many pre-sorted tets.
 
@@ -109,9 +97,7 @@ def batch_spline_coefficients(positions, values):
     ha, hb, hc, hd = (values[:, i] for i in range(4))
 
     edges = positions[:, 1:] - positions[:, :1]
-    det = np.einsum("ij,ij->i", edges[:, 0],
-                    _cross(edges[:, 1], edges[:, 2]))
-    total = np.abs(det) / 6.0
+    total = np.abs(_triple(edges[:, 0], edges[:, 1], edges[:, 2])) / 6.0
 
     def cut(p0, p1, v0, v1, h):
         span = v1 - v0
@@ -124,10 +110,8 @@ def batch_spline_coefficients(positions, values):
     g = cut(pa, pd, ha, hd, hc)
     hh = cut(pb, pd, hb, hd, hc)
 
-    vol_abef = np.abs(np.einsum("ij,ij->i", pb - pa,
-                                _cross(e - pa, f - pa))) / 6.0
-    vol_dcgh = np.abs(np.einsum("ij,ij->i", pc - pd,
-                                _cross(g - pd, hh - pd))) / 6.0
+    vol_abef = np.abs(_triple(pb - pa, e - pa, f - pa)) / 6.0
+    vol_dcgh = np.abs(_triple(pc - pd, g - pd, hh - pd)) / 6.0
 
     # gradient of the linear interpolant; degenerate (constant) tets get 0
     nondeg = hd > ha

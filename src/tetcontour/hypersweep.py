@@ -54,10 +54,7 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     comp = np.zeros((n, 4))
 
     def rounds(lo):
-        block = mesh.tets[lo:lo + _CHUNK]
-        block = np.take_along_axis(
-            block, np.argsort(order.rank[block], axis=1, kind="stable"),
-            axis=1)
+        block = order.sort_tets(mesh.tets[lo:lo + _CHUNK])
         # numpy's error state is per thread; overflow is refused below
         with np.errstate(over="ignore", invalid="ignore"):
             p1, p2, p3, total = batch_spline_coefficients(

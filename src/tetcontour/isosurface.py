@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contourtree import ContourTree, straddling_arcs
-from .mesh import TetMesh
+from .mesh import TetMesh, _cross
 
 # below-mask patterns (bit i set when sorted-corner i is below). one
 # triangle when a single corner is cut off, two when the cut is a quad;
@@ -45,14 +45,15 @@ class TriangleSoup:
 
     positions: (p, 3) welded corner coordinates; triangles: (t, 3) indices
     into positions, wound so the normal points toward increasing field
-    values; tet_ids: source tet per triangle; corner_keys: (t, 3, 2)
-    global mesh edge (min vertex, max vertex) each corner interpolates;
-    superarc: per-triangle contour tree superarc, -1 until labeled.
+    values; crossing: (t, 2) the (below, above) vertices of a source-tet
+    edge h crosses, which orient and label the triangle; corner_keys:
+    (t, 3, 2) global mesh edge (min vertex, max vertex) each corner
+    interpolates; superarc: contour tree superarc, -1 until labeled.
     """
 
     positions: np.ndarray
     triangles: np.ndarray
-    tet_ids: np.ndarray
+    crossing: np.ndarray
     corner_keys: np.ndarray
     superarc: np.ndarray
 
@@ -88,7 +89,7 @@ def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
     if not tri_tets:
         empty = np.empty
         return TriangleSoup(empty((0, 3)), empty((0, 3), dtype=np.int64),
-                            empty(0, dtype=np.int64),
+                            empty((0, 2), dtype=np.int64),
                             empty((0, 3, 2), dtype=np.int64),
                             empty(0, dtype=np.int64))
 
@@ -114,16 +115,16 @@ def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
     # orient each triangle so its normal has positive dot with the tet's
     # field gradient (the edge from the below corner toward the above one)
     p = points[triangles]
-    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    # reference direction: from any below vertex toward any above vertex
+    normal = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    # the crossing edge: the tet's first below corner, its first above one
     bel = mesh.values[tet_rows] <= h
-    low = tet_rows[np.arange(rows.size), np.argmax(bel, axis=1)]
-    high = tet_rows[np.arange(rows.size), np.argmax(~bel, axis=1)]
-    ref = mesh.positions[high] - mesh.positions[low]
+    crossing = np.take_along_axis(tet_rows, np.stack(
+        [np.argmax(bel, axis=1), np.argmax(~bel, axis=1)], axis=1), axis=1)
+    ref = mesh.positions[crossing[:, 1]] - mesh.positions[crossing[:, 0]]
     flip = np.einsum("ij,ij->i", normal, ref) < 0
     triangles[flip] = triangles[flip][:, ::-1]
 
-    return TriangleSoup(points, triangles, rows, keys,
+    return TriangleSoup(points, triangles, crossing, keys,
                         np.full(rows.size, -1, dtype=np.int64))
 
 
@@ -131,22 +132,15 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
                     h: float) -> None:
     """Assign each triangle the superarc of the contour it lies on.
 
-    For a crossing edge (v below, u above) the level set component sits on
-    the unique superarc straddling h on the tree path between v and u; the
-    path is value-monotone for a mesh edge, so the arc is the intersection
-    of the monotone walks up from v and down from u. Labels are written
-    into soup.superarc; tets sharing a contour share the label.
+    For a triangle's crossing edge (v below, u above) the level set
+    component sits on the unique superarc straddling h on the tree path
+    between v and u; the path is value-monotone for a mesh edge, so the arc
+    is the intersection of the monotone walks up from v and down from u.
+    Labels go into soup.superarc. mesh is unread; it stays in the signature
+    until seed-and-flood extraction takes labeling off the hot path.
     """
-    if soup.triangle_count == 0:
-        return
-    cache_up = {}
-    cache_down = {}
-    tet_rows = mesh.tets[soup.tet_ids]
-    bel = mesh.values[tet_rows] <= h
-    low = tet_rows[np.arange(soup.triangle_count), np.argmax(bel, axis=1)]
-    high = tet_rows[np.arange(soup.triangle_count), np.argmax(~bel, axis=1)]
-    for i in range(soup.triangle_count):
-        v, u = int(low[i]), int(high[i])
+    cache_up, cache_down = {}, {}
+    for i, (v, u) in enumerate(soup.crossing.tolist()):
         sv = cache_up.get(v)
         if sv is None:
             sv = straddling_arcs(tree, v, h)
@@ -170,7 +164,7 @@ def extract_superarc_contour(mesh: TetMesh, tree: ContourTree,
     used, remap = np.unique(old_tris, return_inverse=True)
     return TriangleSoup(soup.positions[used],
                         remap.reshape(-1, 3),
-                        soup.tet_ids[keep],
+                        soup.crossing[keep],
                         soup.corner_keys[keep],
                         soup.superarc[keep])
 

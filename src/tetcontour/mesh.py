@@ -4,8 +4,8 @@ Provides the core mesh container (vertex positions, scalar values, tets),
 loading of TetGen .node/.ele pairs, Kuhn/Freudenthal subdivision of regular
 grids for comparison runs, the per-vertex neighbor structure derived from
 tet edges (the full edge graph, which the tests' reference sweep reads; the
-run's sweeps use contourtree's monotone links), and the global sorted vertex
-order used by all sweep algorithms.
+run's sweeps use contourtree's monotone links), the global vertex order of
+all sweep algorithms, and the one row-wise cross and triple product.
 """
 from __future__ import annotations
 
@@ -95,15 +95,23 @@ class TetMesh:
                 f"degenerate (zero-volume) tets: {degenerate[:20].tolist()}")
         return TetMesh(positions, values, tets, float(np.sum(vols)))
 
-    def total_volume(self) -> float:
-        return self.volume
+
+def _cross(a, b):
+    """Row-wise a x b, with the products and differences of numpy.cross."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=1)
+
+
+def _triple(a, b, c):
+    """Row-wise scalar triple product a . (b x c)."""
+    return np.einsum("ij,ij->i", a, _cross(b, c))
 
 
 def _triple_products(positions, tets) -> np.ndarray:
     """Signed scalar triple product of every tet's edges from corner 0."""
-    p = positions[tets]
-    e = p[:, 1:] - p[:, :1]
-    return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
+    p0 = positions[tets[:, 0]]
+    return _triple(*(positions[tets[:, k]] - p0 for k in (1, 2, 3)))
 
 
 def tet_volumes(positions, tets) -> np.ndarray:
@@ -141,6 +149,10 @@ class VertexOrder:
 
     sort_index: np.ndarray
     rank: np.ndarray
+
+    def sort_tets(self, tets) -> np.ndarray:
+        """The corners of a (4,) tet or (m, 4) tets in ascending rank."""
+        return self.sort_index[np.sort(self.rank[tets], axis=-1)]
 
 
 def build_topology_graph(mesh: TetMesh) -> TopologyGraph:

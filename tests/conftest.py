@@ -289,6 +289,14 @@ def reference_spline_coefficients(positions, values):
     return p1, p2, p3, total
 
 
+def reference_triple_products(positions, tets):
+    """Triple products over an (m, 4, 3) gather and np.cross: the reference
+    mesh._triple_products is checked against bit for bit."""
+    p = positions[tets]
+    e = p[:, 1:] - p[:, :1]
+    return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
+
+
 def _data_lines(path):
     """Yield (line_no, tokens) for non-comment, non-blank lines."""
     with open(path, "r") as fh:

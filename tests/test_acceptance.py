@@ -114,7 +114,7 @@ def test_criterion_04_conservation_on_random_grids():
         order, tree = _full_tree(mesh)
         volumes = sweep_volumes(tree, compute_deltas(mesh, order))
         root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
-        total = mesh.total_volume()
+        total = mesh.volume
         worst = max(worst, abs(volumes[root_arc].weight_top - total) / total)
     _report(4, "conservation at the global maximum",
             worst <= 1e-9, f"worst rel {worst:.2e}")
@@ -154,7 +154,7 @@ def test_criterion_06_hypersweep_vs_region_oracle():
         # both sides accumulate float roundoff at the total-volume scale,
         # so tiny regions get an absolute floor there instead of a pure
         # relative test
-        floor = 64.0 * np.finfo(float).eps * mesh.total_volume()
+        floor = 64.0 * np.finfo(float).eps * mesh.volume
         errors, refs = region_volume_errors(mesh, tree, volumes,
                                             np.linspace(0.1, 0.9, 8))
         worst = max(worst, np.max(np.maximum(errors - floor, 0.0)
@@ -173,7 +173,7 @@ def test_criterion_07_two_peak_ranking():
             else "small"
 
     by_volume = decompose(tree, volume_weights(volumes,
-                                               mesh.total_volume()))
+                                               mesh.volume))
     by_count = decompose(tree, count_weights(tree))
     ranks_v = [peak(b) for b in by_volume]
     ranks_c = [peak(b) for b in by_count]
@@ -256,13 +256,13 @@ def test_criterion_10_desk_scale_performance():
     order = build_vertex_order(mesh)
     tree = build_contour_tree(mesh, order)
     volumes = sweep_volumes(tree, compute_deltas(mesh, order))
-    weights = volume_weights(volumes, mesh.total_volume())
+    weights = volume_weights(volumes, mesh.volume)
     branches = decompose(tree, weights)
     elapsed = time.perf_counter() - start
 
     sane = (tree.superarc_count >= 2 and len(branches) >= 2
-            and abs(weights.total - mesh.total_volume())
-            <= 1e-9 * mesh.total_volume())
+            and abs(weights.total - mesh.volume)
+            <= 1e-9 * mesh.volume)
     _report(10, "100K-vertex pipeline under 60 s",
             elapsed < 60.0 and sane,
             f"{mesh.vertex_count} vertices, {mesh.tet_count} tets, "

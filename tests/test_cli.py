@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -251,19 +252,71 @@ def test_disconnected_mesh_is_reported(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_bench_csv(grid_input, capsys):
-    assert main(["bench", *grid_input]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "stage,seconds"
-    stages = [line.split(",")[0] for line in lines[1:]]
-    assert stages == ["construction", "weights", "branch decomposition"]
+def _raw_grid(path, values):
+    values.astype("<f8").tofile(path)
+    n = round(values.size ** (1 / 3))
+    return ["--dims", str(n), str(n), str(n), "--raw", str(path)]
 
 
-def test_bench_refuses_run_only_flags(grid_input, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", *grid_input, "--top", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --top 2" in capsys.readouterr().err
+def _arc_range(out, arc):
+    tree = json.loads((out / "tree.json").read_text())
+    value = {s["id"]: s["value"] for s in tree["supernodes"]}
+    return (value[tree["superarcs"][arc]["lo"]],
+            value[tree["superarcs"][arc]["hi"]])
+
+
+def test_isovalue_at_arc_upper_end_is_refused(tmp_path, capsys):
+    # a vertex at h counts as below, so h = h_hi cuts nothing on the arc:
+    # only [h_lo, h_hi) is accepted, and h_lo gives a non-empty contour
+    flags = _raw_grid(tmp_path / "g.f64",
+                      np.random.default_rng(1).normal(size=216))
+    out = tmp_path / "a"
+    assert main(["run", *flags, "--top", "3", "--out", str(out)]) == 0
+    doc = json.loads((out / "branches.json").read_text())
+    arc = doc["branches"][1]["extraction"]["superarc"]
+    lo, hi = _arc_range(out, arc)
+    capsys.readouterr()
+    code = main(["run", *flags, "--top", "3", "--isovalue", f"{arc}={hi!r}",
+                 "--out", str(tmp_path / "hi")])
+    assert code == 1
+    assert (f"error: isovalue {hi!r} outside superarc {arc} range "
+            f"[{lo!r}, {hi!r})") in capsys.readouterr().err
+    assert not (tmp_path / "hi").exists()
+    assert main(["run", *flags, "--top", "3", "--isovalue", f"{arc}={lo!r}",
+                 "--out", str(tmp_path / "lo")]) == 0
+    faces = [line for line in
+             (tmp_path / "lo" / "branch_1.obj").read_text().splitlines()
+             if line.startswith("f ")]
+    assert faces
+
+
+def test_flat_branches_are_not_extracted(tmp_path, capsys):
+    # tied integer fields put many extracted branches on a flat arc
+    # (h_lo == h_hi), which no isovalue cuts: 115 of these 270 branches
+    flats = 0
+    for k, seed in itertools.product((2, 3, 5), range(30)):
+        flags = _raw_grid(tmp_path / "g.f64", np.random.default_rng(
+            seed).integers(0, k, size=216).astype(float))
+        out = tmp_path / f"{k}_{seed}"
+        assert main(["run", *flags, "--top", "3", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        materials = (out / "branches.mtl").read_text()
+        branches = json.loads((out / "branches.json").read_text())
+        for b in branches["branches"][:3]:
+            name = f"branch_{b['rank']}"
+            if b["extraction"] is None:
+                flats += 1
+                arc = next(a for a in b["superarcs"] if f"branch {b['rank']}"
+                           f": superarc {a} is flat; not extracted" in printed)
+                lo, hi = _arc_range(out, arc)
+                assert lo == hi
+                assert not (out / f"{name}.obj").exists()
+                assert f"newmtl {name}\n" not in materials
+            else:
+                text = (out / f"{name}.obj").read_text()
+                assert "\nf " in text
+                assert f"newmtl {name}\n" in materials
+    assert flats > 0
 
 
 def test_verify_passes(capsys):

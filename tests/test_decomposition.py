@@ -14,7 +14,7 @@ def _both_weightings(mesh):
     order = build_vertex_order(mesh)
     tree = build_contour_tree(mesh, order)
     volumes = sweep_volumes(tree, compute_deltas(mesh, order))
-    return tree, (volume_weights(volumes, mesh.total_volume()),
+    return tree, (volume_weights(volumes, mesh.volume),
                   count_weights(tree))
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tetcontour.geometry import (batch_spline_coefficients, build_tet_spline,
-                                 sort_tet_vertices)
+from tetcontour.geometry import batch_spline_coefficients, build_tet_spline
 from tetcontour.mesh import TetMesh, build_vertex_order
 from tetcontour.oracle import (clip_area, clip_volume, clip_volume_errors,
                                random_tet)
@@ -49,8 +48,9 @@ def test_sort_tet_vertices_breaks_value_ties():
         np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]]),
         np.array([1.0, 1.0, 0.0, 2.0]))
     order = build_vertex_order(mesh)
-    sorted_tet = sort_tet_vertices(mesh.tets[0], order)
-    assert list(sorted_tet) == [2, 0, 1, 3]   # equal values by index
+    # equal values by index, for one tet and for each row of an array
+    assert order.sort_tets(mesh.tets[0]).tolist() == [2, 0, 1, 3]
+    assert order.sort_tets(mesh.tets[[0, 0]]).tolist() == [[2, 0, 1, 3]] * 2
 
 
 def test_random_tets_match_clip_oracle(rng):

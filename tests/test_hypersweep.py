@@ -26,7 +26,7 @@ def test_deltas_telescope_to_total(rng):
         mesh = random_grid_mesh(rng, dims=(6, 6, 6))
         order = build_vertex_order(mesh)
         deltas = compute_deltas(mesh, order)
-        total = mesh.total_volume()
+        total = mesh.volume
         summed = deltas.sum(axis=0)
         assert abs(summed[3] - total) <= 1e-9 * total
         assert np.all(np.abs(summed[:3]) <= 1e-9 * total)
@@ -159,7 +159,7 @@ def test_tied_integer_fields_match_both_oracles():
         volumes = [sv for sv in sweep_volumes(tree, deltas)
                    if sv.h_lo < sv.h_hi]
         assert len(volumes) >= 5
-        floor = 64.0 * np.finfo(float).eps * mesh.total_volume()
+        floor = 64.0 * np.finfo(float).eps * mesh.volume
         errors, refs = region_volume_errors(mesh, tree, volumes,
                                             np.linspace(0.1, 0.9, 8))
         worst = np.max(np.maximum(errors - floor, 0.0)
@@ -170,7 +170,7 @@ def test_tied_integer_fields_match_both_oracles():
 def test_volume_function_continuous_at_breakpoints(rng):
     mesh = random_grid_mesh(rng, dims=(6, 6, 6))
     order, tree, deltas = _pipeline(mesh)
-    total = mesh.total_volume()
+    total = mesh.volume
     for sv in sweep_volumes(tree, deltas):
         for j, bp in enumerate(sv.breakpoints):
             left = np.polyval(sv.segments[j], bp)
@@ -184,13 +184,13 @@ def test_volume_function_monotone_in_h(rng):
     for sv in sweep_volumes(tree, deltas):
         hs = np.linspace(sv.h_lo, sv.h_hi, 64)
         v = sv(hs)
-        assert np.all(np.diff(v) >= -1e-9 * mesh.total_volume())
+        assert np.all(np.diff(v) >= -1e-9 * mesh.volume)
 
 
 def test_weight_endpoints_bracket_the_interval(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
-    total = mesh.total_volume()
+    total = mesh.volume
     for sv in sweep_volumes(tree, deltas):
         assert -1e-9 * total <= sv.weight_bottom <= sv.weight_top
         assert sv.weight_top <= total * (1 + 1e-9)
@@ -202,14 +202,14 @@ def test_root_arc_sweeps_everything(rng):
     volumes = sweep_volumes(tree, deltas)
     root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
     assert volumes[root_arc].weight_top == pytest.approx(
-        mesh.total_volume(), rel=1e-9)
+        mesh.volume, rel=1e-9)
 
 
 def test_count_weights_mirror_volume_weights_structure(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
     volumes = sweep_volumes(tree, deltas)
-    vw = volume_weights(volumes, mesh.total_volume())
+    vw = volume_weights(volumes, mesh.volume)
     cw = count_weights(tree)
     n = mesh.vertex_count
     assert cw.total == n
@@ -226,7 +226,7 @@ def test_two_peak_saddle_volumes_split_the_total():
     mesh = two_peak_mesh()
     order, tree, deltas = _pipeline(mesh)
     volumes = sweep_volumes(tree, deltas)
-    total = mesh.total_volume()
+    total = mesh.volume
     # each peak arc at its own bottom (the shared saddle) sweeps the
     # complement of its own region; the two regions partition the mesh
     regions = [total - sv.weight_bottom for sv in volumes]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from tetcontour.mesh import (DataError, ParseError, StructuralError, TetMesh,
 
 from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES,
                       reference_load_scalar_file, reference_parse_ele_file,
-                      reference_parse_node_file, single_tet_mesh)
+                      reference_parse_node_file, reference_triple_products,
+                      single_tet_mesh)
 
 
 def test_create_validates_unit_tet(unit_tet):
     assert unit_tet.vertex_count == 4
     assert unit_tet.tet_count == 1
-    assert unit_tet.total_volume() == pytest.approx(1.0 / 6.0)
+    assert unit_tet.volume == pytest.approx(1.0 / 6.0)
 
 
 def test_create_rejects_out_of_range_index():
@@ -54,12 +56,46 @@ def test_tet_volumes_signed_consistency(rng):
         assert vols[0] == pytest.approx(ref, rel=1e-12)
 
 
+def test_triple_products_match_reference_bits(rng):
+    spatial = pytest.importorskip("scipy.spatial")
+    points = rng.uniform(size=(2000, 3))
+    cases = [(points, spatial.Delaunay(points).simplices),
+             # coordinates from 1e-3 to 1e3 in either sign, any orientation
+             (rng.choice([-1.0, 1.0], size=(80_000, 3))
+              * 10.0 ** rng.uniform(-3.0, 3.0, size=(80_000, 3)),
+              np.arange(80_000).reshape(20_000, 4))]
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        mesh = grid_to_tets((4, 3, 5), np.zeros(60),
+                            spacing=np.multiply(signs, (0.5, 1.25, 2.0)))
+        cases.append((mesh.positions, mesh.tets))
+    for positions, tets in cases:
+        got = _triple_products(positions, tets)
+        want = reference_triple_products(positions, tets)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_create_peak_memory():
+    # an (m, 4, 3) corner gather and its (m, 3, 3) edges peak near 100 MB
+    # here; one (m, 3) gather per corner stays near 63 MB
+    mesh = grid_to_tets((40, 40, 40),
+                        np.random.default_rng(1).normal(size=40 ** 3))
+    assert mesh.tet_count == 355_914
+    tracemalloc.start()
+    try:
+        TetMesh.create(mesh.positions, mesh.values, mesh.tets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 75e6
+
+
 def test_grid_to_tets_counts_and_volume():
     mesh = grid_to_tets((3, 4, 5), np.zeros(60), spacing=(0.5, 1.0, 2.0))
     assert mesh.vertex_count == 60
     assert mesh.tet_count == 6 * 2 * 3 * 4
     # the 6-tet split tiles each cube exactly
-    assert mesh.total_volume() == pytest.approx(2 * 0.5 * 3 * 1.0 * 4 * 2.0)
+    assert mesh.volume == pytest.approx(2 * 0.5 * 3 * 1.0 * 4 * 2.0)
 
 
 @pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0),
@@ -160,7 +196,7 @@ def test_load_tetgen_missing_field_errors(tmp_path):
 
 
 def test_volume_is_the_sum_of_tet_volumes(rng):
-    """total_volume() is the sum that create took of its own degenerate-tet
+    """mesh.volume is the sum that create took of its own degenerate-tet
     check, bit for bit the sum of tet_volumes taken afresh."""
     spatial = pytest.importorskip("scipy.spatial")
     points = rng.uniform(size=(2000, 3))
@@ -170,8 +206,8 @@ def test_volume_is_the_sum_of_tet_volumes(rng):
                              spatial.Delaunay(points).simplices)]
     for mesh in meshes:
         want = float(np.sum(tet_volumes(mesh.positions, mesh.tets)))
-        assert mesh.total_volume() == want
-        assert type(mesh.total_volume()) is float
+        assert mesh.volume == want
+        assert type(mesh.volume) is float
 
 
 def _write_tetgen(tmp_path, points, tets, attrs, base):
