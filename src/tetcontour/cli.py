@@ -1,9 +1,10 @@
 """Command line pipeline: load mesh, build tree, weigh, decompose, extract.
 
 Subcommands: `run` writes tree.json, weights.csv, branches.json and one
-OBJ per top-ranked branch off a flat arc, and prints per-stage wall times;
-`verify` replays the brute-force oracle suites. Reruns with the same
-inputs produce byte-identical JSON/CSV regardless of --threads.
+OBJ per top-ranked branch with an arc that is not flat, and prints
+per-stage wall times; `verify` replays the brute-force oracle suites.
+Reruns with the same inputs produce byte-identical JSON/CSV regardless of
+--threads.
 """
 from __future__ import annotations
 
@@ -92,23 +93,27 @@ def _pipeline(args):
 
 def _branch_extraction(tree: ContourTree, branch, overrides):
     """(superarc, isovalue) a branch's contour is extracted at; a vertex at
-    h counts as below, so only h in [h_lo, h_hi) cuts the arc. An override
-    outside it is refused; a flat arc's isovalue is None."""
+    h counts as below, so only h in [h_lo, h_hi) cuts the arc. The arc is
+    the attachment-end one (for the master, the one holding the branch's
+    mid value), or if that is flat the nearest one along the branch that
+    is not, the lower on a tie. An override outside it is refused; if all
+    arcs are flat, the isovalue is None."""
+    ranges = [tree.arc_value_range(a) for a in branch.superarcs]
     if branch.rank == 0 or branch.attachment_supernode < 0:
         lo = tree.supernode_value(branch.lower_supernode)
         hi = tree.supernode_value(branch.upper_supernode)
         h = 0.5 * (lo + hi)
-        arc = branch.superarcs[0]
-        for a in branch.superarcs:
-            alo, ahi = tree.arc_value_range(a)
-            if alo <= h <= ahi:
-                arc = a
-                break
+        i = next((i for i, (alo, ahi) in enumerate(ranges)
+                  if alo <= h <= ahi), 0)
     elif branch.attachment_supernode == branch.upper_supernode:
-        arc = branch.superarcs[-1]
+        i = len(ranges) - 1
     else:
-        arc = branch.superarcs[0]
-    alo, ahi = tree.arc_value_range(arc)
+        i = 0
+    cut = [j for j, (alo, ahi) in enumerate(ranges) if alo < ahi]
+    if cut and i not in cut:
+        i = min(cut, key=lambda j: (abs(j - i), j))
+    arc = branch.superarcs[i]
+    alo, ahi = ranges[i]
     h = overrides.get(arc, 0.5 * (alo + ahi))
     if alo <= h < ahi:
         return arc, h

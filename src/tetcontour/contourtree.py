@@ -139,6 +139,9 @@ class ContourTree:
     root:          supernode id of the global maximum.
     arc_child:     (k-1,) per superarc, the supernode on its far side from
                    the root.
+    arc_order:     (k-1,) superarc ids root first: each arc after the arc
+                   into its root-side end, a supernode's arcs to its
+                   children in descending id.
     values:        (n,) the scalar field the tree was built from.
     """
 
@@ -151,6 +154,7 @@ class ContourTree:
     down_arcs: list
     root: int
     arc_child: np.ndarray
+    arc_order: np.ndarray
     values: np.ndarray
 
     @property
@@ -291,19 +295,21 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
         up_arcs[lo].append(a)
         down_arcs[hi].append(a)
     # root at the global maximum supernode; each arc's child is the end
-    # first reached through it
+    # first reached through it; arcs join arc_order as they are reached
     root = int(np.argmax(rank[supernodes]))
     arc_child = np.full(superarcs.shape[0], -1, dtype=np.int64)
+    arc_order = []
     seen = np.zeros(k, dtype=bool)
     stack = [root]
     seen[root] = True
     while stack:
         s = stack.pop()
-        for a in up_arcs[s] + down_arcs[s]:
+        for a in sorted(up_arcs[s] + down_arcs[s], reverse=True):
             t = superarcs[a, 1] if superarcs[a, 0] == s else superarcs[a, 0]
             if not seen[t]:
                 seen[t] = True
                 arc_child[a] = t
+                arc_order.append(a)
                 stack.append(t)
     if not seen.all():
         raise InconsistentTreesError("contour tree is not connected")
@@ -315,7 +321,9 @@ def _contract(arcs: np.ndarray, order: VertexOrder,
     return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
                        superarcs=superarcs, arc_regulars=arc_regulars,
                        arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root, arc_child=arc_child, values=values)
+                       root=root, arc_child=arc_child,
+                       arc_order=np.array(arc_order, dtype=np.int64),
+                       values=values)
 
 
 def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:
@@ -327,9 +335,7 @@ def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:
 
 def _arc_contains(tree: ContourTree, sn_vals, arc: int, h: float) -> bool:
     lo, hi = tree.superarcs[arc]
-    if sn_vals[lo] <= h < sn_vals[hi]:
-        return True
-    return hi == tree.root and h == sn_vals[tree.root]
+    return sn_vals[lo] <= h < sn_vals[hi]
 
 
 def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float) -> set:

@@ -118,47 +118,28 @@ def below_arc_sums(tree: ContourTree, per_vertex: np.ndarray):
     With the tree rooted at the global maximum, below[a] sums per_vertex
     over everything below a cut of arc a just above its lower supernode
     (none of the arc's own regular vertices); reg_sums[a] is the sum over
-    arc a's regular vertices. An arc whose lower end is the child reads
-    the subtree sum of that child; an arc entered from above uses
-    total-minus-complement. Returns (below, reg_sums).
+    arc a's regular vertices. One pass over tree.arc_order backwards: an
+    arc whose lower end is the child reads the child's subtree sum, an arc
+    entered from above uses total-minus-complement, and the child's sum
+    and the arc's regulars then go into the parent's, children in
+    ascending arc id. Returns (below, reg_sums).
     """
-    k = tree.supernode_count
-    own = per_vertex[tree.supernodes]
     reg_sums = np.zeros((tree.superarc_count,) + per_vertex.shape[1:])
     for a, regs in enumerate(tree.arc_regulars):
         if len(regs):
             reg_sums[a] = per_vertex[regs].sum(axis=0)
 
-    # children lists under the rooting at the global maximum
-    children = [[] for _ in range(k)]
-    for a in range(tree.superarc_count):
-        child = tree.arc_child[a]
-        lo, hi = tree.superarcs[a]
-        parent = lo if child == hi else hi
-        children[parent].append((child, a))
-
-    sub = np.zeros((k,) + per_vertex.shape[1:])
-    # iterative post-order from the root
-    stack = [(tree.root, False)]
-    while stack:
-        s, done = stack.pop()
-        if done:
-            acc = own[s].copy()
-            for c, a in children[s]:
-                acc += sub[c] + reg_sums[a]
-            sub[s] = acc
-        else:
-            stack.append((s, True))
-            for c, _ in children[s]:
-                stack.append((c, False))
-
+    sub = per_vertex[tree.supernodes]
     total = per_vertex.sum(axis=0)
     below = np.empty_like(reg_sums)
-    for a, (lo, hi) in enumerate(tree.superarcs):
+    for a in tree.arc_order[::-1].tolist():
+        lo, hi = tree.superarcs[a]
         if tree.arc_child[a] == lo:
             below[a] = sub[lo]
+            sub[hi] += sub[lo] + reg_sums[a]
         else:
             below[a] = total - sub[hi] - reg_sums[a]
+            sub[lo] += sub[hi] + reg_sums[a]
     return below, reg_sums
 
 

@@ -43,18 +43,17 @@ _QUAD = {
 class TriangleSoup:
     """Triangles of one level set.
 
-    positions: (p, 3) welded corner coordinates; triangles: (t, 3) indices
-    into positions, wound so the normal points toward increasing field
-    values; crossing: (t, 2) the (below, above) vertices of a source-tet
-    edge h crosses, which orient and label the triangle; corner_keys:
-    (t, 3, 2) global mesh edge (min vertex, max vertex) each corner
-    interpolates; superarc: contour tree superarc, -1 until labeled.
+    positions: (p, 3) welded corner coordinates, one per mesh edge h
+    crosses, so two triangles sharing a position index share that edge;
+    triangles: (t, 3) indices into positions, wound so the normal points
+    toward increasing field values; crossing: (t, 2) the (below, above)
+    vertices of a source-tet edge h crosses, which orient and label the
+    triangle; superarc: contour tree superarc, -1 until labeled.
     """
 
     positions: np.ndarray
     triangles: np.ndarray
     crossing: np.ndarray
-    corner_keys: np.ndarray
     superarc: np.ndarray
 
     @property
@@ -90,7 +89,6 @@ def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
         empty = np.empty
         return TriangleSoup(empty((0, 3)), empty((0, 3), dtype=np.int64),
                             empty((0, 2), dtype=np.int64),
-                            empty((0, 3, 2), dtype=np.int64),
                             empty(0, dtype=np.int64))
 
     local = np.concatenate(tri_edges)              # (t, 3, 2)
@@ -100,17 +98,17 @@ def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
     g = np.take_along_axis(
         tet_rows[:, None, :].repeat(3, axis=1),
         local, axis=2)                             # (t, 3, 2) global ids
-    keys = np.sort(g, axis=2)
 
-    # weld on the canonical keys, interpolate each unique edge once
-    flat = keys.reshape(-1, 2)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    vi, vj = uniq[:, 0], uniq[:, 1]
+    # weld on the edge codes min * n + max, which sort as the (min, max)
+    # pairs do; interpolate each unique edge once, lower index first
+    codes = g.min(axis=2) * mesh.vertex_count + g.max(axis=2)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    vi, vj = np.divmod(uniq, mesh.vertex_count)
     fi, fj = mesh.values[vi], mesh.values[vj]
     t = (h - fi) / (fj - fi)
     points = mesh.positions[vi] + t[:, None] * (mesh.positions[vj]
                                                 - mesh.positions[vi])
-    triangles = inverse.reshape(-1, 3)
+    triangles = inverse.reshape(-1, 3)     # numpy 1.24 returns it flat
 
     # orient each triangle so its normal has positive dot with the tet's
     # field gradient (the edge from the below corner toward the above one)
@@ -124,7 +122,7 @@ def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
     flip = np.einsum("ij,ij->i", normal, ref) < 0
     triangles[flip] = triangles[flip][:, ::-1]
 
-    return TriangleSoup(points, triangles, crossing, keys,
+    return TriangleSoup(points, triangles, crossing,
                         np.full(rows.size, -1, dtype=np.int64))
 
 
@@ -136,20 +134,17 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
     component sits on the unique superarc straddling h on the tree path
     between v and u; the path is value-monotone for a mesh edge, so the arc
     is the intersection of the monotone walks up from v and down from u.
-    Labels go into soup.superarc. mesh is unread; it stays in the signature
-    until seed-and-flood extraction takes labeling off the hot path.
+    Labels go into soup.superarc. A vertex at or below h only ever walks
+    up and one above h only down, so one cache holds every walk. mesh is
+    unread; it stays in the signature until seed-and-flood extraction
+    takes labeling off the hot path.
     """
-    cache_up, cache_down = {}, {}
+    walks = {}
     for i, (v, u) in enumerate(soup.crossing.tolist()):
-        sv = cache_up.get(v)
-        if sv is None:
-            sv = straddling_arcs(tree, v, h)
-            cache_up[v] = sv
-        su = cache_down.get(u)
-        if su is None:
-            su = straddling_arcs(tree, u, h)
-            cache_down[u] = su
-        both = sv & su
+        for w in (v, u):
+            if w not in walks:
+                walks[w] = straddling_arcs(tree, w, h)
+        both = walks[v] & walks[u]
         if len(both) == 1:
             soup.superarc[i] = both.pop()
 
@@ -165,7 +160,6 @@ def extract_superarc_contour(mesh: TetMesh, tree: ContourTree,
     return TriangleSoup(soup.positions[used],
                         remap.reshape(-1, 3),
                         soup.crossing[keep],
-                        soup.corner_keys[keep],
                         soup.superarc[keep])
 
 

@@ -287,17 +287,15 @@ def region_volume(mesh: TetMesh, tree, superarc: int, h: float) -> float:
 def reference_contour_count(mesh: TetMesh, h: float) -> int:
     """Connected components of the level set at h, via marching tets.
 
-    Triangles are glued along shared interpolated edges (which coincide
-    exactly for tets sharing a face) and counted with union-find.
+    Triangles are glued along shared sides and counted with union-find. A
+    side is a pair of welded point ids from soup.triangles; a welded
+    point id names exactly one mesh edge, which tets sharing a face cut at
+    bitwise the same point.
     """
     from .isosurface import march_tets
 
-    soup = march_tets(mesh, h)
-    n_tri = soup.triangles.shape[0]
-    if n_tri == 0:
-        return 0
-    keys = soup.corner_keys.reshape(n_tri, 3, 2)
-    parent = list(range(n_tri))
+    tris = march_tets(mesh, h).triangles.tolist()
+    parent = list(range(len(tris)))
 
     def find(x):
         while parent[x] != x:
@@ -306,10 +304,9 @@ def reference_contour_count(mesh: TetMesh, h: float) -> int:
         return x
 
     edge_owner = {}
-    for t in range(n_tri):
+    for t, corners in enumerate(tris):
         for i in range(3):
-            a = tuple(keys[t, i])
-            b = tuple(keys[t, (i + 1) % 3])
+            a, b = corners[i], corners[i - 1]
             edge = (a, b) if a <= b else (b, a)
             if edge in edge_owner:
                 ra, rb = find(edge_owner[edge]), find(t)
@@ -317,7 +314,7 @@ def reference_contour_count(mesh: TetMesh, h: float) -> int:
                     parent[ra] = rb
             else:
                 edge_owner[edge] = t
-    return len({find(t) for t in range(n_tri)})
+    return len({find(t) for t in range(len(tris))})
 
 
 def clip_volume_errors(positions, values, hs, volumes) -> np.ndarray:

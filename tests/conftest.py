@@ -4,7 +4,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from tetcontour.mesh import (DataError, ParseError, TetMesh,
+from tetcontour.isosurface import _ONE_TRI, _QUAD
+from tetcontour.mesh import (DataError, ParseError, TetMesh, _cross,
                              grid_to_tets)
 
 UNIT_TET_POSITIONS = np.array([[0.0, 0.0, 0.0],
@@ -295,6 +296,105 @@ def reference_triple_products(positions, tets):
     p = positions[tets]
     e = p[:, 1:] - p[:, :1]
     return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
+
+
+def bit_check_meshes(rng):
+    """A noisy 12^3 grid, a 2,000-point Delaunay mesh with a smooth field
+    and a 0/1 10^3 grid: the inputs the bit-for-bit references run on."""
+    spatial = pytest.importorskip("scipy.spatial")
+    points = rng.uniform(size=(2000, 3))
+    smooth = np.exp(-8.0 * np.sum((points - 0.4) ** 2, axis=1))
+    return [random_grid_mesh(rng, dims=(12, 12, 12)),
+            TetMesh.create(points, smooth, spatial.Delaunay(points).simplices),
+            grid_to_tets((10, 10, 10),
+                         rng.integers(0, 2, size=1000).astype(float))]
+
+
+def reference_below_arc_sums(tree, per_vertex):
+    """below_arc_sums over per-supernode children lists, a two-phase
+    post-order stack and a separate below loop: the reference its one pass
+    over tree.arc_order is checked against bit for bit."""
+    k = tree.supernode_count
+    own = per_vertex[tree.supernodes]
+    reg_sums = np.zeros((tree.superarc_count,) + per_vertex.shape[1:])
+    for a, regs in enumerate(tree.arc_regulars):
+        if len(regs):
+            reg_sums[a] = per_vertex[regs].sum(axis=0)
+    children = [[] for _ in range(k)]
+    for a in range(tree.superarc_count):
+        child = tree.arc_child[a]
+        lo, hi = tree.superarcs[a]
+        parent = lo if child == hi else hi
+        children[parent].append((child, a))
+    sub = np.zeros((k,) + per_vertex.shape[1:])
+    stack = [(tree.root, False)]
+    while stack:
+        s, done = stack.pop()
+        if done:
+            acc = own[s].copy()
+            for c, a in children[s]:
+                acc += sub[c] + reg_sums[a]
+            sub[s] = acc
+        else:
+            stack.append((s, True))
+            for c, _ in children[s]:
+                stack.append((c, False))
+    total = per_vertex.sum(axis=0)
+    below = np.empty_like(reg_sums)
+    for a, (lo, hi) in enumerate(tree.superarcs):
+        if tree.arc_child[a] == lo:
+            below[a] = sub[lo]
+        else:
+            below[a] = total - sub[hi] - reg_sums[a]
+    return below, reg_sums
+
+
+def reference_march_tets(mesh, h):
+    """march_tets welded with np.unique(axis=0) on (min, max) vertex pairs:
+    the reference its 1-D edge-code weld is checked against bit for bit.
+    Returns (positions, triangles)."""
+    below = mesh.values[mesh.tets] <= h
+    code = (below * (1 << np.arange(4))).sum(axis=1)
+    tri_edges = []
+    tri_tets = []
+    for pattern, corners in _ONE_TRI.items():
+        rows = np.flatnonzero(code == pattern)
+        if rows.size:
+            tri_edges.append(np.broadcast_to(
+                np.asarray(corners, dtype=np.int64), (rows.size, 3, 2)))
+            tri_tets.append(rows)
+    for pattern, quad in _QUAD.items():
+        rows = np.flatnonzero(code == pattern)
+        if rows.size:
+            q = np.asarray(quad, dtype=np.int64)
+            for fan in (q[[0, 1, 2]], q[[0, 2, 3]]):
+                tri_edges.append(np.broadcast_to(fan, (rows.size, 3, 2)))
+                tri_tets.append(rows)
+    if not tri_tets:
+        return np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)
+    local = np.concatenate(tri_edges)
+    rows = np.concatenate(tri_tets)
+    tet_rows = mesh.tets[rows]
+    g = np.take_along_axis(tet_rows[:, None, :].repeat(3, axis=1),
+                           local, axis=2)
+    keys = np.sort(g, axis=2)
+    uniq, inverse = np.unique(keys.reshape(-1, 2), axis=0,
+                              return_inverse=True)
+    vi, vj = uniq[:, 0], uniq[:, 1]
+    fi, fj = mesh.values[vi], mesh.values[vj]
+    t = (h - fi) / (fj - fi)
+    points = mesh.positions[vi] + t[:, None] * (mesh.positions[vj]
+                                                - mesh.positions[vi])
+    triangles = inverse.reshape(-1, 3)
+    p = points[triangles]
+    normal = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    bel = mesh.values[tet_rows] <= h
+    crossing = np.take_along_axis(tet_rows, np.stack(
+        [np.argmax(bel, axis=1), np.argmax(~bel, axis=1)], axis=1), axis=1)
+    ref = mesh.positions[crossing[:, 1]] - mesh.positions[crossing[:, 0]]
+    flip = np.einsum("ij,ij->i", normal, ref) < 0
+    triangles[flip] = triangles[flip][:, ::-1]
+    return points, triangles
 
 
 def _data_lines(path):

@@ -9,6 +9,7 @@ from tetcontour.contourtree import (_contract, build_contour_tree,
                                     straddling_arcs)
 from tetcontour.mesh import (StructuralError, TetMesh, build_topology_graph,
                              build_vertex_order, grid_to_tets)
+from tetcontour.oracle import reference_contour_count
 
 from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
                       random_grid_mesh, reference_merge_arcs,
@@ -160,12 +161,39 @@ def test_straddling_arcs_containment(rng):
         for arc in straddling_arcs(tree, v, h):
             hits += 1
             lo, hi = tree.superarcs[arc]
-            assert (sn_vals[lo] <= h < sn_vals[hi]
-                    or (hi == tree.root and h == sn_vals[tree.root]))
+            assert sn_vals[lo] <= h < sn_vals[hi]
     assert hits > 0
     # out-of-range values can never land on an arc
     assert straddling_arcs(tree, 0, mesh.values.max() + 1.0) == set()
     assert straddling_arcs(tree, 0, mesh.values.min() - 1.0) == set()
+
+
+def test_no_arc_straddles_the_global_maximum(rng):
+    # a vertex at h counts as below, so the level set at the maximum is
+    # empty and no walk from any vertex finds an arc
+    mesh = random_grid_mesh(rng, dims=(6, 6, 6))
+    tree, _ = _tree(mesh)
+    h = float(mesh.values.max())
+    assert reference_contour_count(mesh, h) == 0
+    for v in range(mesh.vertex_count):
+        assert straddling_arcs(tree, v, h) == set()
+
+
+def test_arc_order_is_root_first(rng):
+    tied = grid_to_tets((6, 6, 6), rng.integers(0, 3, size=216) * 1.0)
+    for mesh in (random_grid_mesh(rng, dims=(7, 7, 7)), tied,
+                 two_peak_mesh()):
+        tree, _ = _tree(mesh)
+        order = tree.arc_order.tolist()
+        assert sorted(order) == list(range(tree.superarc_count))
+        place = {a: i for i, a in enumerate(order)}
+        # the arc whose child is each supernode: none for the root
+        into = {int(c): a for a, c in enumerate(tree.arc_child.tolist())}
+        assert set(into) == set(range(tree.supernode_count)) - {tree.root}
+        for a, (lo, hi) in enumerate(tree.superarcs.tolist()):
+            parent = hi if tree.arc_child[a] == lo else lo
+            if parent != tree.root:
+                assert place[into[parent]] < place[a]
 
 
 def test_straddling_arcs_own_interval(rng):

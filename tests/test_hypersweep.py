@@ -6,12 +6,14 @@ import pytest
 import tetcontour.hypersweep as hs
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.geometry import batch_spline_coefficients
-from tetcontour.hypersweep import (compute_deltas, count_weights,
-                                   sweep_volumes, volume_weights)
+from tetcontour.hypersweep import (below_arc_sums, compute_deltas,
+                                   count_weights, sweep_volumes,
+                                   volume_weights)
 from tetcontour.mesh import TetMesh, build_vertex_order, grid_to_tets
 from tetcontour.oracle import contour_count_mismatches, region_volume_errors
 
-from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
+from conftest import (bit_check_meshes, gaussian_grid_mesh, random_grid_mesh,
+                      reference_below_arc_sums, two_peak_mesh)
 
 
 def _pipeline(mesh):
@@ -233,3 +235,16 @@ def test_two_peak_saddle_volumes_split_the_total():
     assert sum(regions) == pytest.approx(total, rel=1e-9)
     errors, refs = region_volume_errors(mesh, tree, volumes, (0.3, 0.7))
     assert np.max(errors / np.maximum(refs, 1e-12)) <= 1e-8
+
+
+def test_below_arc_sums_match_reference_bits(rng):
+    # each parent adds its children in ascending arc id, as the reference's
+    # post-order does, so every sum keeps its bits
+    for mesh in bit_check_meshes(rng):
+        order, tree, deltas = _pipeline(mesh)
+        for per_vertex in (deltas, np.ones(mesh.vertex_count)):
+            got = below_arc_sums(tree, per_vertex)
+            want = reference_below_arc_sums(tree, per_vertex)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))

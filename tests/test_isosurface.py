@@ -10,7 +10,8 @@ from tetcontour.isosurface import (euler_characteristic,
 from tetcontour.mesh import build_vertex_order
 from tetcontour.oracle import reference_contour_count
 
-from conftest import (gaussian_grid_mesh, random_grid_mesh,
+from conftest import (bit_check_meshes, gaussian_grid_mesh,
+                      random_grid_mesh, reference_march_tets,
                       reference_write_obj, single_tet_mesh, two_peak_mesh,
                       UNIT_TET_POSITIONS, UNIT_TET_VALUES)
 
@@ -134,6 +135,21 @@ def test_two_peak_filter_isolates_one_component():
     total = sum(extract_superarc_contour(mesh, tree, a, h).triangle_count
                 for a in arcs)
     assert total == soup.triangle_count
+
+
+def test_march_tets_matches_reference_bits(rng):
+    # the edge codes min * n + max sort as the (min, max) pairs do, so the
+    # welded points come in the same order
+    for mesh in bit_check_meshes(rng):
+        vals = np.unique(mesh.values)
+        for h in (0.5 * (vals[0] + vals[-1]), vals[vals.size // 2 - 1]):
+            soup = march_tets(mesh, h)
+            positions, triangles = reference_march_tets(mesh, h)
+            assert soup.triangle_count > 0
+            assert np.array_equal(soup.positions, positions)
+            assert np.array_equal(np.signbit(soup.positions),
+                                  np.signbit(positions))
+            assert np.array_equal(soup.triangles, triangles)
 
 
 def test_obj_round_trip(tmp_path, rng):
