@@ -1,10 +1,10 @@
 """Command line pipeline: load mesh, build tree, weigh, decompose, extract.
 
 Subcommands: `run` writes tree.json, weights.csv, branches.json and one
-OBJ per top-ranked branch with an arc that is not flat, and prints
-per-stage wall times; `verify` replays the brute-force oracle suites.
-Reruns with the same inputs produce byte-identical JSON/CSV regardless of
---threads.
+OBJ per top-ranked branch with an arc that is not flat, and prints the
+exact-set size, the certified volume error and per-stage wall times;
+`verify` replays the brute-force oracle suites. Reruns with the same
+inputs produce byte-identical JSON/CSV regardless of --threads.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import decomposition, hypersweep, isosurface, oracle
 from .contourtree import ContourTree, build_contour_tree
-from .geometry import build_tet_spline, horner
+from .geometry import build_tet_spline
 from .mesh import (MeshError, TetMesh, build_vertex_order, grid_to_tets,
                    load_raw_grid, load_tetgen)
 
@@ -72,7 +72,9 @@ def _stage(times, name):
 
 
 def _pipeline(args):
-    """All stages, returning artifacts plus per-stage wall times."""
+    """All stages, returning artifacts plus per-stage wall times. Of the
+    deltas and swept volumes only the exact-set size and the certified
+    error leave, so extraction runs without them in memory."""
     times = {}
     with _stage(times, "load"):
         mesh = _load(args)
@@ -88,7 +90,8 @@ def _pipeline(args):
             weights = hypersweep.count_weights(tree)
     with _stage(times, "branch decomposition"):
         branches = decomposition.decompose(tree, weights)
-    return mesh, tree, volumes, weights, branches, times
+    certificate = (len(deltas.exact), deltas.error / mesh.volume)
+    return mesh, tree, weights, branches, certificate, times
 
 
 def _branch_extraction(tree: ContourTree, branch, overrides):
@@ -96,8 +99,13 @@ def _branch_extraction(tree: ContourTree, branch, overrides):
     h counts as below, so only h in [h_lo, h_hi) cuts the arc. The arc is
     the attachment-end one (for the master, the one holding the branch's
     mid value), or if that is flat the nearest one along the branch that
-    is not, the lower on a tie. An override outside it is refused; if all
-    arcs are flat, the isovalue is None."""
+    is not, the lower on a tie. The default isovalue is the arc's mid
+    value, or, where that is the value of a vertex on the arc, the middle
+    of the widest gap between consecutive values of the arc's vertices,
+    so no contour corner lands on a vertex. An override outside the arc's
+    range or equal to the value of one of its vertices is refused. The
+    isovalue is None if all arcs are flat, or if the widest gap is one
+    ulp, so that no float lies inside it."""
     ranges = [tree.arc_value_range(a) for a in branch.superarcs]
     if branch.rank == 0 or branch.attachment_supernode < 0:
         lo = tree.supernode_value(branch.lower_supernode)
@@ -114,13 +122,22 @@ def _branch_extraction(tree: ContourTree, branch, overrides):
         i = min(cut, key=lambda j: (abs(j - i), j))
     arc = branch.superarcs[i]
     alo, ahi = ranges[i]
+    on_arc = np.unique(np.concatenate(
+        [tree.values[tree.arc_regulars[arc]], [alo, ahi]]))
     h = overrides.get(arc, 0.5 * (alo + ahi))
-    if alo <= h < ahi:
-        return arc, h
-    if arc in overrides:
+    if arc in overrides and not alo <= h < ahi:
         raise ValueError(
             f"isovalue {h} outside superarc {arc} range [{alo}, {ahi})")
-    return arc, None
+    if arc in overrides and h in on_arc:
+        raise ValueError(f"isovalue {h} is the value of a vertex on "
+                         f"superarc {arc}; its contour would pass through "
+                         "the vertex")
+    if alo == ahi:
+        return arc, None
+    if h in on_arc:
+        widest = np.argmax(np.diff(on_arc))
+        h = 0.5 * (on_arc[widest] + on_arc[widest + 1])
+    return arc, None if h in on_arc else h
 
 
 def _write_tree_json(path, mesh, tree):
@@ -143,17 +160,14 @@ def _write_tree_json(path, mesh, tree):
         fh.write("\n")
 
 
-def _write_weights_csv(path, volumes, weights):
+def _write_weights_csv(path, tree, weights):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["superarc", "h_lo", "h_hi", "a", "b", "c", "d",
-                         "weight"])
-        for sv in volumes:
-            row = sv.segments[-1]
-            writer.writerow([sv.superarc, _fmt(sv.h_lo), _fmt(sv.h_hi),
-                             _fmt(row[0]), _fmt(row[1]), _fmt(row[2]),
-                             _fmt(row[3]),
-                             _fmt(weights.down_weight[sv.superarc])])
+        writer.writerow(["superarc", "h_lo", "h_hi", "weight"])
+        for a in range(tree.superarc_count):
+            h_lo, h_hi = tree.arc_value_range(a)
+            writer.writerow([a, _fmt(h_lo), _fmt(h_hi),
+                             _fmt(weights.down_weight[a])])
 
 
 def _write_branches_json(path, branches, extractions):
@@ -188,7 +202,7 @@ def cmd_run(args) -> int:
     overrides = _parse_isovalue(args.isovalue)
     _check_inputs(args)
     out = Path(args.out)
-    mesh, tree, volumes, weights, branches, times = _pipeline(args)
+    mesh, tree, weights, branches, certificate, times = _pipeline(args)
     # every (superarc, isovalue) is settled before the first file is written
     top = branches[:args.top]
     extractions = {b.rank: _branch_extraction(tree, b, overrides)
@@ -204,12 +218,15 @@ def cmd_run(args) -> int:
     with _stage(times, "output"):
         out.mkdir(parents=True, exist_ok=True)
         _write_tree_json(out / "tree.json", mesh, tree)
-        _write_weights_csv(out / "weights.csv", volumes, weights)
+        _write_weights_csv(out / "weights.csv", tree, weights)
         materials = []
         for b in top:
             arc, h = extractions[b.rank]
             if h is None:
-                print(f"branch {b.rank}: superarc {arc} is flat; "
+                lo, hi = tree.arc_value_range(arc)
+                why = ("is flat" if lo == hi else
+                       "has no value between its vertex values")
+                print(f"branch {b.rank}: superarc {arc} {why}; "
                       "not extracted")
                 continue
             soup = isosurface.extract_superarc_contour(mesh, tree, arc, h)
@@ -226,6 +243,8 @@ def cmd_run(args) -> int:
           f"supernodes {tree.supernode_count} "
           f"superarcs {tree.superarc_count}")
     print(f"total volume {_fmt(mesh.volume)}")
+    print(f"exact-set tets {certificate[0]} of {mesh.tet_count}")
+    print(f"certified volume error {certificate[1]:.2e}*T")
     for name, secs in times.items():
         print(f"time {name} {secs:.3f}s")
     return 0
@@ -280,25 +299,9 @@ def cmd_verify(seed: int, tets: int) -> int:
     fracs = (0.25, 0.75)
     errors, refs = oracle.region_volume_errors(
         mesh, tree, hypersweep.sweep_volumes(tree, deltas), fracs)
-    # roundoff floor: V_arc(h) is Horner on a cubic row c whose coefficients
-    # each sum the deltas of the K vertices below the cut. In any order the
-    # sum errs by at most g(K-1) A_i, A_i = sum of |delta_i| (Higham,
-    # Accuracy and Stability of Numerical Algorithms, 4.2), and Horner by
-    # g(6) sum |c_i| |h|^i (5.1); by Lemma 3.3 together at most
-    # g(K+5) sum A_i |h|^i, g(k) = k u / (1 - k u), u = eps / 2. The deltas
-    # count as exact data, and a row formed as total minus complement is
-    # charged only for the region's own terms.
-    below, _ = hypersweep.below_arc_sums(tree, np.ones(mesh.vertex_count))
-    u = np.finfo(float).eps / 2
-    floor = np.empty_like(errors)
-    for a, sv in enumerate(hypersweep.sweep_volumes(tree, np.abs(deltas))):
-        for j, frac in enumerate(fracs):
-            h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
-            k = np.searchsorted(sv.breakpoints, h, side="right")
-            g = (below[a] + k + 5) * u / (1 - (below[a] + k + 5) * u)
-            floor[a, j] = g * horner(np.abs(sv.segments[k]), abs(h))
-    # relative to the region, or to the floor where that is larger
-    worst = np.max(errors / np.maximum(refs, floor / 1e-8))
+    # relative to the region, or to the certified volume error where that
+    # is larger
+    worst = np.max(errors / np.maximum(refs, deltas.error / 1e-8))
     report("region-volume", worst <= 1e-8, f"worst {worst:.3e}")
 
     # contour counts vs straddling superarcs, off the supernode values

@@ -39,22 +39,22 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     """Branches of the contour tree, heaviest-measure pairing.
 
     weights.down_weight[a] measures what a drags below its top supernode,
-    weights.up_weight[a] what it holds above its bottom one. Ties on
-    weight break toward the larger superarc id, and branch ranks tie the
-    same way, so the decomposition is deterministic.
+    weights.up_weight[a] what it holds above its bottom one. Weights
+    within weights.tie of the heaviest are tied, and ties break toward the
+    larger superarc id; branch ranks tie the same way, over runs of
+    weights each within weights.tie of the next. So the decomposition is
+    deterministic, and rounding does not break a tie of exact weights.
     """
     k = tree.supernode_count
     n_arcs = tree.superarc_count
     if n_arcs == 0:
         raise ValueError("cannot decompose a tree with no superarcs")
     up_arcs, down_arcs = tree.up_arcs, tree.down_arcs
+    tie = weights.tie
 
     def best(arcs, w):
-        pick = arcs[0]
-        for a in arcs[1:]:
-            if w[a] > w[pick] or (w[a] == w[pick] and a > pick):
-                pick = a
-        return pick
+        heaviest = max(w[a] for a in arcs)
+        return max(a for a in arcs if w[a] >= heaviest - tie)
 
     best_up = np.full(k, -1, dtype=np.int64)
     best_down = np.full(k, -1, dtype=np.int64)
@@ -104,8 +104,9 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     candidates = [i for i, b in enumerate(branches)
                   if b.attachment_supernode < 0]
     pool = candidates if candidates else range(len(branches))
-    master = max(pool, key=lambda i: (branches[i].weight,
-                                      max(branches[i].superarcs)))
+    heaviest = max(branches[i].weight for i in pool)
+    master = max((i for i in pool if branches[i].weight >= heaviest - tie),
+                 key=lambda i: max(branches[i].superarcs))
     branches[master].weight = weights.total
     branches[master].attachment_supernode = -1
     # a non-master survivor still hangs somewhere: off its top saddle
@@ -114,9 +115,18 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
             b.attachment_supernode = b.upper_supernode
             b.weight = float(weights.down_weight[b.superarcs[-1]])
 
-    order = sorted(range(len(branches)),
-                   key=lambda i: (i != master, -branches[i].weight,
-                                  -max(branches[i].superarcs)))
+    def last_arc(i):
+        return -max(branches[i].superarcs)
+
+    rest = sorted((i for i in range(len(branches)) if i != master),
+                  key=lambda i: (-branches[i].weight, last_arc(i)))
+    order, run = [master], []
+    for i in rest:
+        if run and branches[run[-1]].weight - branches[i].weight > tie:
+            order += sorted(run, key=last_arc)
+            run = []
+        run.append(i)
+    order += sorted(run, key=last_arc)
     ranked = []
     for rank, i in enumerate(order):
         branches[i].rank = rank

@@ -1,23 +1,40 @@
 """Per-tetrahedron interval-volume splines.
 
 For a tet with linearly interpolated vertex values, the cumulative volume
-of {f <= h} inside the tet is a three-piece cubic in h. With the vertices
-relabeled A,B,C,D in ascending value order, the pieces cover [h_A,h_B]
-(growing corner tetrahedron at A), [h_B,h_C] (cross-section is a quad whose
-corners move linearly along the four cut edges), and [h_C,h_D] (shrinking
-corner tetrahedron at D). The middle piece integrates the quadratic
-cross-section area against the constant inverse gradient magnitude of the
-interpolant, with the constant of integration pinned by continuity at h_B.
+V(h) of {f <= h} inside the tet is a three-piece cubic in h. With the
+vertices relabeled A,B,C,D in ascending rank order, values a <= b <= c <= d
+and volume T:
 
-All polynomials are kept in unnormalized standard form a*h^3+b*h^2+c*h+d so
-that coefficient vectors from different tets can be summed directly.
-PiecewiseCubic evaluates a tet's V(h), and each superarc's swept volume as
-hypersweep.SuperarcVolume.
+- on [a, b] the region is the corner tetrahedron ABEF, E and F the cuts
+  of AD and AC at level h, which grows as T (h-a)^3 / ((b-a)(c-a)(d-a));
+- on [c, d] it is the tet minus the corner tetrahedron DCGH, G and H the
+  cuts of AD and BD, so V = T - T (d-h)^3 / ((d-a)(d-b)(d-c));
+- on [b, c] the cross-section is the quad with corners on AD, AC, BC and
+  BD. The paper integrates its area, a quadratic in h (the triangles BEF
+  and CGH at the ends and sin phi between the quad's diagonals), against
+  the constant inverse gradient magnitude, pinned by continuity at b.
 
-batch_spline_coefficients, the one implementation of this math, works row by
-row over many tets, so a tet's bits never depend on the batch it is in; its
-cross and triple products are mesh's, and VertexOrder.sort_tets orders corners.
-Checks come from the clipping oracles in oracle.py, not a second derivation.
+The same cubic follows from the values and T alone: V(h) / T is the
+integral of the quadratic B-spline with knots a, b, c, d, because a linear
+map of a point drawn uniformly from a simplex has B-spline density (Curry
+and Schoenberg, J. Analyse Math. 1966; de Boor, A Practical Guide to
+Splines, ch. IX). The B-spline is C^1 at simple knots, so V is C^2 there,
+and the middle piece is the cubic Hermite interpolant between the two
+corner cubics: piece_terms writes it in Taylor form at b, as V(b), V'(b),
+V''(b)/2 and the constant third derivative over 6, each a product of T
+and gap ratios, so no term cancels. Acceptance criteria 1-3 check it
+against the clipping oracles in oracle.py.
+
+Ties: a zero-width piece is the constant it spans, 0 for p1, V(b) for p2
+and T for p3, so a prefix of pieces that ends between tied corners still
+reads V there. A flat tet (a == d) counts wholly on the side of its
+top-ranked corner; hypersweep sends flat tets to its exact set.
+
+batch_spline_coefficients writes the pieces as standard-form rows
+[a, b, c, d] of a*h^3 + b*h^2 + c*h + d, so rows of different tets sum
+directly; it works row by row, so a tet's bits never depend on the batch
+it is in. PiecewiseCubic evaluates a tet's V(h), and each superarc's swept
+volume as hypersweep.SuperarcVolume.
 """
 from __future__ import annotations
 
@@ -25,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TetMesh, VertexOrder, _cross, _triple
+from .mesh import TetMesh, VertexOrder, tet_volumes
 
 
 def horner(rows, h):
@@ -58,101 +75,106 @@ def build_tet_spline(mesh: TetMesh, tet_index: int,
     segments 0, the three pieces and the constant tet volume."""
     verts = order.sort_tets(mesh.tets[tet_index])
     values = mesh.values[verts]
-    p1, p2, p3, total = batch_spline_coefficients(
-        mesh.positions[verts][None], values[None])
+    total = tet_volumes(mesh.positions, verts[None])
+    p1, p2, p3 = batch_spline_coefficients(total, values[None])
     return PiecewiseCubic(values, np.concatenate(
         [np.zeros((1, 4)), p1, p2, p3, [[0.0, 0.0, 0.0, total[0]]]]))
 
 
 def _ratio(num, den, ok):
     """num / den where ok, else 0, never dividing by a masked-out den."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def _corner_cubic(volume, h0, width):
-    """volume * ((h - h0) / width)^3 as standard-form rows; rows of zero
-    width are all zero."""
-    ok = width > 0.0
-    k = _ratio(volume, width ** 3, ok)
-    rows = np.stack([k, -3.0 * h0 * k, 3.0 * h0 * h0 * k, -h0 ** 3 * k],
-                    axis=1)
-    rows[~ok] = 0.0
-    return rows
+def piece_terms(volume, values):
+    """The three pieces of many tets from their volumes and sorted values.
 
-
-def batch_spline_coefficients(positions, values):
-    """Vectorized spline coefficients for many pre-sorted tets.
-
-    positions: (m, 4, 3) with each tet's vertices already in ascending
-    rank order; values: (m, 4) matching. Returns (p1, p2, p3, total) where
-    the p_i are (m, 4) standard-form rows and total is (m,) tet volumes.
-    Pieces of zero numeric width come back as all-zero rows; per-tet
-    telescoping (deltas summing to the constant total) is unaffected.
+    volume: (m,); values: (m, 4) ascending. Returns (k1, mid, k3): p1 is
+    k1 (h - a)^3, p3 is T + k3 (h - d)^3, and mid (m, 4) holds the middle
+    piece's Taylor terms at b, [V(b), V'(b), V''(b)/2, V'''/6]. A piece of
+    zero width gets k = 0 or mid = [V(b), 0, 0, 0]; a flat tet gets zeros.
     """
-    positions = np.asarray(positions, dtype=np.float64)
+    a, b, c, d = values.T
+    g1, w, g3 = b - a, c - b, d - c
+    ca, db, da = c - a, d - b, d - a
+    k1 = _ratio(volume, g1 * ca * da, g1 > 0.0)
+    k3 = _ratio(volume, g3 * db * da, g3 > 0.0)
+    mid = np.empty((values.shape[0], 4))
+    mid[:, 0] = _ratio(volume * g1 * g1, ca * da, ca > 0.0)
+    curve = _ratio(volume, ca * da, w > 0.0)
+    mid[:, 1] = 3.0 * g1 * curve
+    mid[:, 2] = 3.0 * curve
+    mid[:, 3] = -_ratio(volume * (ca + db), w * ca * db * da, w > 0.0)
+    return k1, mid, k3
+
+
+def _standard_form(s, e0, e1, e2, e3):
+    """Rows [a, b, c, d] of e0 + e1 (h-s) + e2 (h-s)^2 + e3 (h-s)^3."""
+    return np.stack([e3, e2 - 3.0 * e3 * s,
+                     e1 - (2.0 * e2 - 3.0 * e3 * s) * s,
+                     e0 - (e1 - (e2 - e3 * s) * s) * s], axis=1)
+
+
+def batch_spline_coefficients(volume, values):
+    """Standard-form rows (p1, p2, p3), each (m, 4), of many tets.
+
+    volume: (m,) tet volumes; values: (m, 4) each tet's values in
+    ascending rank order. p3 carries the tet volume T as its constant, so
+    p1, p2 - p1, p3 - p2 and T - p3 are the per-corner difference rows.
+    """
     values = np.asarray(values, dtype=np.float64)
-    m = positions.shape[0]
-    pa, pb, pc, pd = (positions[:, i] for i in range(4))
-    ha, hb, hc, hd = (values[:, i] for i in range(4))
+    a, b, _, d = values.T
+    k1, mid, k3 = piece_terms(volume, values)
+    zero = np.zeros_like(k1)
+    p1 = _standard_form(a, zero, zero, zero, k1)
+    p2 = _standard_form(b, *mid.T)
+    p3 = _standard_form(d, volume, zero, zero, k3)
+    return p1, p2, p3
 
-    edges = positions[:, 1:] - positions[:, :1]
-    total = np.abs(_triple(edges[:, 0], edges[:, 1], edges[:, 2])) / 6.0
 
-    def cut(p0, p1, v0, v1, h):
-        span = v1 - v0
-        t = _ratio(h - v0, span, span != 0.0)
-        return p0 + t[:, None] * (p1 - p0)
+def local_volume(volume, values, h, piece):
+    """V(h) of many tets in local form, on a given piece.
 
-    # lower contour triangle BEF at h_B, upper triangle CGH at h_C
-    e = cut(pa, pd, ha, hd, hb)
-    f = cut(pa, pc, ha, hc, hb)
-    g = cut(pa, pd, ha, hd, hc)
-    hh = cut(pb, pd, hb, hd, hc)
+    piece (m,) in 1..3 names the piece h lies on, so that ties resolve by
+    rank: piece k is the volume when the tet's k lowest-ranked corners are
+    below the cut. A flat tet reads 0, its top corner being above the cut.
+    """
+    a, b, c, d = values.T
+    _, mid, _ = piece_terms(volume, values)
+    t = h - b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low = volume * ((h - a) / (b - a)) * ((h - a) / (c - a)) \
+            * ((h - a) / (d - a))
+        middle = mid[:, 0] + t * (mid[:, 1] + t * (mid[:, 2]
+                                                   + t * mid[:, 3]))
+        high = volume - volume * ((d - h) / (d - c)) * ((d - h) / (d - b)) \
+            * ((d - h) / (d - a))
+    out = np.where(piece == 1, np.where(b > a, low, 0.0),
+                   np.where(piece == 2, middle,
+                            np.where(d > c, high, volume)))
+    return np.where(d > a, out, 0.0)
 
-    vol_abef = np.abs(_triple(pb - pa, e - pa, f - pa)) / 6.0
-    vol_dcgh = np.abs(_triple(pc - pd, g - pd, hh - pd)) / 6.0
 
-    # gradient of the linear interpolant; degenerate (constant) tets get 0
-    nondeg = hd > ha
-    grad = np.zeros((m, 3))
-    if np.any(nondeg):
-        rhs = (values[:, 1:] - values[:, :1])[nondeg, :, None]
-        grad[nondeg] = np.linalg.solve(edges[nondeg], rhs)[:, :, 0]
-    gmag = np.linalg.norm(grad, axis=1)
+def rounding_bound(volume, values, big):
+    """Per-tet bound b_t on what rounding a tet's rows leave in a swept
+    volume evaluated at any |h| <= big, taking its volume T as exact.
 
-    # growing corner ABEF, and total minus the shrinking corner DCGH
-    p1 = _corner_cubic(vol_abef, ha, hb - ha)
-    p3 = _corner_cubic(vol_dcgh, hd, hd - hc)
-    high_ok = hd > hc
-    p3[high_ok, 3] += total[high_ok]
-
-    # middle piece: the quad's corners move linearly along the cut edges
-    # (AD: E->G, AC: F->C, BC: B->C, BD: B->H) as X_i(h) = U_i h + W_i;
-    # the shoelace area 0.5 * n . sum_i X_i x X_{i+1} about the gradient
-    # direction n expands exactly to a quadratic alpha h^2 + beta h + gamma
-    w2 = hc - hb
-    mid_ok = w2 > 0.0
-    inv_w2 = _ratio(1.0, w2, mid_ok)[:, None]
-    u = [(q - p) * inv_w2 for p, q in ((e, g), (f, pc), (pb, pc), (pb, hh))]
-    w = [p - ui * hb[:, None] for p, ui in zip((e, f, pb, pb), u)]
-    s2 = s1 = s0 = 0.0      # from 0.0 in corner order: this fixes the bits
-    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
-        s2 = s2 + _cross(u[i], u[j])
-        s1 = s1 + (_cross(u[i], w[j]) + _cross(w[i], u[j]))
-        s0 = s0 + _cross(w[i], w[j])
-    normal = grad / np.where(gmag > 0.0, gmag, 1.0)[:, None]
-    alpha = 0.5 * np.einsum("ij,ij->i", normal, s2)
-    beta = 0.5 * np.einsum("ij,ij->i", normal, s1)
-    gamma = 0.5 * np.einsum("ij,ij->i", normal, s0)
-    hmid = 0.5 * (hb + hc)
-    neg = (alpha * hmid + beta) * hmid + gamma < 0.0
-    alpha, beta, gamma = (np.where(neg, -x, x) for x in (alpha, beta, gamma))
-    kappa = _ratio(1.0, gmag, gmag > 0.0)
-    p2 = np.empty((m, 4))
-    p2[:, 0] = alpha * kappa / 3.0
-    p2[:, 1] = beta * kappa / 2.0
-    p2[:, 2] = gamma * kappa
-    p2[:, 3] = vol_abef - ((p2[:, 0] * hb + p2[:, 1]) * hb + p2[:, 2]) * hb
-    p2[~mid_ok] = 0.0
-    return p1, p2, p3, total
+    Let |p| be sum_i |c_i| big^(3-i) over a piece's standard-form row,
+    bounded here from its shifted form. Where a cut crosses the tet, the
+    piece it reads carries its own rounding: up to 8 roundings in each
+    Taylor term and 6 in the change to standard form, g(14) |p|. Where
+    the tet lies wholly below, its four difference rows cancel to T up to
+    u per coefficient of each, u (2 sum |p| + T) <= 3 u sum |p|. So
+    b_t = 20 u sum |p| over the three pieces, u = eps / 2. Flat tets and
+    tets whose pieces overflow get infinity.
+    """
+    a, b, _, d = values.T
+    k1, mid, k3 = piece_terms(volume, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa, sb, sd = big + np.abs(a), big + np.abs(b), big + np.abs(d)
+        norm = (k1 * sa ** 3 + volume + k3 * sd ** 3
+                + mid[:, 0] + sb * (mid[:, 1] + sb * (
+                    mid[:, 2] + sb * np.abs(mid[:, 3]))))
+        bound = 10.0 * np.finfo(np.float64).eps * norm
+    return np.where(np.isfinite(bound) & (d > a), bound, np.inf)

@@ -1,166 +1,424 @@
 """Exact sweep volumes: per-vertex coefficient deltas summed over the tree.
 
 Each tet contributes a 3-piece cubic interval volume; differencing its
-pieces at the tet's own sorted vertices yields four per-vertex coefficient
-deltas that telescope to the constant total volume. Summing the deltas of
-every vertex on the low-value side of a point on a superarc gives the
-exact volume enclosed by the contour through that point — a piecewise
-cubic in the isovalue whose only breakpoints on a superarc are the arc's
-own regular vertices. The tree-wide accumulation is a single leaf-to-root
-pass over the superarc tree rooted at the global maximum.
+pieces at the tet's own rank-sorted corners yields four per-vertex
+coefficient deltas that telescope to the constant tet volume T. Summing the
+deltas of every vertex on the low-value side of a point on a superarc gives
+the volume enclosed by the contour through that point: a piecewise cubic
+in the isovalue whose only breakpoints on a superarc are the arc's own
+regular vertices.
+
+The deltas cancel only in exact arithmetic. In floating point a tet wholly
+below a cut leaves a residue of up to its rounding bound b_t
+(geometry.rounding_bound), which is huge for a narrow piece far from
+h = 0: Gaussian tails, near-ties and symmetric grids. So compute_deltas
+splits the tets:
+
+- W, the telescoped set: the tets of smallest b_t whose bounds sum to at
+  most EXACT_BUDGET times the mesh volume. Their deltas are summed as
+  above.
+- I, the exact set: every other tet, flat ones included. An I tet enters
+  the deltas only as its volume on the constant of its top-ranked corner.
+  The corners of a tet below a cut are always its lowest-ranked ones, so
+  a cut with that corner below has the whole tet below.
+- The I tets a cut crosses (some corners below, not all) are added in
+  local form (geometry.local_volume), on the piece that their count of
+  corners below names. sweep_volumes finds the crossed tets of every arc
+  end by climbing a tree of nested cut sets; SuperarcVolume finds those
+  of a cut inside an arc on demand.
+
+The vertices below any cut of a superarc are one run of a depth-first
+tour of the tree, or everything but one run. sweep_volumes sums the deltas
+as differences of one compensated prefix sum along the tour, so a swept
+volume's rounding does not grow with the number of vertices summed, and
+the split is the certificate: compute_deltas bounds the error of every
+swept volume and refuses a mesh whose bound exceeds REFUSE_ABOVE times its
+volume.
 """
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contourtree import ContourTree
-from .geometry import PiecewiseCubic, batch_spline_coefficients, horner
-from .mesh import TetMesh, VertexOrder
+from .geometry import (PiecewiseCubic, batch_spline_coefficients, horner,
+                       local_volume, rounding_bound)
+from .mesh import TetMesh, VertexOrder, tet_volumes
 
 
 _CHUNK = 8192
+EXACT_BUDGET = 1e-10
+REFUSE_ABOVE = 1e-9
+_U = 2.0 ** -53                 # unit roundoff of float64
+
+
+@dataclass(frozen=True)
+class SweepDeltas:
+    """The per-vertex deltas and the exact set, as sweep_volumes reads them.
+
+    rows:         (n, 4) standard-form deltas of the telescoped tets, plus
+                  each exact-set tet's volume on the constant of its
+                  top-ranked corner.
+    exact:        (e, 4) the exact-set tets, corners in ascending rank.
+    exact_volume: (e,) their volumes.
+    error:        certified bound on the absolute error of every swept
+                  volume that sweep_volumes computes from them.
+    """
+
+    rows: np.ndarray
+    exact: np.ndarray
+    exact_volume: np.ndarray
+    error: float
 
 
 def compute_deltas(mesh: TetMesh, order: VertexOrder,
-                   threads: int = 1) -> np.ndarray:
-    """Per-vertex cubic coefficient deltas, (n, 4) standard-form rows.
+                   threads: int = 1) -> SweepDeltas:
+    """Per-vertex cubic coefficient deltas and the exact set.
 
-    Summed over any vertex subset that is downward-closed along the tree
-    these give the subset's exact swept volume polynomial; summed over all
-    vertices they telescope to (0, 0, 0, total mesh volume).
+    Summed over any vertex subset that is downward-closed along the tree,
+    rows give the subset's swept volume polynomial, less the exact-set
+    tets the subset's boundary crosses; summed over all vertices they
+    telescope to (0, 0, 0, total mesh volume).
 
-    The tets are taken in blocks of _CHUNK, threads blocks at once. Each
-    block sorts its own corners by rank, runs the spline kernel and groups
-    its per-corner difference rows into rounds: round k holds the k-th row
-    of every vertex in the block, in tet order, so no vertex appears twice
-    in a round. The calling thread adds the rounds into per-vertex Neumaier
-    (sum, compensation) pairs, block after block in ascending order.
+    Two passes, each over blocks of _CHUNK tets, threads blocks at once.
+    The first takes every tet's volume and its rounding bound from the
+    volume and sorted values; the split keeps the tets of smallest bound.
+    The second runs the spline kernel on blocks of the telescoped tets,
+    their corners sorted by rank, and groups their per-corner difference
+    rows into rounds: round k holds the k-th row of every vertex in the
+    block, in tet order, so no vertex appears twice in a round. The
+    calling thread adds the rounds into per-vertex Neumaier (sum,
+    compensation) pairs, block after block in ascending order, with at
+    most threads blocks waiting; the exact-set volumes then go in by one
+    bincount in tet order.
 
     Float addition is not associative, so the bits follow the order in
-    which each vertex adds its rows. Blocks are added in ascending order,
-    and a vertex's rows within a block in tet order, so every vertex adds
-    its rows in ascending (tet, corner) order; each tet's rows depend only
-    on that tet. Neither the block size nor the thread count plays a part
-    in the bits.
+    which each vertex adds its rows: ascending (tet, corner), and each
+    tet's rows depend only on that tet. Neither the block size nor the
+    thread count plays a part in the bits.
 
-    Raises FloatingPointError where values tied to within a few ulp make
-    a piece so narrow that its coefficients overflow.
+    Raises FloatingPointError when the certified error exceeds
+    REFUSE_ABOVE times the mesh volume.
     """
     n = mesh.vertex_count
+    big = float(np.max(np.abs(mesh.values)))
+    starts = range(0, mesh.tet_count, _CHUNK)
+
+    def bounds(lo):
+        tets = mesh.tets[lo:lo + _CHUNK]
+        volume = tet_volumes(mesh.positions, tets)
+        values = np.sort(mesh.values[tets], axis=1)
+        return volume, rounding_bound(volume, values, big)
+
     deltas = np.zeros((n, 4))
     comp = np.zeros((n, 4))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        volume, bound = (np.concatenate(parts) for parts in
+                         zip(*ex.map(bounds, starts)))
+        kept = _cheapest(bound, EXACT_BUDGET * mesh.volume)
 
-    def rounds(lo):
-        block = order.sort_tets(mesh.tets[lo:lo + _CHUNK])
-        # numpy's error state is per thread; overflow is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            p1, p2, p3, total = batch_spline_coefficients(
-                mesh.positions[block], mesh.values[block])
+        def rounds(lo):
+            tets = kept[lo:lo + _CHUNK]
+            block = order.sort_tets(mesh.tets[tets])
+            p1, p2, p3 = batch_spline_coefficients(volume[tets],
+                                                   mesh.values[block])
             rows = np.stack((p1, p2 - p1, p3 - p2, -p3), axis=1)
-        rows[:, 3, 3] += total
-        # rows grouped by vertex, each vertex's run in tet order; k is a
-        # row's place in its vertex's run
-        by_vertex = np.argsort(block.ravel(), kind="stable")
-        targets = block.ravel()[by_vertex]
-        k = np.arange(targets.size) - np.searchsorted(targets, targets)
-        by_round = np.argsort(k, kind="stable")
-        cuts = np.cumsum(np.bincount(k))[:-1]
-        return zip(np.split(targets[by_round], cuts),
-                   np.split(rows.reshape(-1, 4)[by_vertex[by_round]], cuts))
+            rows[:, 3, 3] += volume[tets]
+            # rows grouped by vertex, each vertex's run in tet order (the
+            # keys are distinct, so any sort gives this order); k is a row's
+            # place in its vertex's run, under 2^15 as a block has fewer tets
+            flat = block.ravel()
+            by_vertex = np.argsort(flat * flat.size + np.arange(flat.size))
+            targets = flat[by_vertex]
+            k = np.arange(targets.size) - np.searchsorted(targets, targets)
+            by_round = np.argsort(k.astype(np.int16), kind="stable")
+            cuts = np.cumsum(np.bincount(k))[:-1]
+            return zip(np.split(targets[by_round], cuts),
+                       np.split(rows.reshape(-1, 4)[by_vertex[by_round]],
+                                cuts))
 
-    with ThreadPoolExecutor(max_workers=threads) as ex, \
-            np.errstate(over="ignore", invalid="ignore"):
-        for block_rounds in ex.map(rounds, range(0, mesh.tet_count, _CHUNK)):
+        for block_rounds in _in_order(ex, rounds,
+                                      range(0, kept.size, _CHUNK), threads):
             for v, x in block_rounds:
                 s = deltas[v]
                 t = s + x
-                big = np.abs(s) >= np.abs(x)
-                comp[v] += np.where(big, (s - t) + x, (x - t) + s)
+                big_s = np.abs(s) >= np.abs(x)
+                comp[v] += np.where(big_s, (s - t) + x, (x - t) + s)
                 deltas[v] = t
-        deltas += comp
-    bad = np.count_nonzero(~np.isfinite(deltas).all(axis=1))
-    if bad:
+        rest = np.ones(mesh.tet_count, dtype=bool)
+        rest[kept] = False
+        rest = np.flatnonzero(rest)
+        exact = np.concatenate(list(ex.map(
+            lambda lo: order.sort_tets(mesh.tets[rest[lo:lo + _CHUNK]]),
+            range(0, max(rest.size, 1), _CHUNK))))
+    deltas += comp
+    exact_volume = volume[rest]
+    deltas[:, 3] += np.bincount(exact[:, 3], weights=exact_volume,
+                                minlength=n)
+    error = (float(np.sum(bound[kept]))
+             + _summation_bound(deltas, big) + 16 * _U * mesh.volume)
+    if not error <= REFUSE_ABOVE * mesh.volume:
         raise FloatingPointError(
-            f"non-finite volume deltas at {bad} vertices; the field likely "
-            "has values tied to within a few ulp")
-    return deltas
+            f"certified volume error {error / mesh.volume:.3g}*T exceeds "
+            f"{REFUSE_ABOVE:g}*T")
+    return SweepDeltas(deltas, exact, exact_volume, error)
+
+
+def _in_order(ex, fn, items, ahead):
+    """fn over items on executor ex, results in order, with at most ahead
+    results waiting: workers faster than the caller do not pile blocks
+    up in memory."""
+    pending = deque()
+    for item in items:
+        pending.append(ex.submit(fn, item))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _cheapest(bound, budget):
+    """Ascending ids of the tets of smallest bound, lower id first among
+    equal bounds, whose bounds sum to at most budget."""
+    ascending = np.sort(bound)
+    count = np.searchsorted(np.cumsum(ascending), budget, side="right")
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    last = ascending[count - 1]
+    below = bound < last
+    ties = np.flatnonzero(bound == last)[:count - np.count_nonzero(below)]
+    below[ties] = True
+    return np.flatnonzero(below)
+
+
+def _summation_bound(deltas, big):
+    """Bound on the rounding of a swept volume summed from deltas, at any
+    |h| <= big: g(16 + 4 n^2 u) sum_i A_i big^(3-i), A_i the sum of
+    |delta_i| over all n vertices and g(k) = k u / (1 - k u).
+
+    Per vertex, the Neumaier sum and the exact-set volume round once
+    each. A region's row is a difference of two entries of a compensated
+    prefix sum, corrected by the difference of their compensations, and
+    taken from the total for a complement: up to 8 roundings of terms no
+    larger than A. Horner adds g(6) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1 and Lemma 3.3). The compensations are exact
+    errors summed with g(n) of u times the prefix sums, 4 n^2 u^2 A at
+    most, and the crossed exact-set part is added with one rounding. The
+    local forms of the crossed exact-set tets, accurate to 16 u of their
+    volumes, add the 16 u T that compute_deltas puts beside this bound.
+    """
+    k = (16 + 4 * deltas.shape[0] ** 2 * _U) * _U
+    return k / (1 - k) * float(horner(np.abs(deltas).sum(axis=0), big))
+
+
+@dataclass(frozen=True)
+class _Tour:
+    """A depth-first tour of the vertices over the superarc tree rooted at
+    the global maximum: the root, then per arc leaving it, the arc's
+    regular vertices from the root side on, its far end and everything
+    past it.
+
+    A cut of arc a with `below` of its regular vertices below has the
+    arc's far side in one run of the tour: cut() names it. The runs of the
+    arc-end cuts nest, as cut-tree nodes 2a (all of a's regular vertices
+    and beyond, the run start[a]:stop[a]) and 2a + 1 (only beyond them),
+    below node 2k, the whole tour. node gives each vertex's innermost
+    node: 2a for a regular vertex of a, 2a + 1 for the far end of a.
+    """
+
+    key: np.ndarray        # (n,) each vertex's place in the tour
+    start: np.ndarray      # (k,) per arc
+    stop: np.ndarray
+    regulars: np.ndarray   # (k,) regular vertex count per arc
+    child_lo: np.ndarray   # (k,) whether arc_child is the lower end
+    node: np.ndarray       # (n,)
+    parent: np.ndarray     # (2k + 1,)
+    depth: np.ndarray
+
+    @staticmethod
+    def build(tree: ContourTree) -> "_Tour":
+        k = tree.superarc_count
+        lo, hi = tree.superarcs.T
+        child_lo = tree.arc_child == lo
+        arc_in = np.full(tree.supernode_count, -1, dtype=np.int64)
+        arc_in[tree.arc_child] = np.arange(k)
+        up = arc_in[np.where(child_lo, hi, lo)].tolist()
+        regulars = np.array([len(r) for r in tree.arc_regulars],
+                            dtype=np.int64)
+        arc_order = tree.arc_order.tolist()
+        size = (regulars + 1).tolist()
+        for a in arc_order[::-1]:
+            if up[a] >= 0:
+                size[up[a]] += size[a]
+        start = [0] * k
+        depth = np.zeros(2 * k + 1, dtype=np.int64)
+        free = [1] * k + [1]           # next free place past each far end
+        for a in arc_order:
+            start[a] = free[up[a]]
+            free[up[a]] += size[a]
+            free[a] = start[a] + int(regulars[a]) + 1
+            depth[2 * a] = depth[2 * up[a] + 1 if up[a] >= 0 else 2 * k] + 1
+            depth[2 * a + 1] = depth[2 * a] + 1
+        start = np.array(start, dtype=np.int64)
+        key = np.zeros(tree.values.shape[0], dtype=np.int64)
+        node = np.full_like(key, 2 * k)
+        for a, regs in enumerate(tree.arc_regulars):
+            key[regs[::-1] if child_lo[a] else regs] = \
+                start[a] + np.arange(len(regs))
+            node[regs] = 2 * a
+        far = tree.supernodes[tree.arc_child]
+        key[far] = start + regulars
+        node[far] = 2 * np.arange(k) + 1
+        up = np.array(up, dtype=np.int64)
+        parent = np.full(2 * k + 1, -1, dtype=np.int64)
+        parent[0:2 * k:2] = np.where(up >= 0, 2 * up + 1, 2 * k)
+        parent[1::2] = np.arange(0, 2 * k, 2)
+        return _Tour(key, start, start + np.array(size, dtype=np.int64),
+                     regulars, child_lo, node, parent, depth)
+
+    def cut(self, arc, below):
+        """(lo, hi, inside): the vertices below a cut of arc with `below` of
+        its regular vertices below are the run lo:hi of the tour if inside,
+        else all but that run. Works on arrays of arcs and counts."""
+        stop = self.stop[arc]
+        inside = self.child_lo[arc]
+        lo = self.start[arc] + np.where(
+            inside, self.regulars[arc] - below, below)
+        return lo, stop, inside
+
+
+class _ExactPart:
+    """The crossed exact-set tets of cuts of the superarc tree."""
+
+    def __init__(self, tree: ContourTree, tour: _Tour, deltas: SweepDeltas):
+        self.tree = tree
+        self.tour = tour
+        self.corners = deltas.exact
+        self.volume = deltas.exact_volume
+
+    def arc_ends(self):
+        """(top, bottom): per superarc, the crossed exact-set volume at a
+        cut just under its upper supernode and just above its lower one.
+
+        Each tet's corners climb the cut tree, deepest first, until they
+        meet; every node passed on the way holds some corners but not all,
+        so the tet crosses that node's cut. Node 2a is the region below
+        arc a's top cut where a's far end is its lower end, and the
+        complement of the region below its bottom cut where it is the
+        upper end; node 2a + 1 likewise with top and bottom swapped.
+        """
+        tree, tour = self.tree, self.tour
+        k = tree.superarc_count
+        nodes = tour.node[self.corners]
+        tets = np.arange(nodes.shape[0])
+        found = [(tets[:0], tets[:0], tets[:0])]
+        while True:
+            split = (nodes != nodes[:, :1]).any(axis=1)
+            tets, nodes = tets[split], nodes[split]
+            if not tets.size:
+                break
+            depth = tour.depth[nodes]
+            deep = depth == depth.max(axis=1, keepdims=True)
+            same = nodes[:, :, None] == nodes[:, None, :]
+            first = ~np.tril(same, -1).any(axis=2)
+            t, c = np.nonzero(deep & first)
+            found.append((tets[t], nodes[t, c], same[t, c].sum(axis=1)))
+            nodes = np.where(deep, tour.parent[nodes], nodes)
+        tets, node, inside = (np.concatenate(x) for x in zip(*found))
+        arcs = node // 2
+        child_lo = tour.child_lo[arcs]
+        end = ((node % 2 == 1) != child_lo).astype(np.int64)  # 1 at the top
+        h = tree.values[tree.supernodes[tree.superarcs[arcs, end]]]
+        v = local_volume(self.volume[tets], tree.values[self.corners[tets]],
+                         h, np.where(child_lo, inside, 4 - inside))
+        return tuple(np.bincount(arcs[end == e], weights=v[end == e],
+                                 minlength=k) for e in (1, 0))
+
+    def __call__(self, arc: int, h: float) -> float:
+        """The crossed exact-set volume of arc's cut at h, the arc's
+        regular vertices at or below h counted below."""
+        tree = self.tree
+        regs = tree.arc_regulars[arc]
+        lo, hi, inside = self.tour.cut(
+            arc, np.searchsorted(tree.values[regs], h, side="right"))
+        key = self.tour.key[self.corners]
+        count = ((key >= lo) & (key < hi)).sum(axis=1)
+        if not inside:
+            count = 4 - count
+        crossed = (count > 0) & (count < 4)
+        return float(np.sum(local_volume(
+            self.volume[crossed], tree.values[self.corners[crossed]], h,
+            count[crossed])))
 
 
 @dataclass(frozen=True)
 class SuperarcVolume(PiecewiseCubic):
-    """Piecewise cubic swept volume along one superarc.
+    """Swept volume along one superarc.
 
     breakpoints: (k,) values of the arc's regular vertices, ascending;
-    segments: (k + 1, 4), the first from the lower supernode value h_lo,
-    the last up to the upper supernode value h_hi. The volume is the
-    measure of the region hanging below a cut of the arc at h.
+    segments: (k + 1, 4), the telescoped part from the lower supernode
+    value h_lo up to the upper supernode value h_hi. Calling it adds the
+    exact-set tets that the cut crosses. weight_bottom and weight_top are
+    the volumes below a cut just above the lower supernode and just under
+    the upper one: the arc's regular vertices all above, then all below.
+    error is the certified bound on the error of each of these volumes.
     """
 
     superarc: int
     h_lo: float
     h_hi: float
+    weight_bottom: float
+    weight_top: float
+    error: float
+    exact: _ExactPart
 
-    @property
-    def weight_bottom(self) -> float:
-        return float(horner(self.segments[0], self.h_lo))
-
-    @property
-    def weight_top(self) -> float:
-        return float(horner(self.segments[-1], self.h_hi))
-
-
-def below_arc_sums(tree: ContourTree, per_vertex: np.ndarray):
-    """Leaf-to-root sums of a per-vertex quantity over the superarc tree.
-
-    With the tree rooted at the global maximum, below[a] sums per_vertex
-    over everything below a cut of arc a just above its lower supernode
-    (none of the arc's own regular vertices); reg_sums[a] is the sum over
-    arc a's regular vertices. One pass over tree.arc_order backwards: an
-    arc whose lower end is the child reads the child's subtree sum, an arc
-    entered from above uses total-minus-complement, and the child's sum
-    and the arc's regulars then go into the parent's, children in
-    ascending arc id. Returns (below, reg_sums).
-    """
-    reg_sums = np.zeros((tree.superarc_count,) + per_vertex.shape[1:])
-    for a, regs in enumerate(tree.arc_regulars):
-        if len(regs):
-            reg_sums[a] = per_vertex[regs].sum(axis=0)
-
-    sub = per_vertex[tree.supernodes]
-    total = per_vertex.sum(axis=0)
-    below = np.empty_like(reg_sums)
-    for a in tree.arc_order[::-1].tolist():
-        lo, hi = tree.superarcs[a]
-        if tree.arc_child[a] == lo:
-            below[a] = sub[lo]
-            sub[hi] += sub[lo] + reg_sums[a]
-        else:
-            below[a] = total - sub[hi] - reg_sums[a]
-            sub[lo] += sub[hi] + reg_sums[a]
-    return below, reg_sums
+    def __call__(self, h):
+        h = np.asarray(h, dtype=np.float64)
+        out = np.asarray(super().__call__(h)) + np.reshape(
+            [self.exact(self.superarc, x) for x in h.ravel().tolist()],
+            h.shape)
+        return out if out.ndim else float(out)
 
 
-def sweep_volumes(tree: ContourTree, deltas: np.ndarray) -> list:
-    """SuperarcVolume for every superarc, via one leaf-to-root pass."""
-    below, _ = below_arc_sums(tree, deltas)
+def _compensated_prefix(x):
+    """(s, c): s the running sums of x's rows from 0, c the running sums of
+    the exact rounding error of each step of s, so that s[j] + c[j] is the
+    sum of x[:j] up to rounding of second order."""
+    s = np.zeros((x.shape[0] + 1,) + x.shape[1:])
+    np.cumsum(x, axis=0, out=s[1:])
+    back = s[1:] - s[:-1]
+    c = np.zeros_like(s)
+    np.cumsum((s[:-1] - (s[1:] - back)) + (x - back), axis=0, out=c[1:])
+    return s, c
+
+
+def sweep_volumes(tree: ContourTree, deltas: SweepDeltas) -> list:
+    """SuperarcVolume for every superarc: the rows below every cut as
+    differences of one compensated prefix sum along the tour, and the
+    exact-set tets crossed at every arc end."""
+    tour = _Tour.build(tree)
+    exact = _ExactPart(tree, tour, deltas)
+    top, bottom = exact.arc_ends()
+    s, c = _compensated_prefix(deltas.rows[np.argsort(tour.key)])
+    total = s[-1] + c[-1]
     values = tree.values
     out = []
     for a in range(tree.superarc_count):
-        lo, hi = tree.superarcs[a]
-        regs = tree.arc_regulars[a]
-        segs = np.empty((len(regs) + 1, 4))
-        segs[0] = below[a]
-        if len(regs):
-            segs[1:] = below[a] + np.cumsum(deltas[regs], axis=0)
+        lo, hi, inside = tour.cut(a, np.arange(tour.regulars[a] + 1))
+        segs = (s[hi] - s[lo]) + (c[hi] - c[lo])
+        if not inside:
+            segs = total - segs
+        h_lo, h_hi = tree.arc_value_range(a)
         out.append(SuperarcVolume(
-            superarc=a,
-            h_lo=float(values[tree.supernodes[lo]]),
-            h_hi=float(values[tree.supernodes[hi]]),
-            breakpoints=values[regs].astype(np.float64),
-            segments=segs))
+            superarc=a, h_lo=h_lo, h_hi=h_hi,
+            breakpoints=values[tree.arc_regulars[a]].astype(np.float64),
+            segments=segs,
+            weight_bottom=float(horner(segs[0], h_lo) + bottom[a]),
+            weight_top=float(horner(segs[-1], h_hi) + top[a]),
+            error=deltas.error, exact=exact))
     return out
 
 
@@ -171,25 +429,37 @@ class ArcWeights:
     down_weight[a]: measure of everything at or below the top of arc a
     when the arc is cut just under its upper supernode; up_weight[a]: the
     complement just above its lower supernode. total is the whole-mesh
-    measure in the same unit (volume or vertex count).
+    measure in the same unit (volume or vertex count). Two weights closer
+    than tie may be equal in exact arithmetic, and decompose takes them
+    as tied.
     """
 
     down_weight: np.ndarray
     up_weight: np.ndarray
     total: float
+    tie: float = 0.0
 
 
 def volume_weights(volumes: list, total_volume: float) -> ArcWeights:
+    """Arc weights from the swept volumes at the arc ends; weights within
+    twice the certified error of each other are tied."""
     down = np.array([v.weight_top for v in volumes])
     up = total_volume - np.array([v.weight_bottom for v in volumes])
-    return ArcWeights(down, up, float(total_volume))
+    return ArcWeights(down, up, float(total_volume),
+                      2.0 * max(v.error for v in volumes))
 
 
 def count_weights(tree: ContourTree) -> ArcWeights:
-    """Vertex-count analogue of the swept volume: the same subtree pass
-    over a count of one per vertex."""
+    """Vertex-count analogue of the swept volume: the sizes of the tour
+    runs below each arc's two end cuts."""
     n = tree.values.shape[0]
-    below, reg_counts = below_arc_sums(tree, np.ones(n))
+    tour = _Tour.build(tree)
+    arcs = np.arange(tree.superarc_count)
+
+    def below(count):
+        lo, hi, inside = tour.cut(arcs, count)
+        return np.where(inside, hi - lo, n - (hi - lo)).astype(np.float64)
+
     # cut just under the top: the arc's regulars all count low;
     # cut just above the bottom: they all count high
-    return ArcWeights(below + reg_counts, n - below, float(n))
+    return ArcWeights(below(tour.regulars), n - below(0), float(n))

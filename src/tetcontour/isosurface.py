@@ -1,10 +1,11 @@
 """Marching tetrahedra with superarc labeling and filtered extraction.
 
-A vertex counts as below the level when value <= h, so the surface never
-passes exactly through mesh vertices and every triangle corner lies
-strictly inside a mesh edge. Corner positions are interpolated once per
-global edge with the lower-index endpoint first, so tets sharing a face
-produce bitwise-identical corner coordinates and welding is exact.
+A vertex counts as below the level when value <= h. When h is the value
+of no vertex on the contour, as for every isovalue `ct run` extracts at,
+the surface never passes through a mesh vertex and every triangle corner
+lies strictly inside a mesh edge. Corner positions are interpolated once
+per global edge with the lower-index endpoint first, so tets sharing a
+face produce bitwise-identical corner coordinates and welding is exact.
 """
 from __future__ import annotations
 

@@ -284,6 +284,51 @@ def region_volume(mesh: TetMesh, tree, superarc: int, h: float) -> float:
     return total
 
 
+def rank_region_volume(mesh: TetMesh, tree, superarc: int, top: bool,
+                       clips=None) -> float:
+    """Volume below a cut of superarc just under its upper supernode (top)
+    or just above its lower one, as the swept weights count it.
+
+    The arc's own regular vertices are classified by rank, not by value:
+    all below at the top cut and all above at the bottom cut. A tet with
+    some but not all corners below is clipped at the cut's value; a flat
+    tet (all four values tied) counts wholly on the side of its top-ranked
+    corner, the one of largest vertex index. clips, a dict, caches clipped
+    volumes by (tet, value) across calls. Meant for small meshes.
+    """
+    clips = {} if clips is None else clips
+    mask = _low_side_vertices(mesh, tree, superarc)
+    mask[tree.arc_regulars[superarc]] = top
+    h = float(tree.values[tree.supernodes[tree.superarcs[superarc,
+                                                         int(top)]]])
+    in_tet = mask[mesh.tets]
+    count = in_tet.sum(axis=1)
+    vols = tet_volumes(mesh.positions, mesh.tets)
+    partial = np.flatnonzero((count > 0) & (count < 4))
+    tets = mesh.tets[partial]
+    tet_vals = mesh.values[tets]
+    flat = tet_vals.min(axis=1) == tet_vals.max(axis=1)
+    parts = (vols[count == 4].tolist()
+             + vols[partial[flat & mask[tets.max(axis=1)]]].tolist())
+    # in-region corners at or below h: the region holds the lower part
+    lower = np.all(np.where(in_tet[partial], tet_vals, -np.inf) <= h, axis=1)
+    for t, low in zip(partial[~flat].tolist(), lower[~flat].tolist()):
+        if (t, h) not in clips:
+            tet = mesh.tets[t]
+            clips[t, h] = clip_volume(mesh.positions[tet], mesh.values[tet],
+                                      h)
+        parts.append(clips[t, h] if low else vols[t] - clips[t, h])
+    return math.fsum(parts)
+
+
+def rank_arc_end_volumes(mesh: TetMesh, tree):
+    """(top, bottom): rank_region_volume at both ends of every superarc."""
+    clips = {}
+    return tuple(np.array([rank_region_volume(mesh, tree, a, top, clips)
+                           for a in range(tree.superarc_count)])
+                 for top in (True, False))
+
+
 def reference_contour_count(mesh: TetMesh, h: float) -> int:
     """Connected components of the level set at h, via marching tets.
 

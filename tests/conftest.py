@@ -189,105 +189,30 @@ def reference_write_obj(path, soup, group=None, material=None,
             fh.write(f"f {a} {b} {c}\n")
 
 
-def _ratio(num, den, ok):
-    """num / den where ok, else 0, never dividing by a masked-out den."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+def _standard_form(s, e0, e1, e2, e3):
+    return [e3, e2 - 3.0 * e3 * s, e1 - (2.0 * e2 - 3.0 * e3 * s) * s,
+            e0 - (e1 - (e2 - e3 * s) * s) * s]
 
 
-def _corner_cubic(volume, h0, width):
-    """volume * ((h - h0) / width)^3 as standard-form rows; rows of zero
-    width are all zero."""
-    ok = width > 0.0
-    k = _ratio(volume, width ** 3, ok)
-    rows = np.stack([k, -3.0 * h0 * k, 3.0 * h0 * h0 * k, -h0 ** 3 * k],
-                    axis=1)
-    rows[~ok] = 0.0
-    return rows
-
-
-def reference_spline_coefficients(positions, values):
-    """The spline kernel over np.cross and a stacked, rolled (m, 4, 3)
-    quad: the reference the component-wise batch_spline_coefficients is
-    checked against bit for bit.
-
-    positions: (m, 4, 3) with each tet's vertices already in ascending
-    rank order; values: (m, 4) matching. Returns (p1, p2, p3, total) where
-    the p_i are (m, 4) standard-form rows and total is (m,) tet volumes.
-    Pieces of zero numeric width come back as all-zero rows; per-tet
-    telescoping (deltas summing to the constant total) is unaffected.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    m = positions.shape[0]
-    pa, pb, pc, pd = (positions[:, i] for i in range(4))
-    ha, hb, hc, hd = (values[:, i] for i in range(4))
-
-    edges = positions[:, 1:] - positions[:, :1]
-    det = np.einsum("ij,ij->i", edges[:, 0],
-                    np.cross(edges[:, 1], edges[:, 2]))
-    total = np.abs(det) / 6.0
-
-    def cut(p0, p1, v0, v1, h):
-        span = v1 - v0
-        t = _ratio(h - v0, span, span != 0.0)
-        return p0 + t[:, None] * (p1 - p0)
-
-    # lower contour triangle BEF at h_B, upper triangle CGH at h_C
-    e = cut(pa, pd, ha, hd, hb)
-    f = cut(pa, pc, ha, hc, hb)
-    g = cut(pa, pd, ha, hd, hc)
-    hh = cut(pb, pd, hb, hd, hc)
-
-    vol_abef = np.abs(np.einsum("ij,ij->i", pb - pa,
-                                np.cross(e - pa, f - pa))) / 6.0
-    vol_dcgh = np.abs(np.einsum("ij,ij->i", pc - pd,
-                                np.cross(g - pd, hh - pd))) / 6.0
-
-    # gradient of the linear interpolant; degenerate (constant) tets get 0
-    nondeg = hd > ha
-    grad = np.zeros((m, 3))
-    if np.any(nondeg):
-        rhs = (values[:, 1:] - values[:, :1])[nondeg, :, None]
-        grad[nondeg] = np.linalg.solve(edges[nondeg], rhs)[:, :, 0]
-    gmag = np.linalg.norm(grad, axis=1)
-
-    # growing corner ABEF, and total minus the shrinking corner DCGH
-    p1 = _corner_cubic(vol_abef, ha, hb - ha)
-    p3 = _corner_cubic(vol_dcgh, hd, hd - hc)
-    high_ok = hd > hc
-    p3[high_ok, 3] += total[high_ok]
-
-    # middle piece: the quad's corners move linearly along the cut edges
-    # (AD: E->G, AC: F->C, BC: B->C, BD: B->H) as X_i(h) = U_i h + W_i;
-    # the shoelace area 0.5 * n . sum_i X_i x X_{i+1} about the gradient
-    # direction n expands exactly to a quadratic alpha h^2 + beta h + gamma
-    w2 = hc - hb
-    mid_ok = w2 > 0.0
-    starts = np.stack([e, f, pb, pb], axis=1)        # (m, 4, 3)
-    ends = np.stack([g, pc, pc, hh], axis=1)
-    u = (ends - starts) * _ratio(1.0, w2, mid_ok)[:, None, None]
-    w = starts - u * hb[:, None, None]
-    u_next = np.roll(u, -1, axis=1)
-    w_next = np.roll(w, -1, axis=1)
-    s2 = np.sum(np.cross(u, u_next), axis=1)
-    s1 = np.sum(np.cross(u, w_next) + np.cross(w, u_next), axis=1)
-    s0 = np.sum(np.cross(w, w_next), axis=1)
-    normal = grad / np.where(gmag > 0.0, gmag, 1.0)[:, None]
-    alpha = 0.5 * np.einsum("ij,ij->i", normal, s2)
-    beta = 0.5 * np.einsum("ij,ij->i", normal, s1)
-    gamma = 0.5 * np.einsum("ij,ij->i", normal, s0)
-    hmid = 0.5 * (hb + hc)
-    neg = (alpha * hmid + beta) * hmid + gamma < 0.0
-    alpha, beta, gamma = (np.where(neg, -x, x) for x in (alpha, beta, gamma))
-    kappa = _ratio(1.0, gmag, gmag > 0.0)
-    p2 = np.empty((m, 4))
-    p2[:, 0] = alpha * kappa / 3.0
-    p2[:, 1] = beta * kappa / 2.0
-    p2[:, 2] = gamma * kappa
-    p2[:, 3] = vol_abef - ((p2[:, 0] * hb + p2[:, 1]) * hb + p2[:, 2]) * hb
-    p2[~mid_ok] = 0.0
-    return p1, p2, p3, total
+def reference_spline_coefficients(volume, values):
+    """The spline kernel one tet at a time on Python floats: the reference
+    the array code of batch_spline_coefficients is checked against bit for
+    bit. Returns (p1, p2, p3), each (m, 4)."""
+    rows = []
+    for t, (a, b, c, d) in zip(volume.tolist(), values.tolist()):
+        g1, w, g3 = b - a, c - b, d - c
+        ca, db, da = c - a, d - b, d - a
+        k1 = t / (g1 * ca * da) if g1 > 0.0 else 0.0
+        k3 = t / (g3 * db * da) if g3 > 0.0 else 0.0
+        vb = t * g1 * g1 / (ca * da) if ca > 0.0 else 0.0
+        curve = t / (ca * da) if w > 0.0 else 0.0
+        third = -(t * (ca + db) / (w * ca * db * da)) if w > 0.0 else -0.0
+        rows.append(_standard_form(a, 0.0, 0.0, 0.0, k1)
+                    + _standard_form(b, vb, 3.0 * g1 * curve, 3.0 * curve,
+                                     third)
+                    + _standard_form(d, t, 0.0, 0.0, k3))
+    rows = np.array(rows).reshape(-1, 3, 4)
+    return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
 def reference_triple_products(positions, tets):
@@ -395,6 +320,13 @@ def reference_march_tets(mesh, h):
     flip = np.einsum("ij,ij->i", normal, ref) < 0
     triangles[flip] = triangles[flip][:, ::-1]
     return points, triangles
+
+
+def branch_list(branches):
+    """Each branch by rank: its superarcs, attachment supernode and
+    parent, which is what two decompositions must share to agree."""
+    return [(b.rank, b.superarcs, b.attachment_supernode, b.parent)
+            for b in branches]
 
 
 def _data_lines(path):

@@ -5,8 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from tetcontour import cli, oracle
+from tetcontour import cli, hypersweep, oracle
 from tetcontour.cli import main
+from tetcontour.contourtree import build_contour_tree
+from tetcontour.decomposition import decompose
+from tetcontour.hypersweep import (ArcWeights, compute_deltas, sweep_volumes,
+                                   volume_weights)
+from tetcontour.mesh import build_vertex_order, grid_to_tets
 
 
 @pytest.fixture
@@ -64,7 +69,7 @@ def test_run_grid_artifacts(tmp_path, grid_input, capsys):
     assert reg == tree["vertexCount"] - len(tree["supernodes"])
 
     lines = (out / "weights.csv").read_text().splitlines()
-    assert lines[0] == "superarc,h_lo,h_hi,a,b,c,d,weight"
+    assert lines[0] == "superarc,h_lo,h_hi,weight"
     assert len(lines) == 1 + len(tree["superarcs"])
 
     branches = json.loads((out / "branches.json").read_text())
@@ -75,6 +80,9 @@ def test_run_grid_artifacts(tmp_path, grid_input, capsys):
     summary = capsys.readouterr().out
     assert "supernodes" in summary and "total volume" in summary
     assert "\ntime output " in summary
+    assert "\nexact-set tets " in summary and f" of {8 ** 3 * 6}\n" in summary
+    error = float(summary.split("certified volume error ")[1].split("*T")[0])
+    assert 0.0 < error <= 1e-9
 
 
 def test_run_golden_structure(tmp_path):
@@ -202,10 +210,11 @@ def test_run_loads_through_module_hook(tmp_path, grid_input, monkeypatch):
     assert len(calls) == 1
 
 
-def test_ulp_tied_values_are_refused(tmp_path, capsys):
-    # values on a 0.1 lattice, half of them moved up one ulp: pieces a
-    # few ulp wide overflow the spline coefficients, and the run must
-    # refuse instead of writing NaN weights
+def test_ulp_tied_values_match_rank_oracle(tmp_path, capsys):
+    # values on a 0.1 lattice, half of them moved up one ulp: pieces a few
+    # ulp wide would give coefficients of 1e34 T; their tets go to the
+    # exact set, and the weights written, the volume below each arc's top
+    # cut, still match the rank-aware oracle
     spatial = pytest.importorskip("scipy.spatial")
     rng = np.random.default_rng(0)
     points = rng.uniform(size=(2000, 3))
@@ -222,11 +231,18 @@ def test_ulp_tied_values_are_refused(tmp_path, capsys):
         in enumerate(tets.tolist())))
     out = tmp_path / "out"
     assert main(["run", "--node", str(node), "--ele", str(ele),
-                 "--field-attr", "0", "--top", "2", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error in weights: non-finite volume deltas at " in err
-    assert "tied to within a few ulp" in err
-    assert not out.exists()
+                 "--field-attr", "0", "--top", "2", "--out", str(out)]) == 0
+    mesh = cli.load_tetgen(node, ele, field_attr=0)
+    tree = build_contour_tree(mesh, build_vertex_order(mesh))
+    # every eighth arc: each top cut clips about 500 tets in the oracle
+    arcs = range(0, tree.superarc_count, 8)
+    clips = {}
+    top = [oracle.rank_region_volume(mesh, tree, a, True, clips)
+           for a in arcs]
+    rows = (out / "weights.csv").read_text().splitlines()[1:]
+    weights = np.array([float(rows[a].split(",")[3]) for a in arcs])
+    assert np.max(np.abs(weights - top)) <= 1e-9 * mesh.volume
+    assert "exact-set tets 0 " not in capsys.readouterr().out
 
 
 def test_missing_file_is_reported(tmp_path, capsys):
@@ -267,7 +283,9 @@ def _arc_range(out, arc):
 
 def test_isovalue_at_arc_upper_end_is_refused(tmp_path, capsys):
     # a vertex at h counts as below, so h = h_hi cuts nothing on the arc:
-    # only [h_lo, h_hi) is accepted, and h_lo gives a non-empty contour
+    # only [h_lo, h_hi) is accepted; h_lo is the lower supernode's value,
+    # refused like every vertex value, and the next float above it gives
+    # a non-empty contour
     flags = _raw_grid(tmp_path / "g.f64",
                       np.random.default_rng(1).normal(size=216))
     out = tmp_path / "a"
@@ -283,22 +301,87 @@ def test_isovalue_at_arc_upper_end_is_refused(tmp_path, capsys):
             f"[{lo!r}, {hi!r})") in capsys.readouterr().err
     assert not (tmp_path / "hi").exists()
     assert main(["run", *flags, "--top", "3", "--isovalue", f"{arc}={lo!r}",
-                 "--out", str(tmp_path / "lo")]) == 0
+                 "--out", str(tmp_path / "lo")]) == 1
+    assert (f"error: isovalue {lo!r} is the value of a vertex on superarc "
+            f"{arc}") in capsys.readouterr().err
+    above = float(np.nextafter(lo, np.inf))
+    assert main(["run", *flags, "--top", "3", "--isovalue",
+                 f"{arc}={above!r}", "--out", str(tmp_path / "up")]) == 0
     faces = [line for line in
-             (tmp_path / "lo" / "branch_1.obj").read_text().splitlines()
+             (tmp_path / "up" / "branch_1.obj").read_text().splitlines()
              if line.startswith("f ")]
     assert faces
+
+
+def test_default_isovalue_avoids_vertex_values(tmp_path):
+    # on this field the mid value of several extracted arcs is the value of
+    # a vertex on the arc, such as 1.0 on an arc of range [0, 2]; the
+    # contour is cut in the widest gap between the arc's vertex values
+    # instead, so no corner lands on a vertex: every OBJ has distinct
+    # positions and no triangle of zero area
+    flags = _raw_grid(tmp_path / "g.f64", np.random.default_rng(
+        10).integers(0, 5, size=216).astype(float))
+    out = tmp_path / "out"
+    assert main(["run", *flags, "--top", "10", "--out", str(out)]) == 0
+    moved = 0
+    for b in json.loads((out / "branches.json").read_text())["branches"]:
+        if b["extraction"] is None or b["rank"] >= 10:
+            continue
+        lo, hi = _arc_range(out, b["extraction"]["superarc"])
+        moved += b["extraction"]["isovalue"] != 0.5 * (lo + hi)
+        lines = (out / f"branch_{b['rank']}.obj").read_text().splitlines()
+        positions = np.array([[float(x) for x in line.split()[1:]]
+                              for line in lines if line.startswith("v ")])
+        faces = np.array([[int(x) - 1 for x in line.split()[1:]]
+                          for line in lines if line.startswith("f ")])
+        assert len(np.unique(positions, axis=0)) == len(positions) > 0
+        p = positions[faces]
+        assert np.all(np.linalg.norm(np.cross(p[:, 1] - p[:, 0],
+                                              p[:, 2] - p[:, 0]), axis=1) > 0)
+    assert moved
+
+
+def test_uncertified_weights_are_refused(tmp_path, grid_input, monkeypatch,
+                                        capsys):
+    # a certified error above the limit refuses the run before any file
+    monkeypatch.setattr(hypersweep, "REFUSE_ABOVE", 1e-30)
+    out = tmp_path / "out"
+    assert main(["run", *grid_input, "--out", str(out)]) == 1
+    assert ("error in weights: certified volume error "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_arc_within_an_ulp_is_not_extracted(tmp_path, capsys):
+    # the arc's vertex values are one ulp apart: the middle of the gap
+    # rounds onto a vertex value, so no isovalue keeps the contour off
+    # the vertices and the branch is not extracted
+    top = float(np.nextafter(1.0, 2.0))
+    node = tmp_path / "m.node"
+    node.write_text(f"4 3 1 0\n1 0 0 0 1.0\n2 1 0 0 1.0\n"
+                    f"3 0 1 0 {top!r}\n4 0 0 1 {top!r}\n")
+    ele = tmp_path / "m.ele"
+    ele.write_text("1 4 0\n1 1 2 3 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--node", str(node), "--ele", str(ele),
+                 "--field-attr", "0", "--top", "1", "--out", str(out)]) == 0
+    assert ("branch 0: superarc 0 has no value between its vertex values; "
+            "not extracted") in capsys.readouterr().out
+    doc = json.loads((out / "branches.json").read_text())
+    assert doc["branches"][0]["extraction"] is None
+    assert not (out / "branch_0.obj").exists()
 
 
 def test_flat_branches_are_not_extracted(tmp_path, capsys):
     # tied integer fields give many branches a flat attachment-end arc
     # (h_lo == h_hi), which no isovalue cuts; such a branch is cut on its
     # nearest arc that is not flat, and skipped only when all its arcs
-    # are flat: 88 of these 270 branches
+    # are flat. The skipped branches are those of a decomposition on the
+    # rank-aware oracle's weights, with the run's tie tolerance
     flats = 0
     for k, seed in itertools.product((2, 3, 5), range(30)):
-        flags = _raw_grid(tmp_path / "g.f64", np.random.default_rng(
-            seed).integers(0, k, size=216).astype(float))
+        values = np.random.default_rng(seed).integers(0, k, size=216)
+        flags = _raw_grid(tmp_path / "g.f64", values.astype(float))
         out = tmp_path / f"{k}_{seed}"
         assert main(["run", *flags, "--top", "3", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
@@ -307,21 +390,30 @@ def test_flat_branches_are_not_extracted(tmp_path, capsys):
         for b in branches["branches"][:3]:
             name = f"branch_{b['rank']}"
             if b["extraction"] is None:
-                flats += 1
                 end = (b["superarcs"][-1] if b["attachmentSupernode"]
                        == b["upperSupernode"] else b["superarcs"][0])
                 assert (f"branch {b['rank']}: superarc {end} is flat; "
                         "not extracted") in printed
-                for a in b["superarcs"]:
-                    lo, hi = _arc_range(out, a)
-                    assert lo == hi
                 assert not (out / f"{name}.obj").exists()
                 assert f"newmtl {name}\n" not in materials
             else:
                 text = (out / f"{name}.obj").read_text()
                 assert "\nf " in text
                 assert f"newmtl {name}\n" in materials
-    assert flats == 88
+        mesh = grid_to_tets((6, 6, 6), values.astype(float))
+        order = build_vertex_order(mesh)
+        tree = build_contour_tree(mesh, order)
+        tie = volume_weights(sweep_volumes(tree, compute_deltas(
+            mesh, order)), mesh.volume).tie
+        top, bottom = oracle.rank_arc_end_volumes(mesh, tree)
+        expected = [b.superarcs for b in decompose(tree, ArcWeights(
+            top, mesh.volume - bottom, mesh.volume, tie))[:3]
+            if all(lo == hi for lo, hi in map(tree.arc_value_range,
+                                                b.superarcs))]
+        assert [b["superarcs"] for b in branches["branches"][:3]
+                if b["extraction"] is None] == expected
+        flats += len(expected)
+    assert flats > 0
 
 
 def test_verify_passes(capsys):

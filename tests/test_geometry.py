@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tetcontour.geometry import batch_spline_coefficients, build_tet_spline
-from tetcontour.mesh import TetMesh, build_vertex_order
+from tetcontour.geometry import (batch_spline_coefficients, build_tet_spline,
+                                 local_volume)
+from tetcontour.mesh import TetMesh, build_vertex_order, tet_volumes
 from tetcontour.oracle import (clip_area, clip_volume, clip_volume_errors,
                                random_tet)
 
@@ -153,7 +154,7 @@ def _sorted_tet_inputs(mesh):
     order = build_vertex_order(mesh)
     cols = np.argsort(order.rank[mesh.tets], axis=1, kind="stable")
     tets = np.take_along_axis(mesh.tets, cols, axis=1)
-    return mesh.positions[tets], mesh.values[tets]
+    return tet_volumes(mesh.positions, mesh.tets), mesh.values[tets]
 
 
 def test_kernel_matches_reference_bits(rng):
@@ -166,13 +167,48 @@ def test_kernel_matches_reference_bits(rng):
         _sorted_tet_inputs(gaussian_grid_mesh(12, [(0.3, 0.4, 0.5)], [1.0])),
         _sorted_tet_inputs(delaunay),
         # ties: constant tets and pieces of zero width
-        (rng.normal(size=(m, 4, 3)),
+        (rng.uniform(size=m),
          np.sort(rng.integers(0, 3, size=(m, 4)), axis=1).astype(float)),
-        (rng.normal(size=(m, 4, 3)), np.sort(rng.normal(size=(m, 4)), axis=1)),
+        (rng.uniform(size=m), np.sort(rng.normal(size=(m, 4)), axis=1)),
     ]
-    for positions, values in inputs:
-        got = batch_spline_coefficients(positions, values)
-        want = reference_spline_coefficients(positions, values)
+    for volume, values in inputs:
+        got = batch_spline_coefficients(volume, values)
+        want = reference_spline_coefficients(volume, values)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
             assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_zero_width_pieces_carry_their_value():
+    # tied corners: p2 of zero width is the constant V(b), p3 of zero width
+    # the constant T, and a prefix ending between tied corners reads the
+    # volume there, as the clip oracle does
+    pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
+    for vals in ([0.0, 1.0, 1.0, 3.0], [0.0, 2.0, 3.0, 3.0],
+                 [1.0, 1.0, 1.0, 2.0]):
+        vals = np.array(vals)
+        total = np.array([1.0 / 6.0])
+        p1, p2, p3 = batch_spline_coefficients(total, vals[None])
+        for row, h in ((p1, vals[1]), (p2, vals[2]), (p3, vals[3])):
+            ref = clip_volume(pos, vals, h)
+            assert np.polyval(row[0], h) == pytest.approx(ref, abs=1e-15)
+        assert np.array_equal(p3[0, :3] == 0.0, [vals[2] == vals[3]] * 3)
+
+
+def test_local_volume_matches_clip_oracle(rng):
+    # the exact-set form: each piece in its own local variable, picked by
+    # how many of the tet's lowest-ranked corners are below the cut
+    worst = 0.0
+    for _ in range(300):
+        pos, vals = random_tet(rng)
+        x = np.sort(vals)
+        total = abs(np.linalg.det(pos[1:] - pos[0])) / 6.0
+        hs = rng.uniform(x[0], x[3], size=16)
+        piece = np.searchsorted(x, hs)
+        got = local_volume(np.full(16, total), np.tile(x, (16, 1)), hs, piece)
+        worst = max(worst, np.max(clip_volume_errors(pos, vals, hs, got))
+                    / total)
+    assert worst <= 1e-12
+    # a flat tet is below the cut only with its top-ranked corner
+    assert local_volume(np.ones(3), np.ones((3, 4)), 1.0,
+                        np.array([1, 2, 3])).tolist() == [0.0, 0.0, 0.0]

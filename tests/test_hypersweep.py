@@ -5,15 +5,18 @@ import pytest
 
 import tetcontour.hypersweep as hs
 from tetcontour.contourtree import build_contour_tree
-from tetcontour.geometry import batch_spline_coefficients
-from tetcontour.hypersweep import (below_arc_sums, compute_deltas,
-                                   count_weights, sweep_volumes,
-                                   volume_weights)
-from tetcontour.mesh import TetMesh, build_vertex_order, grid_to_tets
-from tetcontour.oracle import contour_count_mismatches, region_volume_errors
+from tetcontour.decomposition import decompose
+from tetcontour.geometry import batch_spline_coefficients, rounding_bound
+from tetcontour.hypersweep import (ArcWeights, compute_deltas, count_weights,
+                                   sweep_volumes, volume_weights)
+from tetcontour.mesh import (TetMesh, build_vertex_order, grid_to_tets,
+                             tet_volumes)
+from tetcontour.oracle import (contour_count_mismatches, rank_arc_end_volumes,
+                               region_volume_errors)
 
-from conftest import (bit_check_meshes, gaussian_grid_mesh, random_grid_mesh,
-                      reference_below_arc_sums, two_peak_mesh)
+from conftest import (bit_check_meshes, branch_list, gaussian_grid_mesh,
+                      random_grid_mesh, reference_below_arc_sums,
+                      two_peak_mesh)
 
 
 def _pipeline(mesh):
@@ -29,7 +32,7 @@ def test_deltas_telescope_to_total(rng):
         order = build_vertex_order(mesh)
         deltas = compute_deltas(mesh, order)
         total = mesh.volume
-        summed = deltas.sum(axis=0)
+        summed = deltas.rows.sum(axis=0)
         assert abs(summed[3] - total) <= 1e-9 * total
         assert np.all(np.abs(summed[:3]) <= 1e-9 * total)
 
@@ -46,8 +49,10 @@ def test_deltas_independent_of_thread_count(rng):
         threaded = compute_deltas(mesh, order, threads=4)
     finally:
         hs._CHUNK = original
-    np.testing.assert_array_equal(base, single)
-    np.testing.assert_array_equal(base, threaded)
+    for got in (single, threaded):
+        np.testing.assert_array_equal(base.rows, got.rows)
+        np.testing.assert_array_equal(base.exact, got.exact)
+        assert base.error == got.error
 
     # at the default chunk size: 13,182 tets span two chunks
     mesh = random_grid_mesh(rng, dims=(14, 14, 14))
@@ -55,7 +60,7 @@ def test_deltas_independent_of_thread_count(rng):
     ref = _reference_deltas(mesh, order)
     for threads in (1, 2, 4):
         np.testing.assert_array_equal(
-            compute_deltas(mesh, order, threads=threads), ref)
+            compute_deltas(mesh, order, threads=threads).rows, ref)
 
 
 def test_deltas_peak_memory():
@@ -90,24 +95,39 @@ def test_deltas_peak_memory_independent_of_tet_count():
 
 
 def _reference_deltas(mesh, order):
-    """compute_deltas as one kernel call over every tet and a scalar
-    Neumaier sum per vertex that adds the vertex's rows in tet order."""
+    """compute_deltas as one kernel call over every telescoped tet and a
+    scalar Neumaier sum per vertex that adds the vertex's rows in tet
+    order, then each exact-set volume at its tet's top corner, in tet
+    order. The split is a stable sort of every tet's bound."""
     cols = np.argsort(order.rank[mesh.tets], axis=1, kind="stable")
     sorted_tets = np.take_along_axis(mesh.tets, cols, axis=1)
-    p1, p2, p3, total = batch_spline_coefficients(
-        mesh.positions[sorted_tets], mesh.values[sorted_tets])
+    values = mesh.values[sorted_tets]
+    volumes = tet_volumes(mesh.positions, mesh.tets)
+    bound = rounding_bound(volumes, values, np.max(np.abs(mesh.values)))
+    cheap = np.argsort(bound, kind="stable")
+    within = np.cumsum(bound[cheap]) <= hs.EXACT_BUDGET * mesh.volume
+    telescoped = np.zeros(mesh.tet_count, dtype=bool)
+    telescoped[cheap[within]] = True
+    volume = volumes[telescoped]
+    p1, p2, p3 = batch_spline_coefficients(volume, values[telescoped])
     rows = np.stack([p1, p2 - p1, p3 - p2, -p3], axis=1)
-    rows[:, 3, 3] += total
+    rows[:, 3, 3] += volume
     sums = [[0.0] * 4 for _ in range(mesh.vertex_count)]
     comps = [[0.0] * 4 for _ in range(mesh.vertex_count)]
-    for v, row in zip(sorted_tets.ravel().tolist(),
+    for v, row in zip(sorted_tets[telescoped].ravel().tolist(),
                       rows.reshape(-1, 4).tolist()):
         for j, x in enumerate(row):
             s = sums[v][j]
             t = s + x
             comps[v][j] += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
             sums[v][j] = t
-    return np.array(sums) + np.array(comps)
+    out = np.array(sums) + np.array(comps)
+    mass = [0.0] * mesh.vertex_count
+    for v, t in zip(sorted_tets[~telescoped, 3].tolist(),
+                    volumes[~telescoped].tolist()):
+        mass[v] += t
+    out[:, 3] += mass
+    return out
 
 
 def test_deltas_match_scalar_neumaier_reference(rng, monkeypatch):
@@ -120,18 +140,20 @@ def test_deltas_match_scalar_neumaier_reference(rng, monkeypatch):
     # which blocks are added reaches each vertex's sum
     monkeypatch.setattr(hs, "_CHUNK", 1024)
     assert meshes[-1].tet_count >= 8 * hs._CHUNK
-    # mirror-symmetric bumps: values tied to within an ulp give some
-    # vertices rows of +-2.6e13 from tets in two blocks, and only there do
-    # the sums' bits change when the blocks are added in another order
+    # mirror-symmetric bumps: values tied to within an ulp make pieces so
+    # narrow that their tets go to the exact set, on top of the tails
     meshes.append(gaussian_grid_mesh(16, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
                                      [1.0, 1.0], width=20.0))
+    exact = 0
     for mesh in meshes:
         order = build_vertex_order(mesh)
         ref = _reference_deltas(mesh, order)
         for threads in (1, 2, 4):
             got = compute_deltas(mesh, order, threads=threads)
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert np.array_equal(got.rows, ref)
+            assert np.array_equal(np.signbit(got.rows), np.signbit(ref))
+        exact += len(got.exact)
+    assert exact > 0
 
 
 def test_superarc_volumes_match_region_oracle(rng):
@@ -170,14 +192,20 @@ def test_tied_integer_fields_match_both_oracles():
 
 
 def test_volume_function_continuous_at_breakpoints(rng):
-    mesh = random_grid_mesh(rng, dims=(6, 6, 6))
-    order, tree, deltas = _pipeline(mesh)
-    total = mesh.volume
-    for sv in sweep_volumes(tree, deltas):
-        for j, bp in enumerate(sv.breakpoints):
-            left = np.polyval(sv.segments[j], bp)
-            right = np.polyval(sv.segments[j + 1], bp)
-            assert abs(right - left) <= 1e-10 * total
+    # through the volume function: at a breakpoint the telescoped part
+    # steps by the exact-set volumes of the tets whose top corner it is,
+    # and the crossed exact-set part steps back; the bumps put tets in it
+    meshes = [random_grid_mesh(rng, dims=(6, 6, 6)),
+              gaussian_grid_mesh(9, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                                 [1.0, 0.6], width=40.0)]
+    for mesh in meshes:
+        order, tree, deltas = _pipeline(mesh)
+        total = mesh.volume
+        for sv in sweep_volumes(tree, deltas):
+            for bp in sv.breakpoints:
+                left = sv(np.nextafter(bp, -np.inf))
+                assert abs(sv(bp) - left) <= 1e-10 * total
+    assert len(deltas.exact) > 0
 
 
 def test_volume_function_monotone_in_h(rng):
@@ -237,14 +265,88 @@ def test_two_peak_saddle_volumes_split_the_total():
     assert np.max(errors / np.maximum(refs, 1e-12)) <= 1e-8
 
 
-def test_below_arc_sums_match_reference_bits(rng):
-    # each parent adds its children in ascending arc id, as the reference's
-    # post-order does, so every sum keeps its bits
+def test_region_sums_match_subtree_sums(rng):
+    # the tour runs of every arc's end cuts sum the same vertices as the
+    # subtree sums: counts exactly, deltas up to the certified error
     for mesh in bit_check_meshes(rng):
         order, tree, deltas = _pipeline(mesh)
-        for per_vertex in (deltas, np.ones(mesh.vertex_count)):
-            got = below_arc_sums(tree, per_vertex)
-            want = reference_below_arc_sums(tree, per_vertex)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-                assert np.array_equal(np.signbit(g), np.signbit(w))
+        below, reg_sums = reference_below_arc_sums(
+            tree, np.ones(mesh.vertex_count))
+        counts = count_weights(tree)
+        assert np.array_equal(counts.down_weight, below + reg_sums)
+        assert np.array_equal(counts.up_weight, mesh.vertex_count - below)
+        below, reg_sums = reference_below_arc_sums(tree, deltas.rows)
+        for sv in sweep_volumes(tree, deltas):
+            a = sv.superarc
+            for row, want, h in ((sv.segments[0], below[a], sv.h_lo),
+                                 (sv.segments[-1], below[a] + reg_sums[a],
+                                  sv.h_hi)):
+                assert abs(np.polyval(row, h) - np.polyval(want, h)) \
+                    <= deltas.error
+
+
+def _assert_arc_ends_match_oracle(mesh, bound):
+    order, tree, deltas = _pipeline(mesh)
+    volumes = sweep_volumes(tree, deltas)
+    top, bottom = rank_arc_end_volumes(mesh, tree)
+    total = mesh.volume
+    assert np.all(np.abs([sv.weight_top for sv in volumes] - top)
+                  <= bound * total)
+    assert np.all(np.abs([sv.weight_bottom for sv in volumes] - bottom)
+                  <= bound * total)
+    assert deltas.error <= hs.REFUSE_ABOVE * total
+    weights = volume_weights(volumes, total)
+    oracle = ArcWeights(top, total - bottom, total, weights.tie)
+    assert branch_list(decompose(tree, weights)) == \
+        branch_list(decompose(tree, oracle))
+    return deltas
+
+
+def test_tied_fields_arc_ends_match_rank_oracle():
+    # zero-width pieces carry their value and flat tets count on the side
+    # of their top-ranked corner, so a cut between tied corners reads the
+    # region's volume
+    for k, seed in ((4, 3), (50, 5)):
+        mesh = grid_to_tets((8, 8, 8), np.random.default_rng(
+            seed).integers(0, k, size=512).astype(float))
+        _assert_arc_ends_match_oracle(mesh, 1e-12)
+
+
+def test_smooth_fields_arc_ends_match_rank_oracle():
+    # Gaussian tails give narrow pieces far from h = 0, whose telescoped
+    # rows would leave residues of 1e10 T: these meshes need the exact set
+    spatial = pytest.importorskip("scipy.spatial")
+    points = np.random.default_rng(3).uniform(size=(5000, 3))
+    tets = spatial.Delaunay(points).simplices
+    centres = np.array([[0.3, 0.5, 0.5], [0.7, 0.5, 0.5]])
+    field = sum(np.exp(-20 * np.sum((points - c) ** 2, axis=1))
+                for c in centres)
+    meshes = [
+        gaussian_grid_mesh(11, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                           [1.0, 0.6], width=40.0),
+        gaussian_grid_mesh(16, centres, [1.0, 1.0], width=20.0),
+        TetMesh.create(points, field, tets),
+    ]
+    for mesh in meshes:
+        deltas = _assert_arc_ends_match_oracle(mesh, 1e-9)
+        assert 0 < len(deltas.exact) < mesh.tet_count
+
+
+def test_volumes_inside_arcs_match_region_oracle():
+    # inside an arc the crossed exact-set tets are found on demand
+    mesh = gaussian_grid_mesh(9, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                              [1.0, 0.6], width=40.0)
+    order, tree, deltas = _pipeline(mesh)
+    assert len(deltas.exact) > 0
+    errors, refs = region_volume_errors(
+        mesh, tree, sweep_volumes(tree, deltas), (0.2, 0.5, 0.8))
+    assert np.max(errors) <= 1e-9 * mesh.volume
+
+
+def test_uncertifiable_volumes_are_refused(monkeypatch):
+    mesh = gaussian_grid_mesh(9, [(0.5, 0.5, 0.5)], [1.0])
+    order = build_vertex_order(mesh)
+    error = compute_deltas(mesh, order).error
+    monkeypatch.setattr(hs, "REFUSE_ABOVE", 0.5 * error / mesh.volume)
+    with pytest.raises(FloatingPointError, match="certified volume error"):
+        compute_deltas(mesh, order)
