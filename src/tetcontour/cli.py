@@ -1,10 +1,10 @@
 """Command line pipeline: load mesh, build tree, weigh, decompose, extract.
 
-Subcommands: `run` writes tree.json, weights.csv, branches.json and one
-OBJ per top-ranked branch with an arc that is not flat, and prints the
-exact-set size, the certified volume error and per-stage wall times;
-`verify` replays the brute-force oracle suites. Reruns with the same
-inputs produce byte-identical JSON/CSV regardless of --threads.
+One subcommand, `run`: it writes tree.json, weights.csv, branches.json
+and one OBJ per top-ranked branch with an arc that is not flat, and
+prints the exact-set size, the certified volume error and per-stage wall
+times. Reruns with the same inputs produce byte-identical JSON/CSV
+regardless of --threads. The brute-force oracle suites live in the tests.
 """
 from __future__ import annotations
 
@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decomposition, hypersweep, isosurface, oracle
+from . import decomposition, hypersweep, isosurface
 from .contourtree import ContourTree, build_contour_tree
-from .geometry import build_tet_spline
-from .mesh import (MeshError, TetMesh, build_vertex_order, grid_to_tets,
-                   load_raw_grid, load_tetgen)
+from .mesh import (MeshError, TetMesh, build_vertex_order, load_raw_grid,
+                   load_tetgen)
 
 
 def _check_inputs(args):
-    """Refuse `run` flags that do not name exactly one input."""
+    """Refuse `run` flags that do not name exactly one input, or that
+    belong to the other input."""
     tetgen = args.node is not None or args.ele is not None
     grid = args.dims is not None or args.raw is not None
     if tetgen == grid:
@@ -36,6 +36,8 @@ def _check_inputs(args):
         raise ValueError("--node and --ele must be given together")
     if grid and (args.dims is None or args.raw is None):
         raise ValueError("--dims and --raw must be given together")
+    if grid and (args.fld is not None or args.field_attr is not None):
+        raise ValueError("--field and --field-attr need --node/--ele")
     if args.top < 1:
         raise ValueError("--top must be >= 1")
     if args.threads < 1:
@@ -83,9 +85,9 @@ def _pipeline(args):
         tree = build_contour_tree(mesh, order)
     with _stage(times, "weights"):
         deltas = hypersweep.compute_deltas(mesh, order, threads=args.threads)
-        volumes = hypersweep.sweep_volumes(tree, deltas)
         if args.weights == "volume":
-            weights = hypersweep.volume_weights(volumes, mesh.volume)
+            weights = hypersweep.volume_weights(
+                hypersweep.sweep_volumes(tree, deltas), mesh.volume)
         else:
             weights = hypersweep.count_weights(tree)
     with _stage(times, "branch decomposition"):
@@ -250,72 +252,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_verify(seed: int, tets: int) -> int:
-    if tets < 1:
-        raise ValueError("--tets must be >= 1")
-    rng = np.random.default_rng(seed)
-    failures = []
-
-    def report(name, ok, detail=""):
-        print(f"{'PASS' if ok else 'FAIL'} {name}{' ' + detail if detail else ''}")
-        if not ok:
-            failures.append(name)
-
-    # random tets: spline vs clipped-polytope volume
-    worst = 0.0
-    for _ in range(tets):
-        pos, vals = oracle.random_tet(rng)
-        mesh = TetMesh.create(pos, vals, np.arange(4)[None, :])
-        spline = build_tet_spline(mesh, 0, build_vertex_order(mesh))
-        hs = rng.uniform(vals.min(), vals.max(), size=64)
-        errors = oracle.clip_volume_errors(pos, vals, hs, spline(hs))
-        worst = max(worst, np.max(errors) / spline.segments[-1, 3])
-    report("spline-vs-clip", worst <= 1e-9, f"worst {worst:.3e}")
-
-    # clip volume: monotone, continuous, complementary
-    ok = True
-    for _ in range(50):
-        pos = rng.uniform(-1.0, 1.0, size=(4, 3))
-        vals = rng.uniform(-1.0, 1.0, size=4)
-        if np.unique(vals).size < 4 or \
-                abs(np.linalg.det(pos[1:] - pos[0])) < 1e-3:
-            continue
-        hs = np.sort(rng.uniform(vals.min(), vals.max(), size=12))
-        vols = [oracle.clip_volume(pos, vals, h) for h in hs]
-        ok &= all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
-        total = abs(np.linalg.det(pos[1:] - pos[0])) / 6.0
-        for h in hs[:4]:
-            comp = oracle.clip_volume(pos, -vals, -h)
-            low = oracle.clip_volume(pos, vals, h)
-            ok &= abs(low + comp - total) <= 1e-12 + 1e-12 * total
-    report("clip-monotone-complementary", ok)
-
-    # region volumes on a small random grid
-    vals = rng.normal(size=125)
-    mesh = grid_to_tets((5, 5, 5), vals)
-    order = build_vertex_order(mesh)
-    tree = build_contour_tree(mesh, order)
-    deltas = hypersweep.compute_deltas(mesh, order)
-    fracs = (0.25, 0.75)
-    errors, refs = oracle.region_volume_errors(
-        mesh, tree, hypersweep.sweep_volumes(tree, deltas), fracs)
-    # relative to the region, or to the certified volume error where that
-    # is larger
-    worst = np.max(errors / np.maximum(refs, deltas.error / 1e-8))
-    report("region-volume", worst <= 1e-8, f"worst {worst:.3e}")
-
-    # contour counts vs straddling superarcs, off the supernode values
-    sn_vals = tree.values[tree.supernodes]
-    hs = [h for h in rng.uniform(mesh.values.min(), mesh.values.max(),
-                                 size=8)
-          if np.min(np.abs(sn_vals - h)) >= 1e-12]
-    mismatches = oracle.contour_count_mismatches(mesh, tree, hs)
-    report("contour-count", len(hs) > 0 and mismatches == 0,
-           f"{len(hs)} thresholds, {mismatches} mismatches")
-
-    return 1 if failures else 0
-
-
 def _parse_isovalue(items):
     overrides = {}
     for item in items or []:
@@ -351,18 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--isovalue", action="append", metavar="SUPERARC=H",
                      help="override the extraction isovalue of a superarc")
     run.add_argument("--out", default=".")
-    verify = sub.add_parser("verify", help="oracle property suites")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tets", type=int, default=1000)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_verify(args.seed, args.tets)
+        return cmd_run(args)
     except StageError as exc:
         print(f"error in {exc}", file=sys.stderr)
         return 1

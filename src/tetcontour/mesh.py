@@ -9,6 +9,7 @@ all sweep algorithms, and the one row-wise cross and triple product.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -365,9 +366,11 @@ def load_tetgen(node_path, ele_path, field_path=None,
 def load_raw_grid(raw_path, dims, spacing=(1.0, 1.0, 1.0)) -> TetMesh:
     """Little-endian float64 grid in x-fastest layout, then Kuhn split."""
     nx, ny, nz = (int(d) for d in dims)
-    values = np.fromfile(raw_path, dtype="<f8")
-    if values.shape[0] != nx * ny * nz:
+    # checked in bytes: np.fromfile drops a trailing partial value
+    size = os.path.getsize(raw_path)
+    if size != 8 * nx * ny * nz:
         raise DataError(
-            f"{raw_path}: expected {nx * ny * nz} float64 values, "
-            f"got {values.shape[0]}")
+            f"{raw_path}: expected {8 * nx * ny * nz} bytes "
+            f"({nx * ny * nz} float64 values), got {size}")
+    values = np.fromfile(raw_path, dtype="<f8")
     return grid_to_tets((nx, ny, nz), values, spacing)

@@ -1,4 +1,4 @@
-"""Brute-force geometric references used by tests and `ct verify`.
+"""Brute-force geometric references used by the tests.
 
 Everything here deliberately uses explicit polytope construction rather
 than the analytic coefficient algebra of the main path, so the two sides

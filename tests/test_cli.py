@@ -41,11 +41,16 @@ def tetgen_input(tmp_path):
 
 def test_config_requires_exactly_one_input(tmp_path, capsys):
     out = tmp_path / "out"
+    raw = tmp_path / "g.f64"
+    np.arange(8, dtype="<f8").tofile(raw)
     for flags in ([],
                   ["--node", "a", "--ele", "b",
                    "--dims", "2", "2", "2", "--raw", "c"],
                   ["--node", "a"],                  # .ele missing
-                  ["--dims", "2", "2", "2", "--raw", "c", "--top", "0"]):
+                  ["--dims", "2", "2", "2", "--raw", "c", "--top", "0"],
+                  # TetGen field flags on a grid input
+                  ["--dims", "2", "2", "2", "--raw", str(raw),
+                   "--field", "nope.txt", "--field-attr", "3"]):
         assert main(["run", *flags, "--out", str(out)]) == 1
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
@@ -192,6 +197,18 @@ def test_isovalue_for_missing_superarc_is_reported(tmp_path, grid_input,
     assert (f"error: --isovalue names superarc {other}, which no extracted "
             f"branch uses") in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_count_weights_skip_swept_volumes(tmp_path, grid_input,
+                                          monkeypatch):
+    # under count weights nothing reads the swept volumes; the certificate
+    # comes from the deltas
+    def refuse(*args):
+        raise AssertionError("sweep_volumes called")
+
+    monkeypatch.setattr(hypersweep, "sweep_volumes", refuse)
+    assert main(["run", *grid_input, "--weights", "count",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_loads_through_module_hook(tmp_path, grid_input, monkeypatch):
@@ -414,43 +431,3 @@ def test_flat_branches_are_not_extracted(tmp_path, capsys):
                 if b["extraction"] is None] == expected
         flats += len(expected)
     assert flats > 0
-
-
-def test_verify_passes(capsys):
-    assert main(["verify", "--seed", "42", "--tets", "60"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS spline-vs-clip" in out
-    assert "FAIL" not in out
-
-
-@pytest.mark.parametrize("seed", [0, 7, 12])
-def test_verify_region_volume_roundoff_passes(seed, capsys):
-    # each seed's grid has a small region (1.7e-10 to 3.9e-6) whose volume
-    # cancels deltas of absolute sum 6e2 to 2e4, so its error is roundoff
-    # above 1e-8 relative but under the derived floor
-    assert main(["verify", "--seed", str(seed), "--tets", "10"]) == 0
-    assert "PASS region-volume" in capsys.readouterr().out
-
-
-def test_verify_fails_when_a_check_fails(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "clip_volume_errors",
-                        lambda pos, vals, hs, volumes: np.ones(len(hs)))
-    assert main(["verify", "--seed", "42", "--tets", "5"]) == 1
-    assert "FAIL spline-vs-clip" in capsys.readouterr().out
-
-
-def test_verify_refuses_fewer_than_one_tet(capsys):
-    assert main(["verify", "--tets", "-3"]) == 1
-    captured = capsys.readouterr()
-    assert "error: --tets must be >= 1" in captured.err
-    assert "PASS" not in captured.out
-
-
-def test_verify_contour_count_fails_without_thresholds(monkeypatch, capsys):
-    # on a constant field every threshold sits on a supernode value and
-    # is dropped, so the suite has nothing left to compare
-    grid_to_tets = cli.grid_to_tets
-    monkeypatch.setattr(cli, "grid_to_tets", lambda dims, values:
-                        grid_to_tets(dims, np.zeros_like(values)))
-    assert main(["verify", "--seed", "42", "--tets", "5"]) == 1
-    assert "FAIL contour-count 0 thresholds" in capsys.readouterr().out

@@ -165,6 +165,18 @@ def test_superarc_volumes_match_region_oracle(rng):
             mesh, tree, sweep_volumes(tree, deltas), (0.2, 0.5, 0.8))
         worst = max(worst, np.max(errors / np.maximum(refs, 1e-12)))
     assert worst <= 1e-8
+    # each grid has a region of 1.5e-11 to 6.5e-9 of the mesh volume whose
+    # error, roundoff from cancelling far larger deltas, is above 1e-8 of
+    # the region; the bound is 1e-8 of the region or the certified volume
+    # error, whichever is larger
+    for seed in (5, 8, 23, 28):
+        mesh = grid_to_tets(
+            (5, 5, 5), np.random.default_rng(seed).normal(size=125))
+        order, tree, deltas = _pipeline(mesh)
+        errors, refs = region_volume_errors(
+            mesh, tree, sweep_volumes(tree, deltas), (0.25, 0.75))
+        assert refs.min() < 1e-8 * mesh.volume
+        assert np.max(errors / np.maximum(refs, deltas.error / 1e-8)) <= 1e-8
 
 
 def test_tied_integer_fields_match_both_oracles():

@@ -347,7 +347,11 @@ def test_load_raw_grid(tmp_path):
 
 
 def test_load_raw_grid_size_mismatch(tmp_path):
+    # 7 values, and 8 values plus 3 trailing bytes, which np.fromfile
+    # alone would read as 8 values
     raw = tmp_path / "g.f64"
-    np.arange(7, dtype="<f8").tofile(raw)
-    with pytest.raises(DataError):
-        load_raw_grid(raw, (2, 2, 2), (1.0, 1.0, 1.0))
+    for data in (np.arange(7, dtype="<f8").tobytes(),
+                 np.arange(8, dtype="<f8").tobytes() + b"\0\0\0"):
+        raw.write_bytes(data)
+        with pytest.raises(DataError, match=f"got {len(data)}$"):
+            load_raw_grid(raw, (2, 2, 2), (1.0, 1.0, 1.0))
