@@ -333,45 +333,65 @@ def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:
                        build_split_tree(links, order), order, mesh.values)
 
 
-def _arc_contains(tree: ContourTree, sn_vals, arc: int, h: float) -> bool:
-    lo, hi = tree.superarcs[arc]
-    return sn_vals[lo] <= h < sn_vals[hi]
+def _arc_contains(tree: ContourTree, arc: int, h: float) -> bool:
+    lo, hi = tree.superarcs[arc].tolist()
+    values, supernodes = tree.values, tree.supernodes
+    return bool(values[supernodes[lo]] <= h < values[supernodes[hi]])
 
 
-def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float) -> set:
+def _arcs_past(tree: ContourTree, sn: int, h: float, memo: dict) -> frozenset:
+    """The arcs holding h that a value-monotone walk reaches past supernode
+    sn: up when its value is at or below h, else down. The direction is
+    fixed by sn alone, so one memo of (tree, h) serves both directions;
+    an explicit stack, since a walk can pass thousands of supernodes."""
+    stack = [sn]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        up = bool(tree.values[tree.supernodes[s]] <= h)
+        found, pending = set(), []
+        for a in (tree.up_arcs[s] if up else tree.down_arcs[s]):
+            if _arc_contains(tree, a, h):
+                found.add(a)
+                continue
+            # the arc lies wholly before h: its far end walks on the same way
+            far = int(tree.superarcs[a, int(up)])
+            if far in memo:
+                found |= memo[far]
+            else:
+                pending.append(far)
+        if pending:
+            stack += pending
+        else:
+            stack.pop()
+            memo[s] = frozenset(found)
+    return memo[sn]
+
+
+def straddling_arcs(tree: ContourTree, seed_vertex: int, h: float,
+                    memo: dict | None = None) -> frozenset:
     """All superarcs containing isovalue h reachable from the seed by a
     value-monotone walk (upward when h is at or above the seed's value).
 
-    A regular seed starts from its own superarc. A supernode seed starts
-    from every arc leaving it in the walk's direction (all up-arcs of a
-    split saddle, not only its canonical one), or from its canonical arc
-    at an extremum with no arc that way.
-    """
-    sn_vals = tree.values[tree.supernodes]
-    up_arcs, down_arcs = tree.up_arcs, tree.down_arcs
-    going_up = h >= tree.values[seed_vertex]
-    sn = tree.supernode_of[seed_vertex]
-    starts = (up_arcs[sn] if going_up else down_arcs[sn]) if sn >= 0 else []
-    if not starts:
-        starts = [int(tree.arc_of[seed_vertex])]
-    # a start arc either contains h or lies wholly before it on the walk
-    hits = {a for a in starts if _arc_contains(tree, sn_vals, a, h)}
-    stack = [a for a in starts if a not in hits]
-    visited = set(starts)
-    while stack:
-        arc = stack.pop()
-        lo, hi = tree.superarcs[arc]
-        nxt = up_arcs[hi] if going_up else down_arcs[lo]
-        for b in nxt:
-            if b in visited:
-                continue
-            visited.add(b)
-            if _arc_contains(tree, sn_vals, b, h):
-                hits.add(b)
-            else:
-                blo, bhi = tree.superarcs[b]
-                past = (h >= sn_vals[bhi]) if going_up else (h < sn_vals[blo])
-                if past:
-                    stack.append(b)
-    return hits
+    A regular seed whose own arc holds h finds that arc alone. Any other
+    regular seed walks exactly as its arc's end supernode does, the upper
+    one when the walk goes up and the lower one when it goes down: the
+    arc lies wholly before h, and past that end the two walks visit the
+    same arcs. A supernode seed walks through every arc leaving it in the
+    walk's direction (all up-arcs of a split saddle, not only its
+    canonical one); at an extremum with no arc that way it finds nothing.
 
+    memo, a dict shared by calls on one tree at one h, keeps the arcs
+    found past each supernode, so calls that share it visit each
+    supernode once between them. Each call does work only along its walk.
+    """
+    memo = {} if memo is None else memo
+    sn = int(tree.supernode_of[seed_vertex])
+    if sn < 0:
+        arc = int(tree.arc_of[seed_vertex])
+        if _arc_contains(tree, arc, h):
+            return frozenset((arc,))
+        sn = int(tree.superarcs[arc, int(tree.values[seed_vertex] <= h)])
+    return _arcs_past(tree, sn, h, memo)

@@ -39,6 +39,9 @@ _QUAD = {
     0b1001: ((0, 1), (3, 1), (3, 2), (0, 2)),
 }
 
+# the lowest set bit of a 4-bit code: the first below corner of a cut tet
+_LOWEST_BIT = np.array([(c & -c).bit_length() - 1 for c in range(16)])
+
 
 @dataclass
 class TriangleSoup:
@@ -64,19 +67,24 @@ class TriangleSoup:
 
 def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
     """Level-set triangles at isovalue h."""
-    below = mesh.values[mesh.tets] <= h
-    code = (below * (1 << np.arange(4))).sum(axis=1)
+    values, tets = mesh.values, mesh.tets
+    code = np.zeros(mesh.tet_count, dtype=np.uint8)
+    for i in range(4):
+        code |= (values[tets[:, i]] <= h).view(np.uint8) << i
+    # only the tets the level cuts, in ascending order within each pattern
+    cut = np.flatnonzero((code > 0) & (code < 15))
+    cut_code = code[cut]
 
     tri_edges = []      # (t, 3, 2) local corner pairs
     tri_tets = []
     for pattern, corners in _ONE_TRI.items():
-        rows = np.flatnonzero(code == pattern)
+        rows = cut[cut_code == pattern]
         if rows.size:
             tri_edges.append(np.broadcast_to(
                 np.asarray(corners, dtype=np.int64), (rows.size, 3, 2)))
             tri_tets.append(rows)
     for pattern, quad in _QUAD.items():
-        rows = np.flatnonzero(code == pattern)
+        rows = cut[cut_code == pattern]
         if rows.size:
             q = np.asarray(quad, dtype=np.int64)
             fan = np.stack([q[[0, 1, 2]], q[[0, 2, 3]]])   # (2, 3, 2)
@@ -116,9 +124,9 @@ def march_tets(mesh: TetMesh, h: float) -> TriangleSoup:
     p = points[triangles]
     normal = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     # the crossing edge: the tet's first below corner, its first above one
-    bel = mesh.values[tet_rows] <= h
+    tri_code = code[rows]
     crossing = np.take_along_axis(tet_rows, np.stack(
-        [np.argmax(bel, axis=1), np.argmax(~bel, axis=1)], axis=1), axis=1)
+        [_LOWEST_BIT[tri_code], _LOWEST_BIT[15 ^ tri_code]], axis=1), axis=1)
     ref = mesh.positions[crossing[:, 1]] - mesh.positions[crossing[:, 0]]
     flip = np.einsum("ij,ij->i", normal, ref) < 0
     triangles[flip] = triangles[flip][:, ::-1]
@@ -135,19 +143,44 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
     component sits on the unique superarc straddling h on the tree path
     between v and u; the path is value-monotone for a mesh edge, so the arc
     is the intersection of the monotone walks up from v and down from u.
-    Labels go into soup.superarc. A vertex at or below h only ever walks
-    up and one above h only down, so one cache holds every walk. mesh is
-    unread; it stays in the signature until seed-and-flood extraction
-    takes labeling off the hot path.
+    Labels go into soup.superarc; a triangle whose walks share no arc or
+    several keeps its -1.
+
+    Each crossing end gets a walk key: a regular end whose own arc holds h
+    finds that arc alone and needs no walk; any other regular end walks
+    exactly as its arc's upper supernode (end at or below h) or lower one
+    (end above h), as straddling_arcs explains; a supernode end is its own
+    key. So the labels are those of one walk per end, computed once per
+    distinct (below key, above key) pair, with at most one straddling_arcs
+    call per supernode, all sharing one memo. mesh is unread; it stays in
+    the signature until seed-and-flood extraction takes labeling off the
+    hot path.
     """
-    walks = {}
-    for i, (v, u) in enumerate(soup.crossing.tolist()):
-        for w in (v, u):
-            if w not in walks:
-                walks[w] = straddling_arcs(tree, w, h)
-        both = walks[v] & walks[u]
+    k = tree.supernode_count
+    ends = soup.crossing
+    arc = tree.arc_of[ends]
+    arc_ends = tree.superarcs[arc]                      # (t, 2, 2) lo, hi
+    end_vals = tree.values[tree.supernodes[arc_ends]]
+    holds = (end_vals[..., 0] <= h) & (h < end_vals[..., 1])
+    walks_as = np.where(tree.values[ends] <= h, arc_ends[..., 1],
+                        arc_ends[..., 0])
+    own_sn = tree.supernode_of[ends]
+    keys = np.where(own_sn >= 0, own_sn, np.where(holds, k + arc, walks_as))
+    # one code per (below key, above key) pair, keys < 2k
+    pairs, inverse = np.unique(keys[:, 0] * (2 * k) + keys[:, 1],
+                               return_inverse=True)
+    below, above = np.divmod(pairs, 2 * k)
+    memo = {}
+    walks = {key: frozenset((key - k,)) if key >= k else
+             straddling_arcs(tree, int(tree.supernodes[key]), h, memo)
+             for key in np.union1d(below, above).tolist()}
+    labels = np.full(pairs.shape[0], -1, dtype=np.int64)
+    for i, (b, a) in enumerate(zip(below.tolist(), above.tolist())):
+        both = walks[b] & walks[a]
         if len(both) == 1:
-            soup.superarc[i] = both.pop()
+            (labels[i],) = both
+    found = labels[inverse.reshape(-1)]
+    np.copyto(soup.superarc, found, where=found >= 0)
 
 
 def extract_superarc_contour(mesh: TetMesh, tree: ContourTree,

@@ -218,29 +218,39 @@ def clip_area(positions, values, h) -> float:
     return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
-def _low_side_vertices(mesh: TetMesh, tree, superarc: int) -> np.ndarray:
+def _cut_data(mesh: TetMesh, tree, clips: dict):
+    """(adjacency, tet volumes) of one (mesh, tree), built on the first
+    call and kept in the clips cache next to the clipped volumes. The
+    adjacency lists each supernode's (neighbour, arc) pairs in arc order."""
+    if "cut data" not in clips:
+        adj = [[] for _ in range(tree.supernode_count)]
+        for a, (lo, hi) in enumerate(tree.superarcs.tolist()):
+            adj[lo].append((hi, a))
+            adj[hi].append((lo, a))
+        clips["cut data"] = adj, tet_volumes(mesh.positions, mesh.tets)
+    return clips["cut data"]
+
+
+def _low_side_vertices(mesh: TetMesh, tree, superarc: int,
+                       adj) -> np.ndarray:
     """Boolean mask: vertices on the low-value side of a cut through the arc.
 
     Cutting one superarc splits the tree in two; the low side is the
     component containing the arc's lower supernode, with the arc's own
-    regular vertices classified by value against the query later.
+    regular vertices classified by value against the query later. adj is
+    the supernode adjacency of _cut_data.
     """
-    n_arcs = len(tree.superarcs)
-    lo_sn, hi_sn = tree.superarcs[superarc]
+    lo_sn = tree.superarcs[superarc, 0]
     # BFS over supernodes through every arc except the cut one
-    adj = [[] for _ in range(len(tree.supernodes))]
-    for a, (lo, hi) in enumerate(tree.superarcs):
-        if a == superarc:
-            continue
-        adj[lo].append((hi, a))
-        adj[hi].append((lo, a))
-    seen_sn = np.zeros(len(tree.supernodes), dtype=bool)
-    seen_arc = np.zeros(n_arcs, dtype=bool)
+    seen_sn = np.zeros(tree.supernode_count, dtype=bool)
+    seen_arc = np.zeros(tree.superarc_count, dtype=bool)
     stack = [lo_sn]
     seen_sn[lo_sn] = True
     while stack:
         s = stack.pop()
         for t, a in adj[s]:
+            if a == superarc:
+                continue
             seen_arc[a] = True
             if not seen_sn[t]:
                 seen_sn[t] = True
@@ -252,20 +262,23 @@ def _low_side_vertices(mesh: TetMesh, tree, superarc: int) -> np.ndarray:
     return mask
 
 
-def region_volume(mesh: TetMesh, tree, superarc: int, h: float) -> float:
+def region_volume(mesh: TetMesh, tree, superarc: int, h: float,
+                  clips=None) -> float:
     """Volume of the region hanging on the low side of (superarc, h).
 
     The region is the preimage of the tree component below a cut of the
     superarc at isovalue h: side branches count in full, and only the tets
-    straddling the level-h contour get clipped. Meant for small meshes.
+    straddling the level-h contour get clipped. clips, a dict, is the
+    cache of rank_region_volume; calls on one (mesh, tree) may share it.
+    Meant for small meshes.
     """
-    mask = _low_side_vertices(mesh, tree, superarc)
+    adj, vols = _cut_data(mesh, tree, {} if clips is None else clips)
+    mask = _low_side_vertices(mesh, tree, superarc, adj)
     regs = tree.arc_regulars[superarc]
     if len(regs):
         mask[regs] = mesh.values[regs] <= h
     in_tet = mask[mesh.tets]
     touched = np.flatnonzero(np.any(in_tet, axis=1))
-    vols = tet_volumes(mesh.positions, mesh.tets)
     total = 0.0
     for t in touched:
         inside = in_tet[t]
@@ -293,17 +306,18 @@ def rank_region_volume(mesh: TetMesh, tree, superarc: int, top: bool,
     all below at the top cut and all above at the bottom cut. A tet with
     some but not all corners below is clipped at the cut's value; a flat
     tet (all four values tied) counts wholly on the side of its top-ranked
-    corner, the one of largest vertex index. clips, a dict, caches clipped
-    volumes by (tet, value) across calls. Meant for small meshes.
+    corner, the one of largest vertex index. clips, a dict that calls on
+    one (mesh, tree) may share, caches clipped volumes by (tet, value),
+    the supernode adjacency and the tet volumes. Meant for small meshes.
     """
     clips = {} if clips is None else clips
-    mask = _low_side_vertices(mesh, tree, superarc)
+    adj, vols = _cut_data(mesh, tree, clips)
+    mask = _low_side_vertices(mesh, tree, superarc, adj)
     mask[tree.arc_regulars[superarc]] = top
     h = float(tree.values[tree.supernodes[tree.superarcs[superarc,
                                                          int(top)]]])
     in_tet = mask[mesh.tets]
     count = in_tet.sum(axis=1)
-    vols = tet_volumes(mesh.positions, mesh.tets)
     partial = np.flatnonzero((count > 0) & (count < 4))
     tets = mesh.tets[partial]
     tet_vals = mesh.values[tets]
@@ -375,10 +389,11 @@ def region_volume_errors(mesh: TetMesh, tree, volumes, fracs):
     region_volume at h = h_lo + frac * (h_hi - h_lo) on every superarc."""
     errors = np.empty((len(volumes), len(fracs)))
     refs = np.empty_like(errors)
+    clips = {}
     for i, sv in enumerate(volumes):
         for j, frac in enumerate(fracs):
             h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
-            refs[i, j] = region_volume(mesh, tree, sv.superarc, h)
+            refs[i, j] = region_volume(mesh, tree, sv.superarc, h, clips)
             errors[i, j] = abs(float(sv(h)) - refs[i, j])
     return errors, refs
 

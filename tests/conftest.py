@@ -322,6 +322,71 @@ def reference_march_tets(mesh, h):
     return points, triangles
 
 
+def reference_walker(tree, h):
+    """straddling_arcs without walk keys or memo, as a function of the
+    seed vertex: one value-monotone walk from the seed's own start arcs,
+    arc by arc. It is the reference the memoised supernode walks are
+    checked against, and returns the superarcs holding h it reaches."""
+    sn_vals = tree.values[tree.supernodes].tolist()
+    arcs = tree.superarcs.tolist()
+    supernode_of = tree.supernode_of.tolist()
+    arc_of = tree.arc_of.tolist()
+    values = tree.values.tolist()
+
+    lo_val = [sn_vals[lo] for lo, _ in arcs]
+    hi_val = [sn_vals[hi] for _, hi in arcs]
+    done = {}
+
+    def walk(seed_vertex):
+        going_up = h >= values[seed_vertex]
+        sn = supernode_of[seed_vertex]
+        arcs_out = tree.up_arcs if going_up else tree.down_arcs
+        starts = arcs_out[sn] if sn >= 0 else []
+        if not starts:
+            starts = [arc_of[seed_vertex]]
+        # the rest reads only the start arcs and the direction
+        key = going_up, tuple(starts)
+        if key not in done:
+            done[key] = walk_from(starts, going_up, arcs_out)
+        return set(done[key])
+
+    def walk_from(starts, going_up, arcs_out):
+        # a start arc either holds h or lies wholly before it on the walk
+        hits = {a for a in starts if lo_val[a] <= h < hi_val[a]}
+        stack = [a for a in starts if a not in hits]
+        visited = set(starts)
+        while stack:
+            lo, hi = arcs[stack.pop()]
+            for b in arcs_out[hi if going_up else lo]:
+                if b not in visited:
+                    visited.add(b)
+                    if lo_val[b] <= h < hi_val[b]:
+                        hits.add(b)
+                    elif h >= hi_val[b] if going_up else h < lo_val[b]:
+                        stack.append(b)
+        return hits
+
+    return walk
+
+
+def reference_labels(tree, soup, h):
+    """Superarc labels from one walk per distinct triangle end: the
+    reference the per-supernode walks of label_superarcs are checked
+    against. A triangle's label is the single arc both walks of its
+    crossing edge reach, else -1."""
+    walk = reference_walker(tree, h)
+    labels = np.full(soup.triangle_count, -1, dtype=np.int64)
+    walks = {}
+    for i, (v, u) in enumerate(soup.crossing.tolist()):
+        for w in (v, u):
+            if w not in walks:
+                walks[w] = walk(w)
+        both = walks[v] & walks[u]
+        if len(both) == 1:
+            labels[i] = both.pop()
+    return labels
+
+
 def branch_list(branches):
     """Each branch by rank: its superarcs, attachment supernode and
     parent, which is what two decompositions must share to agree."""

@@ -3,16 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tetcontour.contourtree import build_contour_tree
+from tetcontour import isosurface
+from tetcontour.contourtree import build_contour_tree, straddling_arcs
 from tetcontour.isosurface import (euler_characteristic,
                                    extract_superarc_contour, label_superarcs,
                                    march_tets, read_obj, write_mtl, write_obj)
-from tetcontour.mesh import build_vertex_order
+from tetcontour.mesh import TetMesh, build_vertex_order, grid_to_tets
 from tetcontour.oracle import reference_contour_count
 
 from conftest import (bit_check_meshes, gaussian_grid_mesh,
-                      random_grid_mesh, reference_march_tets,
-                      reference_write_obj, single_tet_mesh, two_peak_mesh,
+                      random_grid_mesh, reference_labels,
+                      reference_march_tets, reference_write_obj,
+                      single_tet_mesh, two_peak_mesh,
                       UNIT_TET_POSITIONS, UNIT_TET_VALUES)
 
 
@@ -135,6 +137,89 @@ def test_two_peak_filter_isolates_one_component():
     total = sum(extract_superarc_contour(mesh, tree, a, h).triangle_count
                 for a in arcs)
     assert total == soup.triangle_count
+
+
+def _noisy_grid(n, seed=1):
+    return grid_to_tets((n, n, n), np.random.default_rng(seed).normal(
+        size=n ** 3))
+
+
+def _label_meshes(name):
+    if name == "two-bump 16^3":
+        return [gaussian_grid_mesh(16, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                                   [1.0, 0.8], width=20.0)]
+    if name == "noisy 12^3":
+        return [_noisy_grid(12)]
+    if name == "delaunay two-bump":
+        spatial = pytest.importorskip("scipy.spatial")
+        points = np.random.default_rng(0).uniform(size=(2000, 3))
+        field = sum(np.exp(-20.0 * ((points[:, 0] - cx) ** 2
+                                    + (points[:, 1] - 0.5) ** 2
+                                    + (points[:, 2] - 0.5) ** 2))
+                    for cx in (0.3, 0.7))
+        return [TetMesh.create(points, field,
+                               spatial.Delaunay(points).simplices)]
+    return [grid_to_tets((8, 8, 8), np.random.default_rng(seed).integers(
+        0, 4, size=512).astype(float)) for seed in range(10)]
+
+
+@pytest.mark.parametrize("name", ["two-bump 16^3", "noisy 12^3",
+                                  "delaunay two-bump", "integer 8^3"])
+def test_labels_match_per_triangle_reference(name):
+    # the mid value of every superarc that is not flat, where `ct run`
+    # extracts, and every supernode value, where a vertex sits at h and
+    # counts as below
+    for mesh in _label_meshes(name):
+        tree = _tree(mesh)
+        hs = [0.5 * (lo + hi) for lo, hi in map(
+            tree.arc_value_range, range(tree.superarc_count)) if lo < hi]
+        hs += np.unique(tree.values[tree.supernodes]).tolist()
+        # the noisy grid's 1,083 levels take the reference half a minute;
+        # every third keeps both kinds
+        for h in hs[::3] if name == "noisy 12^3" else hs:
+            soup = march_tets(mesh, h)
+            label_superarcs(mesh, tree, soup, h)
+            assert np.array_equal(soup.superarc,
+                                  reference_labels(tree, soup, h)), h
+
+
+def test_label_walks_once_per_supernode(monkeypatch):
+    mesh = _noisy_grid(12)
+    tree = _tree(mesh)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return straddling_arcs(*args, **kwargs)
+
+    monkeypatch.setattr(isosurface, "straddling_arcs", counted)
+    for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+        h = float(np.quantile(mesh.values, q))
+        soup = march_tets(mesh, h)
+        calls.clear()
+        label_superarcs(mesh, tree, soup, h)
+        assert len(calls) <= tree.supernode_count
+        assert len(calls) == len(set(calls))
+        # one walk per distinct triangle end would be far more
+        assert len(calls) < np.unique(soup.crossing).size
+
+
+def test_deep_walks_match_reference():
+    # a 2,400-vertex ridge of peaks and saddles falling toward its far end:
+    # the walk down from its first peak passes every join saddle in turn
+    n = 2400
+    grid = np.zeros((3, 3, n))                   # x fastest after ravel
+    i = np.arange(n)
+    grid[1, 1] = np.where(i % 2 == 0, 10.0, 5.0) - 1e-3 * i
+    values = grid.ravel() + 1e-6 * np.random.default_rng(0).normal(
+        size=grid.size)
+    mesh = grid_to_tets((n, 3, 3), values)
+    tree = _tree(mesh)
+    # thousands of supernodes: deeper than Python's recursion limit
+    assert tree.supernode_count > 8000
+    soup = march_tets(mesh, 1.0)
+    label_superarcs(mesh, tree, soup, 1.0)
+    assert np.array_equal(soup.superarc, reference_labels(tree, soup, 1.0))
 
 
 def test_march_tets_matches_reference_bits(rng):
