@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import StructuralError, TetMesh, VertexOrder
+from .mesh import _CHUNK, StructuralError, TetMesh, VertexOrder
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,33 @@ def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
 
     One 1-D sort of the codes (lo * n + hi) * 2 + skip: a key's group ends
     in a skipping code whenever any tet skips the pair, so the pairs kept
-    are the keys whose last code is consecutive.
+    are the keys whose last code is consecutive. The codes are filled, and
+    the kept ones marked, in blocks of _CHUNK tets.
     """
     n = mesh.vertex_count
-    r = np.sort(order.rank[mesh.tets], axis=1)
-    codes = r[:, _PAIR_LO] * n
-    codes += r[:, _PAIR_HI]
-    codes *= 2
-    codes[:, 3:] += 1
+    m = mesh.tet_count
+    codes = np.empty((m, 6), dtype=np.int64)
+    for lo in range(0, m, _CHUNK):
+        r = np.sort(order.rank[mesh.tets[lo:lo + _CHUNK]], axis=1)
+        block = codes[lo:lo + _CHUNK]
+        np.multiply(r[:, _PAIR_LO], n, out=block)
+        block += r[:, _PAIR_HI]
+        block *= 2
+        block[:, 3:] += 1
     codes = codes.ravel()
     codes.sort()
-    keys = codes >> 1
-    last = np.ones(keys.shape, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    last &= (codes & 1) == 0
-    lo, hi = np.divmod(keys[last], n)
+    # an even code c is its key's last exactly when the next code exceeds
+    # c | 1 = c + 1: a copy of c or the skipping code c + 1 would not
+    kept = np.empty(codes.shape, dtype=bool)
+    step = 6 * _CHUNK
+    for lo in range(0, codes.size, step):
+        c = codes[lo:lo + step + 1]
+        out = kept[lo:lo + step]
+        np.equal(c[:out.size] & 1, 0, out=out)
+        out[:c.size - 1] &= c[1:] > (c[:-1] | 1)
+    keys = codes[kept]
+    keys >>= 1
+    lo, hi = np.divmod(keys, n)
     unused = np.bincount(mesh.tets.ravel(), minlength=n) == 0
     return MonotoneLinks(lo, hi, int(np.count_nonzero(unused)))
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TetMesh, VertexOrder, tet_volumes
+from .mesh import TetMesh, VertexOrder
 
 
 def horner(rows, h):
@@ -75,7 +75,7 @@ def build_tet_spline(mesh: TetMesh, tet_index: int,
     segments 0, the three pieces and the constant tet volume."""
     verts = order.sort_tets(mesh.tets[tet_index])
     values = mesh.values[verts]
-    total = tet_volumes(mesh.positions, verts[None])
+    total = mesh.tet_volume[[tet_index]]
     p1, p2, p3 = batch_spline_coefficients(total, values[None])
     return PiecewiseCubic(values, np.concatenate(
         [np.zeros((1, 4)), p1, p2, p3, [[0.0, 0.0, 0.0, total[0]]]]))

@@ -46,10 +46,9 @@ import numpy as np
 from .contourtree import ContourTree
 from .geometry import (PiecewiseCubic, batch_spline_coefficients, horner,
                        local_volume, rounding_bound)
-from .mesh import TetMesh, VertexOrder, tet_volumes
+from .mesh import _CHUNK, TetMesh, VertexOrder
 
 
-_CHUNK = 8192
 EXACT_BUDGET = 1e-10
 REFUSE_ABOVE = 1e-9
 _U = 2.0 ** -53                 # unit roundoff of float64
@@ -84,8 +83,8 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     telescope to (0, 0, 0, total mesh volume).
 
     Two passes, each over blocks of _CHUNK tets, threads blocks at once.
-    The first takes every tet's volume and its rounding bound from the
-    volume and sorted values; the split keeps the tets of smallest bound.
+    The first takes every tet's rounding bound from its volume, kept from
+    load, and sorted values; the split keeps the tets of smallest bound.
     The second runs the spline kernel on blocks of the telescoped tets,
     their corners sorted by rank, and groups their per-corner difference
     rows into rounds: round k holds the k-th row of every vertex in the
@@ -106,18 +105,16 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     n = mesh.vertex_count
     big = float(np.max(np.abs(mesh.values)))
     starts = range(0, mesh.tet_count, _CHUNK)
+    volume = mesh.tet_volume
 
     def bounds(lo):
-        tets = mesh.tets[lo:lo + _CHUNK]
-        volume = tet_volumes(mesh.positions, tets)
-        values = np.sort(mesh.values[tets], axis=1)
-        return volume, rounding_bound(volume, values, big)
+        values = np.sort(mesh.values[mesh.tets[lo:lo + _CHUNK]], axis=1)
+        return rounding_bound(volume[lo:lo + _CHUNK], values, big)
 
     deltas = np.zeros((n, 4))
     comp = np.zeros((n, 4))
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        volume, bound = (np.concatenate(parts) for parts in
-                         zip(*ex.map(bounds, starts)))
+        bound = np.concatenate(list(ex.map(bounds, starts)))
         kept = _cheapest(bound, EXACT_BUDGET * mesh.volume)
 
         def rounds(lo):
@@ -298,6 +295,7 @@ class _ExactPart:
         self.tour = tour
         self.corners = deltas.exact
         self.volume = deltas.exact_volume
+        self._candidates = {}
 
     def arc_ends(self):
         """(top, bottom): per superarc, the crossed exact-set volume at a
@@ -337,6 +335,21 @@ class _ExactPart:
         return tuple(np.bincount(arcs[end == e], weights=v[end == e],
                                  minlength=k) for e in (1, 0))
 
+    def candidates(self, arc: int) -> np.ndarray:
+        """Ascending ids of the tets a cut of arc can cross, memoised per
+        arc: a corner in the arc's run start:stop and a corner outside
+        its part past the regular vertices. A cut's run lies between
+        the two, so every tet it crosses is one of these."""
+        if arc not in self._candidates:
+            tour = self.tour
+            key = tour.key[self.corners]
+            start, stop = tour.start[arc], tour.stop[arc]
+            past = start + tour.regulars[arc]
+            self._candidates[arc] = np.flatnonzero(
+                ((key >= start) & (key < stop)).any(axis=1)
+                & ((key < past) | (key >= stop)).any(axis=1))
+        return self._candidates[arc]
+
     def __call__(self, arc: int, h: float) -> float:
         """The crossed exact-set volume of arc's cut at h, the arc's
         regular vertices at or below h counted below."""
@@ -344,14 +357,15 @@ class _ExactPart:
         regs = tree.arc_regulars[arc]
         lo, hi, inside = self.tour.cut(
             arc, np.searchsorted(tree.values[regs], h, side="right"))
-        key = self.tour.key[self.corners]
+        tets = self.candidates(arc)
+        key = self.tour.key[self.corners[tets]]
         count = ((key >= lo) & (key < hi)).sum(axis=1)
         if not inside:
             count = 4 - count
         crossed = (count > 0) & (count < 4)
         return float(np.sum(local_volume(
-            self.volume[crossed], tree.values[self.corners[crossed]], h,
-            count[crossed])))
+            self.volume[tets[crossed]],
+            tree.values[self.corners[tets[crossed]]], h, count[crossed])))
 
 
 @dataclass(frozen=True)

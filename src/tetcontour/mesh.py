@@ -17,6 +17,11 @@ from itertools import chain, islice
 import numpy as np
 
 
+# tets per block of every whole-mesh pass over the tets: the load checks,
+# the volumes, the link codes and compute_deltas
+_CHUNK = 8192
+
+
 class MeshError(Exception):
     """Base class for mesh ingestion failures."""
 
@@ -46,12 +51,14 @@ class TetMesh:
     values:    (n,)  float64 scalar field, finite.
     tets:      (m, 4) int64 vertex indices, 0-based, pairwise distinct,
                each tet with strictly positive geometric volume.
-    volume:    sum of the tet volumes, taken once by create.
+    tet_volume: (m,) float64 each tet's volume, taken once by create.
+    volume:    sum of tet_volume.
     """
 
     positions: np.ndarray
     values: np.ndarray
     tets: np.ndarray
+    tet_volume: np.ndarray
     volume: float
 
     @property
@@ -83,18 +90,21 @@ class TetMesh:
             raise DataError("tets must have shape (m, 4)")
         if tets.size and (tets.min() < 0 or tets.max() >= n):
             raise StructuralError(f"tet vertex index out of range [0, {n})")
-        sorted_rows = np.sort(tets, axis=1)
-        dup = np.flatnonzero(
-            np.any(sorted_rows[:, :-1] == sorted_rows[:, 1:], axis=1))
-        if dup.size:
-            raise StructuralError(
-                f"repeated vertex within tets {dup[:10].tolist()}")
+        dup = []
+        for lo in range(0, tets.shape[0], _CHUNK):
+            rows = np.sort(tets[lo:lo + _CHUNK], axis=1)
+            dup += (lo + np.flatnonzero(
+                np.any(rows[:, :-1] == rows[:, 1:], axis=1))).tolist()
+            if len(dup) >= 10:
+                break
+        if dup:
+            raise StructuralError(f"repeated vertex within tets {dup[:10]}")
         vols = tet_volumes(positions, tets)
         degenerate = np.flatnonzero(vols <= 0.0)
         if degenerate.size:
             raise StructuralError(
                 f"degenerate (zero-volume) tets: {degenerate[:20].tolist()}")
-        return TetMesh(positions, values, tets, float(np.sum(vols)))
+        return TetMesh(positions, values, tets, vols, float(np.sum(vols)))
 
 
 def _cross(a, b):
@@ -116,8 +126,14 @@ def _triple_products(positions, tets) -> np.ndarray:
 
 
 def tet_volumes(positions, tets) -> np.ndarray:
-    """Unsigned volume |scalar triple product| / 6 for every tet."""
-    return np.abs(_triple_products(positions, tets)) / 6.0
+    """Unsigned volume |scalar triple product| / 6 for every tet, taken
+    in blocks of _CHUNK tets; each row depends on its own tet only."""
+    out = np.empty(tets.shape[0])
+    for lo in range(0, tets.shape[0], _CHUNK):
+        block = out[lo:lo + _CHUNK]
+        np.abs(_triple_products(positions, tets[lo:lo + _CHUNK]), out=block)
+        block /= 6.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .mesh import TetMesh, tet_volumes
+from .mesh import TetMesh
 
 _TET_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 _TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -218,17 +218,16 @@ def clip_area(positions, values, h) -> float:
     return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
-def _cut_data(mesh: TetMesh, tree, clips: dict):
-    """(adjacency, tet volumes) of one (mesh, tree), built on the first
-    call and kept in the clips cache next to the clipped volumes. The
-    adjacency lists each supernode's (neighbour, arc) pairs in arc order."""
-    if "cut data" not in clips:
+def _adjacency(tree, clips: dict):
+    """Each supernode's (neighbour, arc) pairs in arc order, built on the
+    first call and kept in the clips cache next to the clipped volumes."""
+    if "adjacency" not in clips:
         adj = [[] for _ in range(tree.supernode_count)]
         for a, (lo, hi) in enumerate(tree.superarcs.tolist()):
             adj[lo].append((hi, a))
             adj[hi].append((lo, a))
-        clips["cut data"] = adj, tet_volumes(mesh.positions, mesh.tets)
-    return clips["cut data"]
+        clips["adjacency"] = adj
+    return clips["adjacency"]
 
 
 def _low_side_vertices(mesh: TetMesh, tree, superarc: int,
@@ -238,7 +237,7 @@ def _low_side_vertices(mesh: TetMesh, tree, superarc: int,
     Cutting one superarc splits the tree in two; the low side is the
     component containing the arc's lower supernode, with the arc's own
     regular vertices classified by value against the query later. adj is
-    the supernode adjacency of _cut_data.
+    the supernode adjacency of _adjacency.
     """
     lo_sn = tree.superarcs[superarc, 0]
     # BFS over supernodes through every arc except the cut one
@@ -272,7 +271,8 @@ def region_volume(mesh: TetMesh, tree, superarc: int, h: float,
     cache of rank_region_volume; calls on one (mesh, tree) may share it.
     Meant for small meshes.
     """
-    adj, vols = _cut_data(mesh, tree, {} if clips is None else clips)
+    adj = _adjacency(tree, {} if clips is None else clips)
+    vols = mesh.tet_volume
     mask = _low_side_vertices(mesh, tree, superarc, adj)
     regs = tree.arc_regulars[superarc]
     if len(regs):
@@ -307,11 +307,12 @@ def rank_region_volume(mesh: TetMesh, tree, superarc: int, top: bool,
     some but not all corners below is clipped at the cut's value; a flat
     tet (all four values tied) counts wholly on the side of its top-ranked
     corner, the one of largest vertex index. clips, a dict that calls on
-    one (mesh, tree) may share, caches clipped volumes by (tet, value),
-    the supernode adjacency and the tet volumes. Meant for small meshes.
+    one (mesh, tree) may share, caches clipped volumes by (tet, value)
+    and the supernode adjacency. Meant for small meshes.
     """
     clips = {} if clips is None else clips
-    adj, vols = _cut_data(mesh, tree, clips)
+    adj = _adjacency(tree, clips)
+    vols = mesh.tet_volume
     mask = _low_side_vertices(mesh, tree, superarc, adj)
     mask[tree.arc_regulars[superarc]] = top
     h = float(tree.values[tree.supernodes[tree.superarcs[superarc,

@@ -4,6 +4,10 @@ from collections import deque
 import numpy as np
 import pytest
 
+import tetcontour.contourtree
+import tetcontour.hypersweep
+import tetcontour.mesh
+from tetcontour.contourtree import MonotoneLinks
 from tetcontour.isosurface import _ONE_TRI, _QUAD
 from tetcontour.mesh import (DataError, ParseError, TetMesh, _cross,
                              grid_to_tets)
@@ -221,6 +225,31 @@ def reference_triple_products(positions, tets):
     p = positions[tets]
     e = p[:, 1:] - p[:, :1]
     return np.einsum("ij,ij->i", e[:, 0], np.cross(e[:, 1], e[:, 2]))
+
+
+def reference_tet_volumes(positions, tets):
+    """Every tet's volume from one whole-array triple product."""
+    return np.abs(reference_triple_products(positions, tets)) / 6.0
+
+
+def reference_monotone_links(mesh, order):
+    """build_monotone_links as one whole-mesh pass: every code at once, and
+    the kept pairs from full-size key and skip-bit arrays."""
+    n = mesh.vertex_count
+    r = np.sort(order.rank[mesh.tets], axis=1)
+    codes = r[:, [0, 1, 2, 0, 0, 1]] * n
+    codes += r[:, [1, 2, 3, 2, 3, 3]]
+    codes *= 2
+    codes[:, 3:] += 1
+    codes = codes.ravel()
+    codes.sort()
+    keys = codes >> 1
+    last = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last &= (codes & 1) == 0
+    lo, hi = np.divmod(keys[last], n)
+    unused = np.bincount(mesh.tets.ravel(), minlength=n) == 0
+    return MonotoneLinks(lo, hi, int(np.count_nonzero(unused)))
 
 
 def bit_check_meshes(rng):
@@ -503,6 +532,15 @@ def reference_load_scalar_file(path, expected_count) -> np.ndarray:
 @pytest.fixture
 def unit_tet():
     return single_tet_mesh(UNIT_TET_POSITIONS, UNIT_TET_VALUES)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 1,000 tets in every whole-mesh pass over the tets."""
+    for module in (tetcontour.mesh, tetcontour.contourtree,
+                   tetcontour.hypersweep):
+        monkeypatch.setattr(module, "_CHUNK", 1000)
+    return 1000
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from tetcontour.oracle import reference_contour_count
 
 from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
                       random_grid_mesh, reference_merge_arcs,
-                      reference_merge_tree, two_peak_mesh)
+                      reference_merge_tree, reference_monotone_links,
+                      two_peak_mesh)
 
 
 def _tree(mesh):
@@ -251,6 +253,42 @@ def test_pair_skipped_by_a_neighbour_tet_is_dropped():
     pairs = list(zip(links.lo.tolist(), links.hi.tolist()))
     assert pairs == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert links.lo.dtype == links.hi.dtype == np.int64
+
+
+def test_links_in_blocks_match_whole_mesh_reference(small_blocks):
+    spatial = pytest.importorskip("scipy.spatial")
+    points = np.random.default_rng(2).uniform(size=(2000, 3))
+    meshes = [gaussian_grid_mesh(12, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                                 [1.0, 1.0], width=20.0),
+              TetMesh.create(points, np.random.default_rng(3).normal(
+                  size=2000), spatial.Delaunay(points).simplices)]
+    meshes += [grid_to_tets((8, 8, 8), np.random.default_rng(seed).integers(
+        0, 4, size=512).astype(float)) for seed in range(5)]
+    for mesh in meshes:
+        assert mesh.tet_count > 2 * small_blocks
+        assert mesh.tet_count % small_blocks
+        order = build_vertex_order(mesh)
+        got = build_monotone_links(mesh, order)
+        want = reference_monotone_links(mesh, order)
+        assert np.array_equal(got.lo, want.lo)
+        assert np.array_equal(got.hi, want.hi)
+        assert got.unused == want.unused
+
+
+def test_links_peak_memory():
+    # whole-mesh (m, 6) codes with full-size key and skip-bit temporaries
+    # peaked near 67 MB here; the 17 MB of codes now dominate
+    mesh = grid_to_tets((40, 40, 40),
+                        np.random.default_rng(1).normal(size=40 ** 3))
+    order = build_vertex_order(mesh)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        build_monotone_links(mesh, order)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def _oracle_meshes():

@@ -6,7 +6,8 @@ import pytest
 import tetcontour.hypersweep as hs
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.decomposition import decompose
-from tetcontour.geometry import batch_spline_coefficients, rounding_bound
+from tetcontour.geometry import (batch_spline_coefficients, local_volume,
+                                rounding_bound)
 from tetcontour.hypersweep import (ArcWeights, compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
 from tetcontour.mesh import (TetMesh, build_vertex_order, grid_to_tets,
@@ -353,6 +354,43 @@ def test_volumes_inside_arcs_match_region_oracle():
     errors, refs = region_volume_errors(
         mesh, tree, sweep_volumes(tree, deltas), (0.2, 0.5, 0.8))
     assert np.max(errors) <= 1e-9 * mesh.volume
+
+
+def _full_scan(exact, arc, h):
+    """The crossed exact-set volume of arc's cut at h, over every
+    exact-set tet."""
+    tree, tour = exact.tree, exact.tour
+    regs = tree.arc_regulars[arc]
+    lo, hi, inside = tour.cut(
+        arc, np.searchsorted(tree.values[regs], h, side="right"))
+    key = tour.key[exact.corners]
+    count = ((key >= lo) & (key < hi)).sum(axis=1)
+    if not inside:
+        count = 4 - count
+    crossed = (count > 0) & (count < 4)
+    return float(np.sum(local_volume(
+        exact.volume[crossed], tree.values[exact.corners[crossed]], h,
+        count[crossed])))
+
+
+def test_crossed_exact_tets_come_from_the_arc_candidates():
+    # three bumps as in the grid-smooth benchmark, on a coarser grid
+    mesh = gaussian_grid_mesh(14, [(0.3, 0.4, 0.5), (0.7, 0.5, 0.4),
+                                   (0.5, 0.7, 0.7)], [1.0, 0.8, 0.6],
+                              width=10.0)
+    order, tree, deltas = _pipeline(mesh)
+    exact = sweep_volumes(tree, deltas)[0].exact
+    crossed = 0
+    for a in range(tree.superarc_count):
+        h_lo, h_hi = tree.arc_value_range(a)
+        if h_lo == h_hi:
+            continue
+        for h in h_lo + (h_hi - h_lo) * np.linspace(0.0, 1.0, 16):
+            got = exact(a, h)
+            assert got == _full_scan(exact, a, h)
+            crossed += got > 0.0
+        assert len(exact.candidates(a)) < len(deltas.exact)
+    assert crossed > 0
 
 
 def test_uncertifiable_volumes_are_refused(monkeypatch):

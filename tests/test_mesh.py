@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,8 @@ from tetcontour.mesh import (DataError, ParseError, StructuralError, TetMesh,
 
 from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES,
                       reference_load_scalar_file, reference_parse_ele_file,
-                      reference_parse_node_file, reference_triple_products,
-                      single_tet_mesh)
+                      reference_parse_node_file, reference_tet_volumes,
+                      reference_triple_products, single_tet_mesh)
 
 
 def test_create_validates_unit_tet(unit_tet):
@@ -76,8 +77,8 @@ def test_triple_products_match_reference_bits(rng):
 
 
 def test_create_peak_memory():
-    # an (m, 4, 3) corner gather and its (m, 3, 3) edges peak near 100 MB
-    # here; one (m, 3) gather per corner stays near 63 MB
+    # whole-mesh (m, 3) corner gathers and a sorted (m, 4) copy peaked near
+    # 63 MB here; in blocks of tets the kept (m,) volumes, 2.8 MB, dominate
     mesh = grid_to_tets((40, 40, 40),
                         np.random.default_rng(1).normal(size=40 ** 3))
     assert mesh.tet_count == 355_914
@@ -87,7 +88,42 @@ def test_create_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 75e6
+    assert peak < 12e6
+
+
+def test_volumes_in_blocks_keep_their_bits(rng, small_blocks):
+    # a 2,000-point Delaunay mesh and a graded grid, neither a whole
+    # number of blocks
+    spatial = pytest.importorskip("scipy.spatial")
+    points = rng.uniform(size=(2000, 3))
+    grid = grid_to_tets((9, 10, 11), rng.normal(size=990),
+                        spacing=(0.3, 1.7, 0.011))
+    cases = [(points, rng.normal(size=2000),
+              spatial.Delaunay(points).simplices),
+             (grid.positions, grid.values, grid.tets)]
+    for positions, values, tets in cases:
+        assert tets.shape[0] > 2 * small_blocks
+        assert tets.shape[0] % small_blocks
+        got = tet_volumes(positions, tets)
+        want = reference_tet_volumes(positions, tets)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        mesh = TetMesh.create(positions, values, tets)
+        assert np.array_equal(mesh.tet_volume, tet_volumes(positions, tets))
+        assert mesh.volume == float(np.sum(mesh.tet_volume))
+
+
+def test_repeated_corners_in_three_blocks_are_refused(small_blocks):
+    mesh = grid_to_tets((9, 9, 9), np.zeros(729))
+    tets = mesh.tets.copy()
+    bad = [3, 5, 998, 1000, 1500, 1998, 2000, 2001, 2500, 2700, 2999]
+    tets[bad, 1 + np.arange(len(bad)) % 3] = tets[bad, 0]
+    rows = np.sort(tets, axis=1)
+    want = np.flatnonzero(np.any(rows[:, :-1] == rows[:, 1:], axis=1))
+    assert want.tolist() == bad
+    with pytest.raises(StructuralError, match=re.escape(
+            f"repeated vertex within tets {want[:10].tolist()}")):
+        TetMesh.create(mesh.positions, mesh.values, tets)
 
 
 def test_grid_to_tets_counts_and_volume():
