@@ -11,15 +11,24 @@ CGTA 2003; monotone paths as in Chiang, Lenz, Lu & Vegter, CGTA 2005). The
 join tree is a descending union-find sweep over each vertex's upper links,
 the split tree its dual over the lower links; each comes back as an (n,)
 array of parent vertices, -1 at its root. A mesh that is not connected
-leaves more than one sweep root and is refused. The two trees are merged
-by iterated leaf pruning into the fully augmented contour tree, which is
-then contracted into supernodes and superarcs with every regular vertex
-mapped to its superarc.
+leaves more than one sweep root and is refused.
+
+The merge works on the supernodes, the vertices whose join or split child
+count is not 1. Pointer doubling contracts each tree to them, iterated
+leaf pruning merges the two into the superarcs, and binary lifting over
+the supernode tree places every regular vertex on its superarc, all in
+numpy; only the k supernodes see a Python loop. Superarc ids go by the
+lower supernode's vertex id, ties by the order in which a leaf pruning of
+the fully augmented tree would emit each arc's lowest edge. That pruning
+is a breadth-first leaf peel, so a heap over the supernodes, with each
+superarc weighted by its count of regular vertices, gives its order
+without visiting the regular vertices.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -65,8 +74,20 @@ def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
         block[:, 3:] += 1
     codes = codes.ravel()
     codes.sort()
-    # an even code c is its key's last exactly when the next code exceeds
-    # c | 1 = c + 1: a copy of c or the skipping code c + 1 would not
+    keys = codes[_last_of_key(codes)]
+    # no block view outlives the mask, so this frees the codes
+    del codes
+    keys >>= 1
+    lo, hi = np.divmod(keys, n)
+    unused = np.bincount(mesh.tets.ravel(), minlength=n) == 0
+    return MonotoneLinks(lo, hi, int(np.count_nonzero(unused)))
+
+
+def _last_of_key(codes: np.ndarray) -> np.ndarray:
+    """Mask of the sorted codes that are consecutive and last of their key,
+    in blocks of 6 * _CHUNK codes: an even code c is its key's last exactly
+    when the next code exceeds c | 1 = c + 1, which a copy of c or the
+    skipping code c + 1 would not."""
     kept = np.empty(codes.shape, dtype=bool)
     step = 6 * _CHUNK
     for lo in range(0, codes.size, step):
@@ -74,11 +95,7 @@ def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
         out = kept[lo:lo + step]
         np.equal(c[:out.size] & 1, 0, out=out)
         out[:c.size - 1] &= c[1:] > (c[:-1] | 1)
-    keys = codes[kept]
-    keys >>= 1
-    lo, hi = np.divmod(keys, n)
-    unused = np.bincount(mesh.tets.ravel(), minlength=n) == 0
-    return MonotoneLinks(lo, hi, int(np.count_nonzero(unused)))
+    return kept
 
 
 def _sweep(links: MonotoneLinks, order: VertexOrder,
@@ -192,38 +209,214 @@ class InconsistentTreesError(Exception):
 
 def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                 values: np.ndarray) -> ContourTree:
-    """Iterated leaf pruning of the two merge trees into the contour tree
-    (Carr, Snoeyink & Axen, CGTA 2003), over flat per-vertex int lists of
-    each tree's parents, child counts and child-id sums. A pruned vertex
-    has at most one child in the other tree: its child-id sum there."""
+    """The contour tree from its join and split trees, with Python loops
+    over the k supernodes only.
+
+    1. Supernodes: the vertices whose join or split child count is not 1,
+       that is whose up- or down-degree in the tree is not 1.
+    2. Each tree is contracted to its supernodes by pointer doubling, and
+       the two are merged by iterated leaf pruning (Carr, Snoeyink & Axen,
+       CGTA 2003) into the superarcs.
+    3. A regular vertex v lies on the superarc where the tree path from
+       J(v) to S(v) crosses rank(v): J(v) and S(v) are the first
+       supernodes reached from v by unique join children (upward) and by
+       unique split children (downward). Binary lifting finds every
+       vertex's superarc at once (augmentation in arrays, as in Carr,
+       Weber, Sewell & Ahrens, LDAV 2016).
+    4. Superarc ids: by the vertex id of the lower supernode, ties in
+       the order in which a per-vertex FIFO leaf pruning of the augmented
+       tree would emit the arcs' lowest edges. That pruning is a
+       breadth-first leaf peel keyed by (generation, vertex id of the
+       chain's first leaf), which a heap over the supernodes replays with
+       each superarc weighted by its count of regular vertices
+       (_peel_keys).
+
+    Trees that do not belong together are refused with
+    InconsistentTreesError: a tree with other than one root or with a
+    parent on the wrong side of its child in `order`, a pruning that
+    leaves the supernodes unconnected, superarc up- or down-degrees that
+    differ from the join or split child counts, or a regular vertex whose
+    superarc does not span its rank.
+    """
     n = join.shape[0]
     values = np.asarray(values, dtype=np.float64)
-    if split.shape[0] != n:
-        raise InconsistentTreesError("vertex count mismatch")
     if n == 1:
         raise InconsistentTreesError("need at least 2 vertices")
+    rank = order.rank
+    j_child = _check_tree(join, rank, "join", -1)
+    s_child = _check_tree(split, rank, "split", 1)
+    j_parent = join[j_child]
+    s_parent = split[s_child]
+    up_count = np.bincount(j_parent, minlength=n)
+    down_count = np.bincount(s_parent, minlength=n)
+    is_super = (up_count != 1) | (down_count != 1)
+    supernodes = np.flatnonzero(is_super)
+    k = supernodes.shape[0]
+    supernode_of = np.full(n, -1, dtype=np.int64)
+    supernode_of[supernodes] = np.arange(k)
+
+    top = _chain_ends(j_child, j_parent, is_super)
+    bottom = _chain_ends(s_child, s_parent, is_super)
+    rows = _prune(
+        _contracted_parents(j_child, j_parent, top, is_super, supernode_of,
+                            k),
+        _contracted_parents(s_child, s_parent, bottom, is_super,
+                            supernode_of, k))
+
+    # regular vertices in rank order, each on its pruning row
+    regs = order.sort_index[~is_super[order.sort_index]]
+    reg_rank = rank[regs]
+    sn_rank = rank[supernodes]
+    row = _place(rows, supernode_of[top[regs]], supernode_of[bottom[regs]],
+                 sn_rank, reg_rank)
+    del top, bottom
+    ends = np.array(rows, dtype=np.int64).reshape(k - 1, 2)
+    flip = sn_rank[ends[:, 0]] > sn_rank[ends[:, 1]]
+    lo = np.where(flip, ends[:, 1], ends[:, 0])
+    hi = np.where(flip, ends[:, 0], ends[:, 1])
+    if not (np.array_equal(np.bincount(lo, minlength=k),
+                           up_count[supernodes])
+            and np.array_equal(np.bincount(hi, minlength=k),
+                               down_count[supernodes])):
+        raise InconsistentTreesError(
+            "superarc degrees differ from the trees' child counts")
+    if not (np.all(sn_rank[lo[row]] < reg_rank)
+            and np.all(reg_rank < sn_rank[hi[row]])):
+        raise InconsistentTreesError(
+            "a regular vertex lies outside its superarc's rank range")
+    counts = np.bincount(row, minlength=k - 1)
+
+    by_id = np.lexsort((_peel_keys(lo, hi, counts, supernodes, n), lo))
+    arc_id = np.empty(k - 1, dtype=np.int64)
+    arc_id[by_id] = np.arange(k - 1)
+    superarcs = np.stack([lo[by_id], hi[by_id]], axis=1)
+    row = arc_id[row]
+    arc_of = np.full(n, -1, dtype=np.int64)
+    arc_of[regs] = row
+    # stable, so each superarc's regular vertices stay in rank order
+    regs = regs[np.argsort(row, kind="stable")]
+    stops = np.cumsum(counts[by_id]).tolist()
+    arc_regulars = [regs[a:b] for a, b in zip([0] + stops, stops)]
+
+    up_arcs = [[] for _ in range(k)]
+    down_arcs = [[] for _ in range(k)]
+    for a, (s, t) in enumerate(superarcs.tolist()):
+        up_arcs[s].append(a)
+        down_arcs[t].append(a)
+    # each supernode's arcs in descending id, in CSR form
+    by_node = np.lexsort((-np.arange(2 * k - 2), superarcs.ravel())) // 2
+    incident = by_node.tolist()
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(superarcs.ravel(), minlength=k), out=offsets[1:])
+    offsets = offsets.tolist()
+    # root at the global maximum supernode; each arc's child is the end
+    # first reached through it; arcs join arc_order as they are reached
+    root = int(np.argmax(sn_rank))
+    far = (superarcs[:, 0] + superarcs[:, 1]).tolist()
+    arc_child = [-1] * (k - 1)
+    arc_order = []
+    seen = [False] * k
+    stack = [root]
+    seen[root] = True
+    while stack:
+        s = stack.pop()
+        for a in incident[offsets[s]:offsets[s + 1]]:
+            t = far[a] - s
+            if not seen[t]:
+                seen[t] = True
+                arc_child[a] = t
+                arc_order.append(a)
+                stack.append(t)
+    # canonical supernode-to-superarc assignment: the upward arc (largest
+    # id when a split saddle offers several), falling back to the largest
+    # downward arc at maxima
+    arc_of[supernodes] = [(up or down)[-1]
+                          for up, down in zip(up_arcs, down_arcs)]
+    return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
+                       superarcs=superarcs, arc_regulars=arc_regulars,
+                       arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
+                       root=root,
+                       arc_child=np.array(arc_child, dtype=np.int64),
+                       arc_order=np.array(arc_order, dtype=np.int64),
+                       values=values)
+
+
+def _check_tree(parent: np.ndarray, rank: np.ndarray, name: str,
+                sign: int) -> np.ndarray:
+    """Refuse a parent array that is not one rooted tree whose parents rank
+    below their children (sign -1) or above them (sign +1); return the
+    vertices that have a parent."""
+    n = rank.shape[0]
+    if parent.shape != (n,):
+        raise InconsistentTreesError("vertex count mismatch")
+    if parent.max() >= n:
+        raise InconsistentTreesError(f"{name} tree names a vertex >= {n}")
+    child = np.flatnonzero(parent >= 0)
+    if child.size != n - 1:
+        raise InconsistentTreesError(
+            f"{name} tree has {n - child.size} roots")
+    if not np.all((rank[parent[child]] - rank[child]) * sign > 0):
+        side = "below" if sign < 0 else "above"
+        raise InconsistentTreesError(
+            f"{name} tree has a parent not ranked {side} its child")
+    return child
+
+
+def _chain_ends(child: np.ndarray, parent: np.ndarray,
+                is_super: np.ndarray) -> np.ndarray:
+    """Per vertex, the first supernode reached by stepping to the only
+    child while at a regular vertex (the vertex itself at a supernode),
+    by pointer doubling; a checked tree's steps all run one way in rank,
+    so every chain ends."""
+    end = np.arange(is_super.shape[0])
+    regular = ~is_super[parent]
+    end[parent[regular]] = child[regular]
+    while True:
+        nxt = end[end]
+        if np.array_equal(nxt, end):
+            return end
+        end = nxt
+
+
+def _contracted_parents(child: np.ndarray, parent: np.ndarray,
+                        ends: np.ndarray, is_super: np.ndarray,
+                        supernode_of: np.ndarray, k: int) -> np.ndarray:
+    """Per supernode, the supernode id of the first supernode on its
+    parent chain, -1 at the root. A vertex whose parent is a supernode is
+    itself a supernode, or the last regular vertex below the supernode
+    its chain of only children ends at."""
+    out = np.full(k, -1, dtype=np.int64)
+    last = is_super[parent]
+    out[supernode_of[ends[child[last]]]] = supernode_of[parent[last]]
+    return out
+
+
+def _prune(jp: np.ndarray, sp: np.ndarray) -> list:
+    """Iterated leaf pruning of the contracted join and split trees, given
+    as (k,) parent arrays, over per-node child counts and child-id sums. A
+    pruned node has at most one child in the other tree: its child-id sum
+    there. Returns the (node, neighbour) rows in pruning order."""
+    k = jp.shape[0]
 
     def children(parent):
         has = parent >= 0
-        count = np.bincount(parent[has], minlength=n)
-        id_sum = np.zeros(n, dtype=np.int64)
-        np.add.at(id_sum, parent[has], np.flatnonzero(has))
-        return count, id_sum
+        count = np.bincount(parent[has], minlength=k)
+        id_sum = np.bincount(parent[has], np.flatnonzero(has), minlength=k)
+        return count, id_sum.astype(np.int64)
 
-    j_count, j_sum = children(join)
-    s_count, s_sum = children(split)
-    leaves = (((j_count == 0) & (s_count <= 1))
-              | ((s_count == 0) & (j_count <= 1)))
-    queue = deque(np.flatnonzero(leaves).tolist())
-    jp, jn, js = join.tolist(), j_count.tolist(), j_sum.tolist()
-    sp, sn, ss = split.tolist(), s_count.tolist(), s_sum.tolist()
-    arcs = []
-    removed = [False] * n
+    jn, js = children(jp)
+    sn, ss = children(sp)
+    queue = deque(np.flatnonzero(((jn == 0) & (sn <= 1))
+                                 | ((sn == 0) & (jn <= 1))).tolist())
+    jp, jn, js = jp.tolist(), jn.tolist(), js.tolist()
+    sp, sn, ss = sp.tolist(), sn.tolist(), ss.tolist()
 
     def is_leaf(v):
         return (not jn[v] and sn[v] <= 1) or (not sn[v] and jn[v] <= 1)
 
-    remaining = n
+    rows = []
+    removed = [False] * k
+    remaining = k
     while queue and remaining > 1:
         v = queue.popleft()
         if removed[v] or not is_leaf(v):
@@ -239,7 +432,7 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
         else:
             # root of one tree with no remaining arc in the other: done
             continue
-        arcs += (v, w)
+        rows.append((v, w))
         removed[v] = True
         remaining -= 1
         # leaf deletion from the tree that supplied the arc
@@ -258,84 +451,110 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
         for cand in (w, p, c):
             if cand >= 0 and not removed[cand] and is_leaf(cand):
                 queue.append(cand)
-    if len(arcs) != 2 * (n - 1):
+    if len(rows) != k - 1:
         raise InconsistentTreesError(
-            f"merge produced {len(arcs) // 2} arcs for {n} vertices")
-    return _contract(np.array(arcs, dtype=np.int64).reshape(n - 1, 2),
-                     order, values)
+            f"merge produced {len(rows)} arcs for {k} supernodes")
+    return rows
 
 
-def _contract(arcs: np.ndarray, order: VertexOrder,
-              values: np.ndarray) -> ContourTree:
-    """Contract the augmented contour tree into supernodes and superarcs."""
-    n = arcs.shape[0] + 1
-    rank = order.rank
-    flip = rank[arcs[:, 0]] > rank[arcs[:, 1]]
-    lo = np.where(flip, arcs[:, 1], arcs[:, 0])
-    hi = np.where(flip, arcs[:, 0], arcs[:, 1])
-    is_super = ((np.bincount(lo, minlength=n) != 1)
-                | (np.bincount(hi, minlength=n) != 1))
-    supernodes = np.flatnonzero(is_super)
-    supernode_of = np.full(n, -1, dtype=np.int64)
-    supernode_of[supernodes] = np.arange(supernodes.shape[0])
-    # exact for regular vertices, whose only upward arc this is
-    up = np.empty(n, dtype=np.int64)
-    up[lo] = hi
+def _place(rows: list, top: np.ndarray, bottom: np.ndarray,
+           sn_rank: np.ndarray, v_rank: np.ndarray) -> np.ndarray:
+    """The pruning row holding each regular vertex v, given J(v) (top),
+    S(v) (bottom) and rank(v).
 
-    # this order fixes the superarc ids written to tree.json: by lower
-    # supernode vertex id, then by the merge's arc order
-    starts = np.flatnonzero(is_super[lo])
-    starts = starts[np.argsort(lo[starts], kind="stable")]
-    superarcs = np.empty((starts.shape[0], 2), dtype=np.int64)
-    arc_regulars = []
-    arc_of = np.full(n, -1, dtype=np.int64)
-    for arc_id, row in enumerate(starts):
-        regs = []
-        cur = hi[row]
-        while not is_super[cur]:
-            regs.append(cur)
-            cur = up[cur]
-        superarcs[arc_id] = supernode_of[lo[row]], supernode_of[cur]
-        regs_arr = np.asarray(regs, dtype=np.int64)
-        arc_regulars.append(regs_arr)
-        arc_of[regs_arr] = arc_id
+    The rows root the tree at the node the pruning leaves: each row's
+    node hangs below its neighbour. On the path J(v)...S(v), the nodes on
+    J's side rank above v and those on S's side below, so v's row is
+    where the path crosses rank(v). Binary lifting climbs from J while the
+    ancestor ranks above v and is not an ancestor of S, and from S while
+    it ranks below v and is not an ancestor of J; each climb stops below
+    the crossing or below the lowest common ancestor. The crossing is on
+    J's side when J is not an ancestor of S and the node past J's climb
+    ranks below v. Ancestors are tested by preorder intervals."""
+    k = len(rows) + 1
+    node = [v for v, _ in rows]
+    root = (set(range(k)) - set(node)).pop()
+    size = [1] * k
+    for v, w in rows:
+        size[w] += size[v]
+    tin = [0] * k
+    free = [1] * k        # per node, the next preorder slot of its subtree
+    for v, w in reversed(rows):
+        tin[v] = free[w]
+        free[w] += size[v]
+        free[v] = tin[v] + 1
+    tin = np.array(tin, dtype=np.int64)
+    tout = tin + size
+    parent = np.full(k, root, dtype=np.int64)
+    parent[node] = [w for _, w in rows]
+    row_of = np.full(k, -1, dtype=np.int64)
+    row_of[node] = np.arange(k - 1)
+    # jumps[i][s]: the 2**i-th ancestor of s, or the root
+    jumps = [parent]
+    while np.any(jumps[-1] != root):
+        jumps.append(jumps[-1][jumps[-1]])
 
+    def climb(x, other, ranked_above):
+        t_other = tin[other]
+        for up in reversed(jumps[:-1]):
+            y = up[x]
+            ok = (tin[y] > t_other) | (t_other >= tout[y])
+            ok &= (sn_rank[y] > v_rank) == ranked_above
+            x = np.where(ok, y, x)
+        return x
+
+    from_top = climb(top, bottom, True)
+    on_top = (((tin[top] > tin[bottom]) | (tin[bottom] >= tout[top]))
+              & (sn_rank[parent[from_top]] < v_rank))
+    return row_of[np.where(on_top, from_top, climb(bottom, top, False))]
+
+
+def _peel_keys(lo: np.ndarray, hi: np.ndarray, regulars: np.ndarray,
+               supernodes: np.ndarray, n: int) -> np.ndarray:
+    """Per superarc, a key that orders the up-arcs of each supernode as a
+    FIFO leaf pruning of the augmented tree emits their lowest edges.
+
+    That pruning queues the initial leaves by vertex id, and each removal
+    queues only its one remaining neighbour, once that is a leaf. So the
+    queue runs in (generation, vertex id of the chain's first leaf)
+    order, encoded as generation * n + id. The heap replays it over the
+    supernodes: a supernode's removal crosses its last superarc, one
+    generation per regular vertex, and the arrival that leaves the far
+    end one superarc queues it one generation later. The key is the step
+    at which the peel has crossed the arc. The lowest edge of an up-arc
+    of supernode a goes at that step when the peel reaches a through the
+    arc; the one arc a leaves by goes at a's removal or later, after all
+    of a's other arcs, and is crossed later still, or never (largest
+    int64) when both its ends peel into it."""
     k = supernodes.shape[0]
-    up_arcs = [[] for _ in range(k)]
-    down_arcs = [[] for _ in range(k)]
-    for a, (lo, hi) in enumerate(superarcs):
-        up_arcs[lo].append(a)
-        down_arcs[hi].append(a)
-    # root at the global maximum supernode; each arc's child is the end
-    # first reached through it; arcs join arc_order as they are reached
-    root = int(np.argmax(rank[supernodes]))
-    arc_child = np.full(superarcs.shape[0], -1, dtype=np.int64)
-    arc_order = []
-    seen = np.zeros(k, dtype=bool)
-    stack = [root]
-    seen[root] = True
-    while stack:
-        s = stack.pop()
-        for a in sorted(up_arcs[s] + down_arcs[s], reverse=True):
-            t = superarcs[a, 1] if superarcs[a, 0] == s else superarcs[a, 0]
-            if not seen[t]:
-                seen[t] = True
-                arc_child[a] = t
-                arc_order.append(a)
-                stack.append(t)
-    if not seen.all():
-        raise InconsistentTreesError("contour tree is not connected")
-    # canonical supernode-to-superarc assignment: the upward arc (largest
-    # id when a split saddle offers several), falling back to the largest
-    # downward arc at maxima
-    for sn in range(k):
-        arc_of[supernodes[sn]] = max(up_arcs[sn] or down_arcs[sn])
-    return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
-                       superarcs=superarcs, arc_regulars=arc_regulars,
-                       arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root, arc_child=arc_child,
-                       arc_order=np.array(arc_order, dtype=np.int64),
-                       values=values)
+    arcs = np.arange(lo.shape[0])
+    degree = np.bincount(lo, minlength=k) + np.bincount(hi, minlength=k)
+    incident = (np.bincount(lo, arcs, minlength=k)
+                + np.bincount(hi, arcs, minlength=k)).astype(np.int64)
+    degree, incident = degree.tolist(), incident.tolist()
+    ends = (lo + hi).tolist()
+    steps = (regulars * n).tolist()
+    removed = [False] * k
+    key = np.full(arcs.shape, np.iinfo(np.int64).max)
+    # (step, supernode, arc it is reached by, or -1 for its removal)
+    heap = [(v, s, -1) for s, v in enumerate(supernodes.tolist())
+            if degree[s] == 1]
+    while heap:
+        t, s, via = heappop(heap)
+        if removed[s]:
+            continue
+        if via < 0:
+            if degree[s] == 1:     # else no arc is left: s is left last
+                removed[s] = True
+                a = incident[s]
+                heappush(heap, (t + steps[a], ends[a] - s, a))
+            continue
+        key[via] = t
+        degree[s] -= 1
+        incident[s] -= via
+        if degree[s] == 1:
+            heappush(heap, (t + n, s, -1))
+    return key
 
 
 def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:

@@ -7,7 +7,8 @@ import pytest
 import tetcontour.contourtree
 import tetcontour.hypersweep
 import tetcontour.mesh
-from tetcontour.contourtree import MonotoneLinks
+from tetcontour.contourtree import (ContourTree, InconsistentTreesError,
+                                    MonotoneLinks)
 from tetcontour.isosurface import _ONE_TRI, _QUAD
 from tetcontour.mesh import (DataError, ParseError, TetMesh, _cross,
                              grid_to_tets)
@@ -174,6 +175,111 @@ def reference_merge_arcs(join, split):
                 queue.append(cand)
     assert n_arcs == n - 1
     return arcs
+
+
+def reference_contract(arcs, order, values):
+    """The augmented tree's rows, as reference_merge_arcs emits them,
+    contracted into a ContourTree by one walk up each superarc's chain of
+    regular vertices: the reference merge_trees is checked against field
+    by field. Superarc ids go by lower supernode vertex id, then by the
+    order in which the rows were emitted."""
+    n = arcs.shape[0] + 1
+    rank = order.rank
+    flip = rank[arcs[:, 0]] > rank[arcs[:, 1]]
+    lo = np.where(flip, arcs[:, 1], arcs[:, 0])
+    hi = np.where(flip, arcs[:, 0], arcs[:, 1])
+    is_super = ((np.bincount(lo, minlength=n) != 1)
+                | (np.bincount(hi, minlength=n) != 1))
+    supernodes = np.flatnonzero(is_super)
+    supernode_of = np.full(n, -1, dtype=np.int64)
+    supernode_of[supernodes] = np.arange(supernodes.shape[0])
+    # exact for regular vertices, whose only upward arc this is
+    up = np.empty(n, dtype=np.int64)
+    up[lo] = hi
+
+    # this order fixes the superarc ids written to tree.json: by lower
+    # supernode vertex id, then by the merge's arc order
+    starts = np.flatnonzero(is_super[lo])
+    starts = starts[np.argsort(lo[starts], kind="stable")]
+    superarcs = np.empty((starts.shape[0], 2), dtype=np.int64)
+    arc_regulars = []
+    arc_of = np.full(n, -1, dtype=np.int64)
+    for arc_id, row in enumerate(starts):
+        regs = []
+        cur = hi[row]
+        while not is_super[cur]:
+            regs.append(cur)
+            cur = up[cur]
+        superarcs[arc_id] = supernode_of[lo[row]], supernode_of[cur]
+        regs_arr = np.asarray(regs, dtype=np.int64)
+        arc_regulars.append(regs_arr)
+        arc_of[regs_arr] = arc_id
+
+    k = supernodes.shape[0]
+    up_arcs = [[] for _ in range(k)]
+    down_arcs = [[] for _ in range(k)]
+    for a, (lo, hi) in enumerate(superarcs):
+        up_arcs[lo].append(a)
+        down_arcs[hi].append(a)
+    # root at the global maximum supernode; each arc's child is the end
+    # first reached through it; arcs join arc_order as they are reached
+    root = int(np.argmax(rank[supernodes]))
+    arc_child = np.full(superarcs.shape[0], -1, dtype=np.int64)
+    arc_order = []
+    seen = np.zeros(k, dtype=bool)
+    stack = [root]
+    seen[root] = True
+    while stack:
+        s = stack.pop()
+        for a in sorted(up_arcs[s] + down_arcs[s], reverse=True):
+            t = superarcs[a, 1] if superarcs[a, 0] == s else superarcs[a, 0]
+            if not seen[t]:
+                seen[t] = True
+                arc_child[a] = t
+                arc_order.append(a)
+                stack.append(t)
+    if not seen.all():
+        raise InconsistentTreesError("contour tree is not connected")
+    # canonical supernode-to-superarc assignment: the upward arc (largest
+    # id when a split saddle offers several), falling back to the largest
+    # downward arc at maxima
+    for sn in range(k):
+        arc_of[supernodes[sn]] = max(up_arcs[sn] or down_arcs[sn])
+    return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
+                       superarcs=superarcs, arc_regulars=arc_regulars,
+                       arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
+                       root=root, arc_child=arc_child,
+                       arc_order=np.array(arc_order, dtype=np.int64),
+                       values=values)
+
+
+def reference_leaf_peel(arcs, n):
+    """A breadth-first leaf peel of the tree on the given edges: the
+    leaves of each generation are removed in order of the vertex id of
+    the first leaf of their chain, and a removal passes its chain to its
+    one remaining neighbour once that is a leaf. Returns the (n - 1, 2)
+    rows (removed vertex, neighbour) in removal order."""
+    nbrs = [[] for _ in range(n)]
+    for a, b in arcs.tolist():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    degree = [len(x) for x in nbrs]
+    removed = [False] * n
+    layer = [(v, v) for v in range(n) if degree[v] == 1]  # (chain, leaf)
+    rows = []
+    while len(rows) < n - 1:
+        following = []
+        for chain, v in sorted(layer):
+            if len(rows) == n - 1:
+                break
+            (w,) = [u for u in nbrs[v] if not removed[u]]
+            rows.append((v, w))
+            removed[v] = True
+            degree[w] -= 1
+            if degree[w] == 1:
+                following.append((chain, w))
+        layer = following
+    return np.array(rows, dtype=np.int64).reshape(n - 1, 2)
 
 
 def reference_write_obj(path, soup, group=None, material=None,

@@ -4,16 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tetcontour.contourtree import (_contract, build_contour_tree,
-                                    build_join_tree, build_monotone_links,
-                                    build_split_tree, merge_trees,
-                                    straddling_arcs)
-from tetcontour.mesh import (StructuralError, TetMesh, build_topology_graph,
-                             build_vertex_order, grid_to_tets)
+from tetcontour.contourtree import (InconsistentTreesError,
+                                    build_contour_tree, build_join_tree,
+                                    build_monotone_links, build_split_tree,
+                                    merge_trees, straddling_arcs)
+from tetcontour.mesh import (StructuralError, TetMesh, VertexOrder,
+                             build_topology_graph, build_vertex_order,
+                             grid_to_tets)
 from tetcontour.oracle import reference_contour_count
 
 from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
-                      random_grid_mesh, reference_merge_arcs,
+                      random_grid_mesh, reference_contract,
+                      reference_leaf_peel, reference_merge_arcs,
                       reference_merge_tree, reference_monotone_links,
                       two_peak_mesh)
 
@@ -210,17 +212,51 @@ def test_straddling_arcs_own_interval(rng):
         assert straddling_arcs(tree, v, float(mesh.values[v])) == {a}
 
 
+def _sweeps(mesh):
+    order = build_vertex_order(mesh)
+    links = build_monotone_links(mesh, order)
+    return build_join_tree(links, order), build_split_tree(links, order), order
+
+
 def test_merge_rejects_mismatched_trees():
     mesh = random_grid_mesh(np.random.default_rng(2), dims=(4, 4, 4))
-    order = build_vertex_order(mesh)
-    join = build_join_tree(build_monotone_links(mesh, order), order)
-    small = random_grid_mesh(np.random.default_rng(3), dims=(3, 3, 3))
-    small_order = build_vertex_order(small)
-    split_small = build_split_tree(build_monotone_links(small, small_order),
-                                   small_order)
-    from tetcontour.contourtree import InconsistentTreesError
-    with pytest.raises(InconsistentTreesError):
+    join, _, order = _sweeps(mesh)
+    _, split_small, _ = _sweeps(
+        random_grid_mesh(np.random.default_rng(3), dims=(3, 3, 3)))
+    with pytest.raises(InconsistentTreesError, match="vertex count"):
         merge_trees(join, split_small, order, mesh.values)
+    # the join tree of one N(0, 1) field and the split tree of another on
+    # the same grid: both are trees, but the split tree's parents do not
+    # all rank above their children in the first field's order
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        first = random_grid_mesh(rng, dims=(5, 5, 5))
+        second = random_grid_mesh(rng, dims=(5, 5, 5))
+        join, split, order = _sweeps(first)
+        merge_trees(join, split, order, first.values)
+        _, other_split, _ = _sweeps(second)
+        with pytest.raises(InconsistentTreesError, match="split tree"):
+            merge_trees(join, other_split, order, first.values)
+    # vertices 1 and 2 are each other's join parent
+    order = VertexOrder(sort_index=np.arange(8), rank=np.arange(8))
+    split = np.array([1, 2, 3, 4, 5, 6, 7, -1])
+    join = np.array([-1, 2, 1, 2, 3, 4, 5, 6])
+    with pytest.raises(InconsistentTreesError, match="join tree"):
+        merge_trees(join, split, order, np.arange(8.0))
+    join[1:3] = 0, 1
+    merge_trees(join, split, order, np.arange(8.0))
+    # two roots, and a vertex that is its own parent
+    with pytest.raises(InconsistentTreesError, match="2 roots"):
+        merge_trees(join, np.where(split == 5, -1, split), order,
+                    np.arange(8.0))
+    with pytest.raises(InconsistentTreesError, match="split tree"):
+        merge_trees(join, split[::-1].copy(), order, np.arange(8.0))
+    # both trees pass those checks, but no field has a global minimum
+    # with two up-arcs and a global maximum with two down-arcs
+    order = VertexOrder(sort_index=np.arange(3), rank=np.arange(3))
+    with pytest.raises(InconsistentTreesError, match="degrees"):
+        merge_trees(np.array([-1, 0, 0]), np.array([2, 2, -1]), order,
+                    np.arange(3.0))
 
 
 def test_gaussian_two_bumps_has_two_maxima():
@@ -277,7 +313,8 @@ def test_links_in_blocks_match_whole_mesh_reference(small_blocks):
 
 def test_links_peak_memory():
     # whole-mesh (m, 6) codes with full-size key and skip-bit temporaries
-    # peaked near 67 MB here; the 17 MB of codes now dominate
+    # peaked near 67 MB here, and 22.9 MB while the 17 MB of codes stayed
+    # alive beside the kept keys and their divmod; freed first, about 20.8
     mesh = grid_to_tets((40, 40, 40),
                         np.random.default_rng(1).normal(size=40 ** 3))
     order = build_vertex_order(mesh)
@@ -288,7 +325,7 @@ def test_links_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+    assert peak < 21.5e6
 
 
 def _oracle_meshes():
@@ -309,6 +346,15 @@ def _oracle_meshes():
     points = rng.uniform(size=(600, 3))
     yield TetMesh.create(points, rng.integers(0, 5, size=600) * 1.0,
                          spatial.Delaunay(points).simplices)
+    # many supernodes with several up-arcs, where superarc ids tie on the
+    # lower supernode and the pruning order decides
+    yield random_grid_mesh(np.random.default_rng(6), dims=(10, 10, 10))
+    for seed in (0, 1):
+        tied = np.random.default_rng(seed)
+        for top in (4, 50):
+            yield grid_to_tets((8, 8, 8),
+                               tied.integers(0, top, size=512) * 1.0)
+    yield grid_to_tets((8, 8, 8), (np.arange(512) * 7919) % 1009 * 1.0)
 
 
 def test_merge_trees_match_reference_sweep():
@@ -336,15 +382,23 @@ def _same(a, b):
 
 def test_merge_trees_match_reference_arcs():
     for mesh in _oracle_meshes():
-        order = build_vertex_order(mesh)
-        links = build_monotone_links(mesh, order)
-        join = build_join_tree(links, order)
-        split = build_split_tree(links, order)
+        join, split, order = _sweeps(mesh)
         tree = merge_trees(join, split, order, mesh.values)
-        ref = _contract(reference_merge_arcs(join, split), order,
-                        mesh.values)
+        ref = reference_contract(reference_merge_arcs(join, split), order,
+                                 mesh.values)
         for f in dataclasses.fields(tree):
             assert _same(getattr(tree, f.name), getattr(ref, f.name)), f.name
+
+
+def test_merge_order_is_a_leaf_peel():
+    # merge_trees takes its superarc ids from this property: the leaf
+    # pruning emits the augmented tree's edges in breadth-first leaf-peel
+    # order, keyed by (generation, vertex id of the chain's first leaf)
+    for mesh in _oracle_meshes():
+        join, split, _ = _sweeps(mesh)
+        rows = reference_merge_arcs(join, split)
+        assert np.array_equal(rows,
+                              reference_leaf_peel(rows, mesh.vertex_count))
 
 
 def _disjoint_tets():
