@@ -1,17 +1,37 @@
-"""Contour tree construction: join/split sweeps, merge, augmentation.
+"""Contour tree construction: join and split trees, merge, augmentation.
 
-The sweeps run in rank space over monotone links taken from the tets: in
-each tet's corners sorted by rank, the consecutive pairs (r0,r1), (r1,r2)
-and (r2,r3), less any pair that some tet skips over as (r0,r2), (r0,r3) or
-(r1,r3). A dropped pair (v,u) has a vertex w ranked between them in a
-common tet; u and w are joined before v is swept, and w is nearer to v, so
-v's kept links touch every component its full link touches and every
-parent pointer equals the full edge graph's sweep (Carr, Snoeyink & Axen,
-CGTA 2003; monotone paths as in Chiang, Lenz, Lu & Vegter, CGTA 2005). The
-join tree is a descending union-find sweep over each vertex's upper links,
-the split tree its dual over the lower links; each comes back as an (n,)
-array of parent vertices, -1 at its root. A mesh that is not connected
-leaves more than one sweep root and is refused.
+Both trees are built in rank space over monotone links taken from the
+tets: in each tet's corners sorted by rank, the consecutive pairs (r0,r1),
+(r1,r2) and (r2,r3), less any pair that some tet skips over as (r0,r2),
+(r0,r3) or (r1,r3). A dropped pair (v,u) has a vertex w ranked between
+them in a common tet; u and w lie in one component of the ranks beyond
+v, and w is nearer to v, so v's kept links touch every component its
+full link touches and every parent pointer equals the full edge graph's
+(Carr, Snoeyink & Axen, CGTA 2003; monotone paths as in Chiang, Lenz, Lu
+& Vegter, CGTA 2005).
+
+The join tree gives each vertex x as parent the highest lower rank linked
+to C(x), the component of the ranks >= x that holds x; -1 marks the root.
+It is built by rounds of peak pruning in rank space, all in numpy (Carr,
+Weber, Sewell & Ahrens, LDAV 2016; Carr et al., IEEE TVCG 2021). In a
+round each live vertex ascends by its highest upper link, a peak by none,
+and pointer doubling finds its peak p; the vertices with peak p are p's
+region. The governing saddle g(p) is the largest lower end of the links
+between p's region and another. The region's vertices above g(p), S,
+make one component of the ranks above g(p): each ascends inside S to p,
+and a link leaving S has its lower end at or below g(p). So C(z) is the
+part of S at or above z for each z in S, which the next lower vertex of S
+reaches by its ascent, and z hangs below it. The lowest of S hangs below
+g(p), which links to S (through its own ascent when it is in p's
+region), and is the root when no link leaves the region: that region is
+a whole component. The round prunes S. Every link of a pruned vertex
+stays in S or ends at or below g(p), and g(p) stays live; so moving the
+link ends in S to g(p) keeps the components, and the parents, of the
+live vertices, and the next round runs on them. Each round prunes at
+least the peaks; smooth fields take 2 or 3 rounds, noisy ones a few
+more. The split tree is the join tree of the reversed ranks, with
+parents pointing up. A mesh that is not connected leaves more than one
+root and is refused.
 
 The merge works on the supernodes, the vertices whose join or split child
 count is not 1. Pointer doubling contracts each tree to them, iterated
@@ -37,7 +57,7 @@ from .mesh import _CHUNK, StructuralError, TetMesh, VertexOrder
 
 @dataclass(frozen=True)
 class MonotoneLinks:
-    """The rank pairs the join and split sweeps union over.
+    """The rank pairs the join and split trees are built over.
 
     lo, hi:  (k,) int64 vertex ranks, lo < hi, sorted by (lo, hi).
     unused:  number of vertices in no tet, reported when the mesh is
@@ -100,33 +120,64 @@ def _last_of_key(codes: np.ndarray) -> np.ndarray:
 
 def _sweep(links: MonotoneLinks, order: VertexOrder,
            descending: bool) -> np.ndarray:
+    """The join tree of the links by rounds of peak pruning in rank
+    space; the split tree is the join tree of the reversed ranks."""
     sort_index = order.sort_index
     n = sort_index.shape[0]
-    # the link of rank v: its linked ranks the sweep visits before v, in
-    # CSR form; the pairs come grouped by lo, and are regrouped by hi
     if descending:
-        src, nbrs = links.lo, links.hi
+        lo, hi = links.lo, links.hi
     else:
-        by_hi = np.argsort(links.hi, kind="stable")
-        src, nbrs = links.hi[by_hi], links.lo[by_hi]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    offsets = offsets.tolist()
-    nbrs = nbrs.tolist()
-
-    # union-find with path halving over ranks; every link rank is already
-    # swept, and v, joining each component it touches, stays the root of
-    # its own, so a component's root is always its latest swept rank
-    parent = [-1] * n
-    uf = list(range(n))
-    for v in (range(n - 1, -1, -1) if descending else range(n)):
-        for u in nbrs[offsets[v]:offsets[v + 1]]:
-            while uf[u] != u:
-                uf[u] = u = uf[uf[u]]
-            if u != v:
-                parent[u] = v
-                uf[u] = v
-    parent = np.array(parent, dtype=np.int64)
+        lo, hi = np.subtract(n - 1, links.hi), np.subtract(n - 1, links.lo)
+    parent = np.empty(n, dtype=np.int64)
+    # the ranks still live, ascending; lo and hi index this array
+    ids = np.arange(n)
+    while ids.size:
+        live = ids.size
+        # each vertex ascends by its highest upper link, a peak by none;
+        # pointer doubling follows the ascents to each vertex's peak
+        peak = np.arange(live)
+        np.maximum.at(peak, lo, hi)
+        while True:
+            nxt = peak[peak]
+            if np.array_equal(nxt, peak):
+                break
+            peak = nxt
+        # a peak's governing saddle: the largest lower end of the links
+        # between its region and another, -1 when there are none
+        cross = peak[lo] != peak[hi]
+        x = lo[cross]
+        saddle = np.full(live, -1)
+        np.maximum.at(saddle, peak[x], x)
+        np.maximum.at(saddle, peak[hi[cross]], x)
+        del cross, x
+        # prune each region above its saddle: every pruned vertex hangs
+        # below the next lower one of its region, the lowest on the saddle
+        floor = saddle[peak]
+        pruned = np.arange(live) > floor
+        key = np.flatnonzero(pruned)
+        key += peak[key] * live
+        key.sort()
+        region, v = np.divmod(key, live)
+        up = np.empty_like(v)
+        up[1:] = v[:-1]
+        lowest = np.ones(v.size, dtype=bool)
+        np.not_equal(region[1:], region[:-1], out=lowest[1:])
+        up[lowest] = saddle[region[lowest]]
+        parent[ids[v]] = np.where(up >= 0, ids[up], -1)
+        # a pruned lower end has its upper end pruned in its region too;
+        # a pruned upper end moves to its region's saddle, which is live
+        keep = ~pruned[lo]
+        lo = lo[keep]
+        hi = hi[keep]
+        hi = np.where(pruned[hi], floor[hi], hi)
+        keep = lo != hi
+        stay = ~pruned
+        renumber = np.cumsum(stay) - 1
+        lo = renumber[lo[keep]]
+        hi = renumber[hi[keep]]
+        ids = ids[stay]
+    if not descending:
+        parent = np.where(parent >= 0, (n - 1) - parent, -1)[::-1]
     # each connected component leaves exactly one rank without a parent
     components = int(np.count_nonzero(parent < 0))
     if components != 1:
@@ -140,14 +191,14 @@ def _sweep(links: MonotoneLinks, order: VertexOrder,
 
 
 def build_join_tree(links: MonotoneLinks, order: VertexOrder) -> np.ndarray:
-    """Descending sweep over each rank's upper links: parents point down,
-    leaves are the local maxima, -1 marks the root, the global min."""
+    """The join tree by peak pruning: parents point down, leaves are the
+    local maxima, -1 marks the root, the global min."""
     return _sweep(links, order, descending=True)
 
 
 def build_split_tree(links: MonotoneLinks, order: VertexOrder) -> np.ndarray:
-    """Ascending sweep over each rank's lower links: parents point up,
-    leaves are the local minima, -1 marks the root, the global max."""
+    """The split tree, peak pruning on the reversed ranks: parents point
+    up, leaves are the local minima, -1 marks the root, the global max."""
     return _sweep(links, order, descending=False)
 
 

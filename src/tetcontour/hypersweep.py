@@ -88,11 +88,13 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     The second runs the spline kernel on blocks of the telescoped tets,
     their corners sorted by rank, and groups their per-corner difference
     rows into rounds: round k holds the k-th row of every vertex in the
-    block, in tet order, so no vertex appears twice in a round. The
-    calling thread adds the rounds into per-vertex Neumaier (sum,
-    compensation) pairs, block after block in ascending order, with at
-    most threads blocks waiting; the exact-set volumes then go in by one
-    bincount in tet order.
+    block, in tet order, so no vertex appears twice in a round. With the
+    block's vertices ordered longest run first, round k's vertices are a
+    prefix of them. The calling thread gathers their Neumaier (sum,
+    compensation) pairs once per block, adds round after round into
+    prefix slices and scatters the pairs back, block after block in
+    ascending order, with at most threads blocks waiting; the exact-set
+    volumes then go in by one bincount in tet order.
 
     Float addition is not associative, so the bits follow the order in
     which each vertex adds its rows: ascending (tet, corner), and each
@@ -125,26 +127,38 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
             rows = np.stack((p1, p2 - p1, p3 - p2, -p3), axis=1)
             rows[:, 3, 3] += volume[tets]
             # rows grouped by vertex, each vertex's run in tet order (the
-            # keys are distinct, so any sort gives this order); k is a row's
-            # place in its vertex's run, under 2^15 as a block has fewer tets
+            # keys are distinct, so any sort gives this order)
             flat = block.ravel()
             by_vertex = np.argsort(flat * flat.size + np.arange(flat.size))
             targets = flat[by_vertex]
-            k = np.arange(targets.size) - np.searchsorted(targets, targets)
-            by_round = np.argsort(k.astype(np.int16), kind="stable")
-            cuts = np.cumsum(np.bincount(k))[:-1]
-            return zip(np.split(targets[by_round], cuts),
-                       np.split(rows.reshape(-1, 4)[by_vertex[by_round]],
-                                cuts))
+            start = np.flatnonzero(np.diff(targets, prepend=-1))
+            length = np.diff(start, append=targets.size)
+            # the vertices longest run first, so that round k's vertices,
+            # those with more than k rows, are a prefix; k is a row's place
+            # in its vertex's run, and the rows go round after round
+            longest = np.argsort(-length)
+            place = np.empty_like(longest)
+            place[longest] = np.arange(longest.size)
+            k = np.arange(targets.size) - np.repeat(start, length)
+            by_round = np.argsort(k * longest.size + np.repeat(place, length))
+            return (targets[start[longest]], np.bincount(k).tolist(),
+                    rows.reshape(-1, 4)[by_vertex[by_round]])
 
-        for block_rounds in _in_order(ex, rounds,
-                                      range(0, kept.size, _CHUNK), threads):
-            for v, x in block_rounds:
-                s = deltas[v]
-                t = s + x
-                big_s = np.abs(s) >= np.abs(x)
-                comp[v] += np.where(big_s, (s - t) + x, (x - t) + s)
-                deltas[v] = t
+        for v, sizes, x in _in_order(ex, rounds,
+                                     range(0, kept.size, _CHUNK), threads):
+            sums = deltas[v]
+            comps = comp[v]
+            done = 0
+            for m in sizes:
+                s = sums[:m]
+                x_k = x[done:done + m]
+                done += m
+                t = s + x_k
+                big_s = np.abs(s) >= np.abs(x_k)
+                comps[:m] += np.where(big_s, (s - t) + x_k, (x_k - t) + s)
+                s[...] = t
+            deltas[v] = sums
+            comp[v] = comps
         rest = np.ones(mesh.tet_count, dtype=bool)
         rest[kept] = False
         rest = np.flatnonzero(rest)

@@ -10,8 +10,8 @@ import tetcontour.mesh
 from tetcontour.contourtree import (ContourTree, InconsistentTreesError,
                                     MonotoneLinks)
 from tetcontour.isosurface import _ONE_TRI, _QUAD
-from tetcontour.mesh import (DataError, ParseError, TetMesh, _cross,
-                             grid_to_tets)
+from tetcontour.mesh import (DataError, ParseError, StructuralError,
+                             TetMesh, _cross, grid_to_tets)
 
 UNIT_TET_POSITIONS = np.array([[0.0, 0.0, 0.0],
                                [1.0, 0.0, 0.0],
@@ -114,6 +114,50 @@ def reference_merge_tree(graph, order, descending):
                 uf[ru] = rw
                 frontier[rw] = v
     return parent
+
+
+def reference_link_sweep(links, order, descending):
+    """build_join_tree (descending) or build_split_tree as one union-find
+    sweep over the ranks, in a Python loop: each rank joins the components
+    of its links already swept, and the root of each component is its
+    latest swept rank, whose parent the joining rank becomes."""
+    sort_index = order.sort_index
+    n = sort_index.shape[0]
+    # the link of rank v: its linked ranks the sweep visits before v, in
+    # CSR form; the pairs come grouped by lo, and are regrouped by hi
+    if descending:
+        src, nbrs = links.lo, links.hi
+    else:
+        by_hi = np.argsort(links.hi, kind="stable")
+        src, nbrs = links.hi[by_hi], links.lo[by_hi]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    offsets = offsets.tolist()
+    nbrs = nbrs.tolist()
+
+    # union-find with path halving over ranks; every link rank is already
+    # swept, and v, joining each component it touches, stays the root of
+    # its own, so a component's root is always its latest swept rank
+    parent = [-1] * n
+    uf = list(range(n))
+    for v in (range(n - 1, -1, -1) if descending else range(n)):
+        for u in nbrs[offsets[v]:offsets[v + 1]]:
+            while uf[u] != u:
+                uf[u] = u = uf[uf[u]]
+            if u != v:
+                parent[u] = v
+                uf[u] = v
+    parent = np.array(parent, dtype=np.int64)
+    # each connected component leaves exactly one rank without a parent
+    components = int(np.count_nonzero(parent < 0))
+    if components != 1:
+        raise StructuralError(
+            f"mesh is not connected: {components} components, "
+            f"{links.unused} vertices in no tet")
+    # from ranks back to vertex ids
+    tree = np.empty(n, dtype=np.int64)
+    tree[sort_index] = np.where(parent >= 0, sort_index[parent], -1)
+    return tree
 
 
 def reference_merge_arcs(join, split):

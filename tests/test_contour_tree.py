@@ -15,9 +15,9 @@ from tetcontour.oracle import reference_contour_count
 
 from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
                       random_grid_mesh, reference_contract,
-                      reference_leaf_peel, reference_merge_arcs,
-                      reference_merge_tree, reference_monotone_links,
-                      two_peak_mesh)
+                      reference_leaf_peel, reference_link_sweep,
+                      reference_merge_arcs, reference_merge_tree,
+                      reference_monotone_links, two_peak_mesh)
 
 
 def _tree(mesh):
@@ -368,6 +368,68 @@ def test_merge_trees_match_reference_sweep():
             ref = reference_merge_tree(graph, order, descending)
             assert tree.dtype == ref.dtype
             assert np.array_equal(tree, ref)
+
+
+def _link_sweep_meshes():
+    spatial = pytest.importorskip("scipy.spatial")
+    for seed in (1, 7):
+        # the benchmark's smooth fields: three bumps on a grid, two on a
+        # Delaunay mesh of the unit cube
+        rng = np.random.default_rng(seed)
+        centres = np.array([[0.3, 0.4, 0.5], [0.7, 0.5, 0.4],
+                            [0.5, 0.7, 0.7]])
+        centres += rng.uniform(-0.05, 0.05, size=centres.shape)
+        yield gaussian_grid_mesh(32, centres, [1.0, 0.8, 0.6], width=10.0)
+        points = rng.uniform(size=(24_000, 3))
+        bumps = sum(np.exp(-20 * np.sum((points - (cx, 0.5, 0.5)) ** 2,
+                                        axis=1)) for cx in (0.3, 0.7))
+        yield TetMesh.create(points, bumps,
+                             spatial.Delaunay(points).simplices)
+    for n in (16, 32):
+        yield random_grid_mesh(np.random.default_rng(1), dims=(n, n, n))
+    for top in (3, 5, 50):
+        for seed in range(6):
+            yield grid_to_tets((8, 8, 8), np.random.default_rng(
+                seed).integers(0, top, size=512) * 1.0)
+    # long ascent chains up each strip
+    yield two_peak_mesh()
+    yield grid_to_tets((6, 6, 6), np.zeros(216))
+
+
+def test_trees_match_reference_link_sweep():
+    for mesh in _link_sweep_meshes():
+        order = build_vertex_order(mesh)
+        links = build_monotone_links(mesh, order)
+        # the pairs come sorted by (lo, hi), as MonotoneLinks documents
+        codes = links.lo * mesh.vertex_count + links.hi
+        assert np.all(links.lo < links.hi)
+        assert np.all(codes[1:] > codes[:-1])
+        for build, descending in ((build_join_tree, True),
+                                  (build_split_tree, False)):
+            tree = build(links, order)
+            ref = reference_link_sweep(links, order, descending)
+            assert tree.dtype == ref.dtype
+            assert np.array_equal(tree, ref)
+
+
+def test_sweep_peak_memory():
+    # the per-vertex union-find's lists read 11.3 MB (join) and 13.2 MB
+    # (split) here, the peak pruning about 7.9 MB each: the split's
+    # reversed ranks and each round's temporaries are freed before the
+    # next round allocates its own
+    mesh = grid_to_tets((40, 40, 40),
+                        np.random.default_rng(1).normal(size=40 ** 3))
+    order = build_vertex_order(mesh)
+    links = build_monotone_links(mesh, order)
+    for build in (build_join_tree, build_split_tree):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            build(links, order)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, build.__name__
 
 
 def _same(a, b):
