@@ -35,6 +35,18 @@ class Branch:
     attachment_supernode: int = -1
 
 
+def _heaviest(ends, weights, k, tie):
+    """Per supernode s < k, as a list, the arc a with ends[a] == s picked as
+    heaviest: the largest id among those whose weight is within tie of the
+    heaviest weight there, or -1 where no arc ends at s."""
+    heaviest = np.full(k, -np.inf)
+    np.maximum.at(heaviest, ends, weights)
+    within = np.flatnonzero(weights >= heaviest[ends] - tie)
+    best = np.full(k, -1, dtype=np.int64)
+    np.maximum.at(best, ends[within], within)
+    return best.tolist()
+
+
 def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     """Branches of the contour tree, heaviest-measure pairing.
 
@@ -46,64 +58,50 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     deterministic, and rounding does not break a tie of exact weights.
     """
     k = tree.supernode_count
-    n_arcs = tree.superarc_count
-    if n_arcs == 0:
+    if tree.superarc_count == 0:
         raise ValueError("cannot decompose a tree with no superarcs")
-    up_arcs, down_arcs = tree.up_arcs, tree.down_arcs
     tie = weights.tie
-
-    def best(arcs, w):
-        heaviest = max(w[a] for a in arcs)
-        return max(a for a in arcs if w[a] >= heaviest - tie)
-
-    best_up = np.full(k, -1, dtype=np.int64)
-    best_down = np.full(k, -1, dtype=np.int64)
-    for s in range(k):
-        if up_arcs[s]:
-            best_up[s] = best(up_arcs[s], weights.up_weight)
-        if down_arcs[s]:
-            best_down[s] = best(down_arcs[s], weights.down_weight)
+    lows, highs = tree.superarcs.T.tolist()
+    down, up = weights.down_weight.tolist(), weights.up_weight.tolist()
+    best_up = _heaviest(tree.superarcs[:, 0], weights.up_weight, k, tie)
+    best_down = _heaviest(tree.superarcs[:, 1], weights.down_weight, k, tie)
 
     # an arc starts a branch unless its bottom supernode pairs it with a
     # downward choice; the branch climbs while its top supernode pairs the
     # last arc with an upward choice
     branches = []
-    for a in range(n_arcs):
-        lo = tree.superarcs[a, 0]
+    for a, lo in enumerate(lows):
         if best_up[lo] == a and best_down[lo] >= 0:
             continue
         arcs = [a]
-        hi = tree.superarcs[a, 1]
+        hi = highs[a]
         while best_down[hi] == arcs[-1] and best_up[hi] >= 0:
-            arcs.append(int(best_up[hi]))
-            hi = tree.superarcs[arcs[-1], 1]
-        branches.append(Branch(superarcs=arcs, lower_supernode=int(lo),
-                               upper_supernode=int(hi), weight=0.0))
+            arcs.append(best_up[hi])
+            hi = highs[arcs[-1]]
+        branches.append(Branch(superarcs=arcs, lower_supernode=lo,
+                               upper_supernode=hi, weight=0.0))
 
     # provisional attachment and pruned-side weight for every branch: the
     # branch attaches at the end where its terminal arc lost the pairing
     # (at the top when it lost at both ends)
     for b in branches:
-        bottom_arc = b.superarcs[0]
-        top_arc = b.superarcs[-1]
+        bottom_arc, top_arc = b.superarcs[0], b.superarcs[-1]
         low_rejected = best_up[b.lower_supernode] != bottom_arc
         high_rejected = best_down[b.upper_supernode] != top_arc
         if not low_rejected and not high_rejected:
             # survived the pairing end to end: master candidate, weigh by
             # the larger of its two one-sided measures
             b.attachment_supernode = -1
-            b.weight = float(max(weights.down_weight[top_arc],
-                                 weights.up_weight[bottom_arc]))
+            b.weight = float(max(down[top_arc], up[bottom_arc]))
         elif high_rejected:
             b.attachment_supernode = b.upper_supernode
-            b.weight = float(weights.down_weight[top_arc])
+            b.weight = float(down[top_arc])
         else:
             b.attachment_supernode = b.lower_supernode
-            b.weight = float(weights.up_weight[bottom_arc])
+            b.weight = float(up[bottom_arc])
 
-    candidates = [i for i, b in enumerate(branches)
-                  if b.attachment_supernode < 0]
-    pool = candidates if candidates else range(len(branches))
+    pool = ([i for i, b in enumerate(branches) if b.attachment_supernode < 0]
+            or range(len(branches)))
     heaviest = max(branches[i].weight for i in pool)
     master = max((i for i in pool if branches[i].weight >= heaviest - tie),
                  key=lambda i: max(branches[i].superarcs))
@@ -113,7 +111,7 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     for i, b in enumerate(branches):
         if i != master and b.attachment_supernode < 0:
             b.attachment_supernode = b.upper_supernode
-            b.weight = float(weights.down_weight[b.superarcs[-1]])
+            b.weight = float(down[b.superarcs[-1]])
 
     def last_arc(i):
         return -max(branches[i].superarcs)
@@ -127,24 +125,17 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
             run = []
         run.append(i)
     order += sorted(run, key=last_arc)
-    ranked = []
-    for rank, i in enumerate(order):
-        branches[i].rank = rank
-        ranked.append(branches[i])
+    ranked = [branches[i] for i in order]
+    for rank, b in enumerate(ranked):
+        b.rank = rank
 
     # parent: the branch owning the arc chosen at the attachment saddle
-    owner = np.empty(n_arcs, dtype=np.int64)
+    owner = {a: b.rank for b in ranked for a in b.superarcs}
     for b in ranked:
-        for a in b.superarcs:
-            owner[a] = b.rank
-    for b in ranked:
-        if b.attachment_supernode < 0:
-            continue
         s = b.attachment_supernode
-        if s == b.upper_supernode:
-            parent_arc = best_up[s] if best_up[s] >= 0 else best_down[s]
-        else:
-            parent_arc = best_down[s] if best_down[s] >= 0 else best_up[s]
-        b.parent = int(owner[parent_arc])
+        if s >= 0:
+            pair = (best_up[s], best_down[s])
+            first, other = pair if s == b.upper_supernode else pair[::-1]
+            b.parent = owner[first if first >= 0 else other]
     return ranked
 

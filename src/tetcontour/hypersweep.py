@@ -28,12 +28,13 @@ splits the tets:
   of a cut inside an arc on demand.
 
 The vertices below any cut of a superarc are one run of a depth-first
-tour of the tree, or everything but one run. sweep_volumes sums the deltas
-as differences of one compensated prefix sum along the tour, so a swept
-volume's rounding does not grow with the number of vertices summed, and
-the split is the certificate: compute_deltas bounds the error of every
-swept volume and refuses a mesh whose bound exceeds REFUSE_ABOVE times its
-volume.
+tour of the tree, or everything but one run. One cut-sum, _Tour.below,
+takes per-vertex rows as differences of one compensated prefix sum along
+the tour: it gives every arc's segments and arc-end weights from the
+deltas, and count_weights from a unit row per vertex. A swept volume's
+rounding does not grow with the number of vertices summed, and the split
+is the certificate: compute_deltas bounds the error of every swept volume
+and refuses a mesh whose bound exceeds REFUSE_ABOVE times its volume.
 """
 from __future__ import annotations
 
@@ -257,29 +258,31 @@ class _Tour:
         arc_in = np.full(tree.supernode_count, -1, dtype=np.int64)
         arc_in[tree.arc_child] = np.arange(k)
         up = arc_in[np.where(child_lo, hi, lo)].tolist()
-        regulars = np.array([len(r) for r in tree.arc_regulars],
-                            dtype=np.int64)
+        regulars = np.fromiter(map(len, tree.arc_regulars), np.int64, k)
         arc_order = tree.arc_order.tolist()
-        size = (regulars + 1).tolist()
+        size = (regulars + 1).tolist() + [0]   # the last slot for the root
         for a in arc_order[::-1]:
-            if up[a] >= 0:
-                size[up[a]] += size[a]
+            size[up[a]] += size[a]
         start = [0] * k
-        depth = np.zeros(2 * k + 1, dtype=np.int64)
+        depth = [0] * (2 * k + 1)
         free = [1] * k + [1]           # next free place past each far end
-        for a in arc_order:
+        for a, r in zip(arc_order, regulars[tree.arc_order].tolist()):
             start[a] = free[up[a]]
             free[up[a]] += size[a]
-            free[a] = start[a] + int(regulars[a]) + 1
+            free[a] = start[a] + r + 1
             depth[2 * a] = depth[2 * up[a] + 1 if up[a] >= 0 else 2 * k] + 1
             depth[2 * a + 1] = depth[2 * a] + 1
         start = np.array(start, dtype=np.int64)
         key = np.zeros(tree.values.shape[0], dtype=np.int64)
         node = np.full_like(key, 2 * k)
-        for a, regs in enumerate(tree.arc_regulars):
-            key[regs[::-1] if child_lo[a] else regs] = \
-                start[a] + np.arange(len(regs))
-            node[regs] = 2 * a
+        # arc a's regular vertices take the places from start[a] on, from
+        # the root side: in descending order where its child is its lower end
+        regs = np.concatenate(tree.arc_regulars)
+        arc = np.repeat(np.arange(k), regulars)
+        j = np.arange(regs.size) - (np.cumsum(regulars) - regulars)[arc]
+        key[regs] = start[arc] + np.where(child_lo[arc],
+                                          regulars[arc] - 1 - j, j)
+        node[regs] = 2 * arc
         far = tree.supernodes[tree.arc_child]
         key[far] = start + regulars
         node[far] = 2 * np.arange(k) + 1
@@ -287,8 +290,8 @@ class _Tour:
         parent = np.full(2 * k + 1, -1, dtype=np.int64)
         parent[0:2 * k:2] = np.where(up >= 0, 2 * up + 1, 2 * k)
         parent[1::2] = np.arange(0, 2 * k, 2)
-        return _Tour(key, start, start + np.array(size, dtype=np.int64),
-                     regulars, child_lo, node, parent, depth)
+        return _Tour(key, start, start + np.array(size[:k], dtype=np.int64),
+                     regulars, child_lo, node, parent, np.array(depth))
 
     def cut(self, arc, below):
         """(lo, hi, inside): the vertices below a cut of arc with `below` of
@@ -299,6 +302,16 @@ class _Tour:
         lo = self.start[arc] + np.where(
             inside, self.regulars[arc] - below, below)
         return lo, stop, inside
+
+    def below(self, rows, arc, count):
+        """Sums of the per-vertex rows below cuts of arcs with counts of their
+        regular vertices below: one compensated prefix sum along the tour
+        differenced at cut(), taken from the total where not inside."""
+        s, c = _compensated_prefix(rows[np.argsort(self.key)])
+        lo, hi, inside = self.cut(arc, count)
+        run = (s[hi] - s[lo]) + (c[hi] - c[lo])
+        inside = inside.reshape(inside.shape + (1,) * (rows.ndim - 1))
+        return np.where(inside, run, (s[-1] + c[-1]) - run)
 
 
 class _ExactPart:
@@ -346,8 +359,10 @@ class _ExactPart:
         h = tree.values[tree.supernodes[tree.superarcs[arcs, end]]]
         v = local_volume(self.volume[tets], tree.values[self.corners[tets]],
                          h, np.where(child_lo, inside, 4 - inside))
+        # with no tets, bincount ignores the weights and counts in int64
         return tuple(np.bincount(arcs[end == e], weights=v[end == e],
-                                 minlength=k) for e in (1, 0))
+                                 minlength=k).astype(np.float64)
+                     for e in (1, 0))
 
     def candidates(self, arc: int) -> np.ndarray:
         """Ascending ids of the tets a cut of arc can cross, memoised per
@@ -424,30 +439,28 @@ def _compensated_prefix(x):
 
 
 def sweep_volumes(tree: ContourTree, deltas: SweepDeltas) -> list:
-    """SuperarcVolume for every superarc: the rows below every cut as
-    differences of one compensated prefix sum along the tour, and the
-    exact-set tets crossed at every arc end."""
+    """SuperarcVolume for every superarc; arc a's segments are rows first[a]
+    to first[a] + regulars[a] of one table from _Tour.below, one per count
+    of its regular vertices below, and its ends add crossed exact-set tets."""
     tour = _Tour.build(tree)
     exact = _ExactPart(tree, tour, deltas)
     top, bottom = exact.arc_ends()
-    s, c = _compensated_prefix(deltas.rows[np.argsort(tour.key)])
-    total = s[-1] + c[-1]
-    values = tree.values
-    out = []
-    for a in range(tree.superarc_count):
-        lo, hi, inside = tour.cut(a, np.arange(tour.regulars[a] + 1))
-        segs = (s[hi] - s[lo]) + (c[hi] - c[lo])
-        if not inside:
-            segs = total - segs
-        h_lo, h_hi = tree.arc_value_range(a)
-        out.append(SuperarcVolume(
-            superarc=a, h_lo=h_lo, h_hi=h_hi,
-            breakpoints=values[tree.arc_regulars[a]].astype(np.float64),
-            segments=segs,
-            weight_bottom=float(horner(segs[0], h_lo) + bottom[a]),
-            weight_top=float(horner(segs[-1], h_hi) + top[a]),
-            error=deltas.error, exact=exact))
-    return out
+    regulars = tour.regulars
+    first = np.cumsum(regulars + 1) - (regulars + 1)
+    arcs = np.repeat(np.arange(tree.superarc_count), regulars + 1)
+    table = tour.below(deltas.rows, arcs, np.arange(arcs.size) - first[arcs])
+    h_lo, h_hi = tree.values[tree.supernodes[tree.superarcs]].T
+    weight_bottom = horner(table[first], h_lo) + bottom
+    weight_top = horner(table[first + regulars], h_hi) + top
+    # each arc has one segment more than breakpoints: a's start at first[a] - a
+    breakpoints = tree.values[np.concatenate(tree.arc_regulars)]
+    return [SuperarcVolume(
+        superarc=a, h_lo=lo, h_hi=hi,
+        breakpoints=breakpoints[f - a:f - a + r], segments=table[f:f + r + 1],
+        weight_bottom=wb, weight_top=wt, error=deltas.error, exact=exact)
+        for a, (lo, hi, f, r, wb, wt) in enumerate(zip(
+            h_lo.tolist(), h_hi.tolist(), first.tolist(), regulars.tolist(),
+            weight_bottom.tolist(), weight_top.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -478,16 +491,12 @@ def volume_weights(volumes: list, total_volume: float) -> ArcWeights:
 
 
 def count_weights(tree: ContourTree) -> ArcWeights:
-    """Vertex-count analogue of the swept volume: the sizes of the tour
-    runs below each arc's two end cuts."""
+    """Vertex-count analogue of the swept volume: the sums of a unit row
+    per vertex below each arc's two end cuts."""
     n = tree.values.shape[0]
     tour = _Tour.build(tree)
     arcs = np.arange(tree.superarc_count)
-
-    def below(count):
-        lo, hi, inside = tour.cut(arcs, count)
-        return np.where(inside, hi - lo, n - (hi - lo)).astype(np.float64)
-
     # cut just under the top: the arc's regulars all count low;
     # cut just above the bottom: they all count high
-    return ArcWeights(below(tour.regulars), n - below(0), float(n))
+    return ArcWeights(tour.below(np.ones(n), arcs, tour.regulars),
+                      n - tour.below(np.ones(n), arcs, 0), float(n))

@@ -1,4 +1,5 @@
 """Shared fixtures: reference meshes and fields used across test modules."""
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ import tetcontour.hypersweep
 import tetcontour.mesh
 from tetcontour.contourtree import (ContourTree, InconsistentTreesError,
                                     MonotoneLinks)
+from tetcontour.geometry import horner
 from tetcontour.isosurface import _ONE_TRI, _QUAD
 from tetcontour.mesh import (DataError, ParseError, StructuralError,
                              TetMesh, _cross, grid_to_tets)
@@ -451,6 +453,41 @@ def reference_below_arc_sums(tree, per_vertex):
         else:
             below[a] = total - sub[hi] - reg_sums[a]
     return below, reg_sums
+
+
+def reference_sweep_volumes(tree, deltas):
+    """sweep_volumes as one pass per arc: each arc's segments from its own
+    cut of the compensated prefix sum, its weights from two scalar horner
+    calls, on a tour whose places and cut-tree nodes are set arc by arc.
+    The reference its one table of segments is checked against bit for
+    bit."""
+    hs = tetcontour.hypersweep
+    tour = hs._Tour.build(tree)
+    key, node = tour.key.copy(), tour.node.copy()
+    for a, regs in enumerate(tree.arc_regulars):
+        key[regs[::-1] if tour.child_lo[a] else regs] = \
+            tour.start[a] + np.arange(len(regs))
+        node[regs] = 2 * a
+    tour = dataclasses.replace(tour, key=key, node=node)
+    exact = hs._ExactPart(tree, tour, deltas)
+    top, bottom = exact.arc_ends()
+    s, c = hs._compensated_prefix(deltas.rows[np.argsort(tour.key)])
+    total = s[-1] + c[-1]
+    out = []
+    for a in range(tree.superarc_count):
+        lo, hi, inside = tour.cut(a, np.arange(tour.regulars[a] + 1))
+        segs = (s[hi] - s[lo]) + (c[hi] - c[lo])
+        if not inside:
+            segs = total - segs
+        h_lo, h_hi = tree.arc_value_range(a)
+        out.append(hs.SuperarcVolume(
+            superarc=a, h_lo=h_lo, h_hi=h_hi,
+            breakpoints=tree.values[tree.arc_regulars[a]].astype(np.float64),
+            segments=segs,
+            weight_bottom=float(horner(segs[0], h_lo) + bottom[a]),
+            weight_top=float(horner(segs[-1], h_hi) + top[a]),
+            error=deltas.error, exact=exact))
+    return out
 
 
 def reference_march_tets(mesh, h):

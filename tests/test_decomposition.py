@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tetcontour.contourtree import build_contour_tree
-from tetcontour.decomposition import decompose
+from tetcontour.decomposition import _heaviest, decompose
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
 from tetcontour.mesh import build_vertex_order
@@ -102,3 +102,39 @@ def test_deterministic_across_runs(rng):
     second = decompose(tree, weights)
     assert [(b.rank, b.weight, b.superarcs) for b in first] == \
            [(b.rank, b.weight, b.superarcs) for b in second]
+
+
+def _brute_heaviest(ends, weights, k, tie):
+    best = []
+    for s in range(k):
+        arcs = [a for a in range(len(ends)) if ends[a] == s]
+        if not arcs:
+            best.append(-1)
+            continue
+        heaviest = max(weights[a] for a in arcs)
+        best.append(max(a for a in arcs if weights[a] >= heaviest - tie))
+    return best
+
+
+def test_heaviest_matches_brute_force():
+    rng = np.random.default_rng(4)
+    tie = 1e-9
+    for _ in range(50):
+        k = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 40))
+        # supernodes above the largest end have no arc
+        ends = rng.integers(0, max(1, k - 2), size=n)
+        # exact ties from few distinct weights, then near ties just inside
+        # and just outside tie
+        weights = rng.integers(0, 4, size=n).astype(float)
+        nudge = rng.integers(0, 5, size=n)
+        weights -= np.select([nudge == 1, nudge == 2, nudge == 3],
+                             [0.5 * tie, tie, 2.0 * tie], 0.0)
+        for t in (0.0, tie):
+            assert _heaviest(ends, weights, k, t) == \
+                _brute_heaviest(ends, weights, k, t)
+    # every arc at one supernode, the lighter within tie and of larger id
+    assert _heaviest(np.array([1, 1]), np.array([1.0, 1.0 - 1e-12]), 3,
+                     1e-9) == [-1, 1, -1]
+    assert _heaviest(np.array([1, 1]), np.array([1.0, 1.0 - 1e-12]), 3,
+                     0.0) == [-1, 0, -1]

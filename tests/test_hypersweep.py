@@ -17,7 +17,7 @@ from tetcontour.oracle import (contour_count_mismatches, rank_arc_end_volumes,
 
 from conftest import (bit_check_meshes, branch_list, gaussian_grid_mesh,
                       random_grid_mesh, reference_below_arc_sums,
-                      two_peak_mesh)
+                      reference_sweep_volumes, two_peak_mesh)
 
 
 def _pipeline(mesh):
@@ -296,6 +296,50 @@ def test_region_sums_match_subtree_sums(rng):
                                   sv.h_hi)):
                 assert abs(np.polyval(row, h) - np.polyval(want, h)) \
                     <= deltas.error
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def test_sweep_volumes_match_per_arc_reference(rng):
+    # the one segment table, the arc-end weights from one horner over
+    # every arc and the tour's places set in whole arrays, bit for bit
+    # against a pass per arc; tied integer fields give flat arcs and arcs
+    # with no regular vertex, the linear field a tree of one arc
+    meshes = bit_check_meshes(rng) + [two_peak_mesh()]
+    meshes += [grid_to_tets((n, n, n), np.random.default_rng(1).normal(
+        size=n ** 3)) for n in (16, 32)]
+    meshes += [grid_to_tets((8, 8, 8), np.random.default_rng(seed).integers(
+        0, k, size=512).astype(float)) for k in (3, 5, 50)
+        for seed in range(3)]
+    meshes.append(grid_to_tets((5, 5, 5), np.arange(125.0)))
+    for mesh in meshes:
+        order, tree, deltas = _pipeline(mesh)
+        got = sweep_volumes(tree, deltas)
+        want = reference_sweep_volumes(tree, deltas)
+        assert len(got) == len(want) == tree.superarc_count
+        for g, w in zip(got, want):
+            for field in ("breakpoints", "segments", "weight_bottom",
+                          "weight_top", "h_lo", "h_hi"):
+                assert _bits(getattr(g, field)) == _bits(getattr(w, field))
+            assert type(g.weight_top) is type(w.weight_top) is float
+            assert type(g.weight_bottom) is float
+    assert tree.superarc_count == 1
+
+
+def test_arc_ends_are_float_without_crossed_exact_set_tets():
+    # no exact-set tet: bincount of no tets ignores its float weights
+    mesh = grid_to_tets((8, 8, 8), np.random.default_rng(0).integers(
+        0, 50, size=512).astype(float))
+    order, tree, deltas = _pipeline(mesh)
+    assert len(deltas.exact) == 0
+    ends = hs._ExactPart(tree, hs._Tour.build(tree), deltas).arc_ends()
+    for end in ends:
+        assert end.dtype == np.float64
+        assert end.shape == (tree.superarc_count,)
+        assert not end.any()
 
 
 def _assert_arc_ends_match_oracle(mesh, bound):
