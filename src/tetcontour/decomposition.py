@@ -113,18 +113,17 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
             b.attachment_supernode = b.upper_supernode
             b.weight = float(down[b.superarcs[-1]])
 
-    def last_arc(i):
-        return -max(branches[i].superarcs)
-
-    rest = sorted((i for i in range(len(branches)) if i != master),
-                  key=lambda i: (-branches[i].weight, last_arc(i)))
-    order, run = [master], []
-    for i in rest:
-        if run and branches[run[-1]].weight - branches[i].weight > tie:
-            order += sorted(run, key=last_arc)
-            run = []
-        run.append(i)
-    order += sorted(run, key=last_arc)
+    # by descending weight, then descending last arc; a run of weights
+    # each within tie of the next ranks by descending last arc alone
+    rest = np.array([i for i in range(len(branches)) if i != master],
+                    dtype=np.int64)
+    weight = np.array([branches[i].weight for i in rest])
+    last = np.array([max(branches[i].superarcs) for i in rest],
+                    dtype=np.int64)
+    rest, weight, last = (x[np.lexsort((-last, -weight))]
+                          for x in (rest, weight, last))
+    run = np.cumsum(-np.diff(weight, prepend=weight[:1]) > tie)
+    order = [master] + rest[np.lexsort((-last, run))].tolist()
     ranked = [branches[i] for i in order]
     for rank, b in enumerate(ranked):
         b.rank = rank

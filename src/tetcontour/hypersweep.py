@@ -38,8 +38,8 @@ and refuses a mesh whose bound exceeds REFUSE_ABOVE times its volume.
 """
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,19 +83,21 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     tets the subset's boundary crosses; summed over all vertices they
     telescope to (0, 0, 0, total mesh volume).
 
-    Two passes, each over blocks of _CHUNK tets, threads blocks at once.
-    The first takes every tet's rounding bound from its volume, kept from
-    load, and sorted values; the split keeps the tets of smallest bound.
-    The second runs the spline kernel on blocks of the telescoped tets,
-    their corners sorted by rank, and groups their per-corner difference
-    rows into rounds: round k holds the k-th row of every vertex in the
-    block, in tet order, so no vertex appears twice in a round. With the
-    block's vertices ordered longest run first, round k's vertices are a
-    prefix of them. The calling thread gathers their Neumaier (sum,
-    compensation) pairs once per block, adds round after round into
-    prefix slices and scatters the pairs back, block after block in
-    ascending order, with at most threads blocks waiting; the exact-set
+    Three passes over blocks of _CHUNK tets. The first takes every tet's
+    rounding bound from its volume, kept from load, and sorted values;
+    the split keeps the tets of smallest bound. The second runs the
+    spline kernel on blocks of the telescoped tets and groups their rows
+    into rounds (_rounds), and adds round after round into the per-vertex
+    Neumaier (sum, compensation) pairs, block after block in ascending
+    order. The third sorts the exact-set tets' corners by rank; their
     volumes then go in by one bincount in tet order.
+
+    With threads > 1, the first and third passes run on that many worker
+    threads, the third while the calling thread runs the second; each of
+    their blocks writes its own slice of a preallocated array. The second
+    stays on the calling thread: its blocks' temporaries are large, and
+    memory that worker threads free stays resident in their allocator
+    arenas, so on workers it would raise the process peak with threads.
 
     Float addition is not associative, so the bits follow the order in
     which each vertex adds its rows: ascending (tet, corner), and each
@@ -107,46 +109,32 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     """
     n = mesh.vertex_count
     big = float(np.max(np.abs(mesh.values)))
-    starts = range(0, mesh.tet_count, _CHUNK)
     volume = mesh.tet_volume
 
     def bounds(lo):
         values = np.sort(mesh.values[mesh.tets[lo:lo + _CHUNK]], axis=1)
-        return rounding_bound(volume[lo:lo + _CHUNK], values, big)
+        bound[lo:lo + _CHUNK] = rounding_bound(volume[lo:lo + _CHUNK],
+                                               values, big)
 
+    bound = np.empty(mesh.tet_count)
     deltas = np.zeros((n, 4))
     comp = np.zeros((n, 4))
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        bound = np.concatenate(list(ex.map(bounds, starts)))
+    pool = ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+    with pool as ex:
+        _each_block(ex, bounds, mesh.tet_count)()
         kept = _cheapest(bound, EXACT_BUDGET * mesh.volume)
+        rest = np.ones(mesh.tet_count, dtype=bool)
+        rest[kept] = False
+        rest = np.flatnonzero(rest)
+        exact = np.empty((rest.size, 4), dtype=order.sort_index.dtype)
 
-        def rounds(lo):
-            tets = kept[lo:lo + _CHUNK]
-            block = order.sort_tets(mesh.tets[tets])
-            p1, p2, p3 = batch_spline_coefficients(volume[tets],
-                                                   mesh.values[block])
-            rows = np.stack((p1, p2 - p1, p3 - p2, -p3), axis=1)
-            rows[:, 3, 3] += volume[tets]
-            # rows grouped by vertex, each vertex's run in tet order (the
-            # keys are distinct, so any sort gives this order)
-            flat = block.ravel()
-            by_vertex = np.argsort(flat * flat.size + np.arange(flat.size))
-            targets = flat[by_vertex]
-            start = np.flatnonzero(np.diff(targets, prepend=-1))
-            length = np.diff(start, append=targets.size)
-            # the vertices longest run first, so that round k's vertices,
-            # those with more than k rows, are a prefix; k is a row's place
-            # in its vertex's run, and the rows go round after round
-            longest = np.argsort(-length)
-            place = np.empty_like(longest)
-            place[longest] = np.arange(longest.size)
-            k = np.arange(targets.size) - np.repeat(start, length)
-            by_round = np.argsort(k * longest.size + np.repeat(place, length))
-            return (targets[start[longest]], np.bincount(k).tolist(),
-                    rows.reshape(-1, 4)[by_vertex[by_round]])
+        def corners(lo):
+            exact[lo:lo + _CHUNK] = order.sort_tets(
+                mesh.tets[rest[lo:lo + _CHUNK]])
 
-        for v, sizes, x in _in_order(ex, rounds,
-                                     range(0, kept.size, _CHUNK), threads):
+        sorted_corners = _each_block(ex, corners, rest.size)
+        for lo in range(0, kept.size, _CHUNK):
+            v, sizes, x = _rounds(mesh, order, kept[lo:lo + _CHUNK])
             sums = deltas[v]
             comps = comp[v]
             done = 0
@@ -160,12 +148,7 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
                 s[...] = t
             deltas[v] = sums
             comp[v] = comps
-        rest = np.ones(mesh.tet_count, dtype=bool)
-        rest[kept] = False
-        rest = np.flatnonzero(rest)
-        exact = np.concatenate(list(ex.map(
-            lambda lo: order.sort_tets(mesh.tets[rest[lo:lo + _CHUNK]]),
-            range(0, max(rest.size, 1), _CHUNK))))
+        sorted_corners()
     deltas += comp
     exact_volume = volume[rest]
     deltas[:, 3] += np.bincount(exact[:, 3], weights=exact_volume,
@@ -179,17 +162,51 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     return SweepDeltas(deltas, exact, exact_volume, error)
 
 
-def _in_order(ex, fn, items, ahead):
-    """fn over items on executor ex, results in order, with at most ahead
-    results waiting: workers faster than the caller do not pile blocks
-    up in memory."""
-    pending = deque()
-    for item in items:
-        pending.append(ex.submit(fn, item))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _each_block(ex, fn, size):
+    """fn(lo) for every block start lo in range(0, size, _CHUNK): started
+    now on executor ex, or run here by the returned function when ex is
+    None. The returned function ends when every call has, and raises any
+    exception one of them raised."""
+    starts = range(0, size, _CHUNK)
+    if ex is None:
+        return lambda: [fn(lo) for lo in starts]
+    calls = [ex.submit(fn, lo) for lo in starts]
+    return lambda: [call.result() for call in calls]
+
+
+def _rounds(mesh, order, tets):
+    """(v, sizes, x): the per-corner difference rows of telescoped tets,
+    their corners sorted by rank, grouped into rounds.
+
+    Round k holds the k-th row of every vertex in the block, in tet
+    order, so no vertex appears twice in a round. v lists the block's
+    vertices longest run first, so round k's vertices, those with more
+    than k rows, are the prefix v[:sizes[k]], and x holds the rows round
+    after round in that order.
+    """
+    volume = mesh.tet_volume[tets]
+    block = order.sort_tets(mesh.tets[tets])
+    p1, p2, p3 = batch_spline_coefficients(volume, mesh.values[block])
+    rows = np.stack((p1, p2 - p1, p3 - p2, -p3), axis=1)
+    rows[:, 3, 3] += volume
+    # rows grouped by vertex, each vertex's run in tet order (the keys are
+    # distinct, so any sort gives this order)
+    flat = block.ravel()
+    by_vertex = np.argsort(flat * flat.size + np.arange(flat.size))
+    targets = flat[by_vertex]
+    start = np.flatnonzero(np.diff(targets, prepend=-1))
+    length = np.diff(start, append=targets.size)
+    longest = np.argsort(-length)
+    place = np.empty_like(longest)
+    place[longest] = np.arange(longest.size)
+    # a row's round k is its place in its vertex's run; it goes to its
+    # vertex's place within round k
+    k = np.arange(targets.size) - np.repeat(start, length)
+    sizes = np.bincount(k)
+    x = np.empty((flat.size, 4))
+    x[(np.cumsum(sizes) - sizes)[k] + np.repeat(place, length)] = \
+        rows.reshape(-1, 4)[by_vertex]
+    return targets[start[longest]], sizes.tolist(), x
 
 
 def _cheapest(bound, budget):
@@ -314,6 +331,11 @@ class _Tour:
         return np.where(inside, run, (s[-1] + c[-1]) - run)
 
 
+def _split(nodes):
+    """Whether each row of cut-tree nodes holds more than one node."""
+    return (nodes != nodes[:, :1]).any(axis=1)
+
+
 class _ExactPart:
     """The crossed exact-set tets of cuts of the superarc tree."""
 
@@ -337,14 +359,15 @@ class _ExactPart:
         """
         tree, tour = self.tree, self.tour
         k = tree.superarc_count
-        nodes = tour.node[self.corners]
-        tets = np.arange(nodes.shape[0])
+        corners = self.corners
+        # the tets whose corners lie in more than one node, picked a block
+        # at a time: most exact-set tets lie in one
+        tets = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            lo + np.flatnonzero(_split(tour.node[corners[lo:lo + _CHUNK]]))
+            for lo in range(0, corners.shape[0], _CHUNK)])
+        nodes = tour.node[corners[tets]]
         found = [(tets[:0], tets[:0], tets[:0])]
-        while True:
-            split = (nodes != nodes[:, :1]).any(axis=1)
-            tets, nodes = tets[split], nodes[split]
-            if not tets.size:
-                break
+        while tets.size:
             depth = tour.depth[nodes]
             deep = depth == depth.max(axis=1, keepdims=True)
             same = nodes[:, :, None] == nodes[:, None, :]
@@ -352,13 +375,20 @@ class _ExactPart:
             t, c = np.nonzero(deep & first)
             found.append((tets[t], nodes[t, c], same[t, c].sum(axis=1)))
             nodes = np.where(deep, tour.parent[nodes], nodes)
+            split = _split(nodes)
+            tets, nodes = tets[split], nodes[split]
         tets, node, inside = (np.concatenate(x) for x in zip(*found))
         arcs = node // 2
         child_lo = tour.child_lo[arcs]
         end = ((node % 2 == 1) != child_lo).astype(np.int64)  # 1 at the top
         h = tree.values[tree.supernodes[tree.superarcs[arcs, end]]]
-        v = local_volume(self.volume[tets], tree.values[self.corners[tets]],
-                         h, np.where(child_lo, inside, 4 - inside))
+        piece = np.where(child_lo, inside, 4 - inside)
+        v = np.empty(tets.size)
+        for lo in range(0, tets.size, _CHUNK):
+            t = tets[lo:lo + _CHUNK]
+            v[lo:lo + _CHUNK] = local_volume(
+                self.volume[t], tree.values[corners[t]], h[lo:lo + _CHUNK],
+                piece[lo:lo + _CHUNK])
         # with no tets, bincount ignores the weights and counts in int64
         return tuple(np.bincount(arcs[end == e], weights=v[end == e],
                                  minlength=k).astype(np.float64)

@@ -610,6 +610,26 @@ def branch_list(branches):
             for b in branches]
 
 
+def reference_rank_order(branches, tie):
+    """Indices of decompose's branches in the order the ranking loop gives:
+    the master (rank 0) first, the rest by descending weight, then each
+    run of weights within tie of the next re-sorted by descending last
+    arc, one sorted call per run."""
+    def last_arc(i):
+        return -max(branches[i].superarcs)
+
+    master = next(i for i, b in enumerate(branches) if b.rank == 0)
+    rest = sorted((i for i in range(len(branches)) if i != master),
+                  key=lambda i: (-branches[i].weight, last_arc(i)))
+    order, run = [master], []
+    for i in rest:
+        if run and branches[run[-1]].weight - branches[i].weight > tie:
+            order += sorted(run, key=last_arc)
+            run = []
+        run.append(i)
+    return order + sorted(run, key=last_arc)
+
+
 def _data_lines(path):
     """Yield (line_no, tokens) for non-comment, non-blank lines."""
     with open(path, "r") as fh:

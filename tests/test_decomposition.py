@@ -5,9 +5,10 @@ from tetcontour.contourtree import build_contour_tree
 from tetcontour.decomposition import _heaviest, decompose
 from tetcontour.hypersweep import (compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
-from tetcontour.mesh import build_vertex_order
+from tetcontour.mesh import build_vertex_order, grid_to_tets
 
-from conftest import gaussian_grid_mesh, random_grid_mesh, two_peak_mesh
+from conftest import (gaussian_grid_mesh, random_grid_mesh,
+                      reference_rank_order, two_peak_mesh)
 
 
 def _both_weightings(mesh):
@@ -138,3 +139,19 @@ def test_heaviest_matches_brute_force():
                      1e-9) == [-1, 1, -1]
     assert _heaviest(np.array([1, 1]), np.array([1.0, 1.0 - 1e-12]), 3,
                      0.0) == [-1, 0, -1]
+
+
+def test_ranks_match_per_run_reference():
+    # tied integer fields give long runs of equal and near-equal weights,
+    # noisy grids thousands of branches
+    meshes = [grid_to_tets((8, 8, 8), np.random.default_rng(seed).integers(
+        0, k, size=512).astype(float)) for k in (3, 5, 50)
+        for seed in range(6)]
+    meshes += [grid_to_tets((n, n, n), np.random.default_rng(1).normal(
+        size=n ** 3)) for n in (16, 32)]
+    for mesh in meshes:
+        tree, weightings = _both_weightings(mesh)
+        for weights in weightings:
+            branches = decompose(tree, weights)
+            assert reference_rank_order(branches, weights.tie) == list(
+                range(len(branches)))

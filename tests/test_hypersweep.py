@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,42 @@ def test_deltas_peak_memory_independent_of_tet_count():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_kernel_runs_on_calling_thread(monkeypatch):
+    # memory that worker threads free stays in their allocator arenas, so
+    # the kernel's and the grouping's block temporaries stay on this thread
+    calls = []
+    kernel = hs.batch_spline_coefficients
+
+    def recording(*args):
+        calls.append(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(hs, "batch_spline_coefficients", recording)
+    monkeypatch.setattr(hs, "_CHUNK", 512)
+    mesh = random_grid_mesh(np.random.default_rng(0), dims=(9, 9, 9))
+    compute_deltas(mesh, build_vertex_order(mesh), threads=2)
+    assert len(calls) > 4
+    assert set(calls) == {threading.get_ident()}
+
+
+def test_sweep_volumes_peak_memory():
+    # three bumps as in the grid-smooth benchmark: 131,960 of its 178,746
+    # tets are in the exact set; picking the crossed ones over all of them
+    # at once peaks at 8.4 MiB, a block at a time near 7 MiB
+    mesh = gaussian_grid_mesh(32, [(0.3, 0.4, 0.5), (0.7, 0.5, 0.4),
+                                   (0.5, 0.7, 0.7)], [1.0, 0.8, 0.6],
+                              width=10.0)
+    order, tree, deltas = _pipeline(mesh)
+    assert len(deltas.exact) == 131_960
+    tracemalloc.start()
+    try:
+        sweep_volumes(tree, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2 ** 20
 
 
 def _reference_deltas(mesh, order):
