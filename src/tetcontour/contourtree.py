@@ -52,7 +52,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .mesh import _CHUNK, StructuralError, TetMesh, VertexOrder
+from .mesh import _CHUNK, StructuralError, TetMesh, VertexOrder, _sort4
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ _PAIR_HI = [1, 2, 3, 2, 3, 3]
 def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
     """Consecutive rank pairs of every tet that no tet skips over.
 
-    One 1-D sort of the codes (lo * n + hi) * 2 + skip: a key's group ends
+    One 1-D sort of the codes lo * 2n + 2 hi + skip: a key's group ends
     in a skipping code whenever any tet skips the pair, so the pairs kept
     are the keys whose last code is consecutive. The codes are filled, and
     the kept ones marked, in blocks of _CHUNK tets.
@@ -86,12 +86,12 @@ def build_monotone_links(mesh: TetMesh, order: VertexOrder) -> MonotoneLinks:
     m = mesh.tet_count
     codes = np.empty((m, 6), dtype=np.int64)
     for lo in range(0, m, _CHUNK):
-        r = np.sort(order.rank[mesh.tets[lo:lo + _CHUNK]], axis=1)
+        r = _sort4(order.rank[mesh.tets[lo:lo + _CHUNK]])
         block = codes[lo:lo + _CHUNK]
-        np.multiply(r[:, _PAIR_LO], n, out=block)
-        block += r[:, _PAIR_HI]
-        block *= 2
-        block[:, 3:] += 1
+        for j, (a, b) in enumerate(zip(_PAIR_LO, _PAIR_HI)):
+            column = block[:, j]
+            np.multiply(r[:, a], 2 * n, out=column)
+            column += 2 * r[:, b] + (j >= 3)     # the skip bit
     codes = codes.ravel()
     codes.sort()
     keys = codes[_last_of_key(codes)]

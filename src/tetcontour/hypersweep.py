@@ -62,7 +62,8 @@ class SweepDeltas:
     rows:         (n, 4) standard-form deltas of the telescoped tets, plus
                   each exact-set tet's volume on the constant of its
                   top-ranked corner.
-    exact:        (e, 4) the exact-set tets, corners in ascending rank.
+    exact:        (e, 4) int32 the exact-set tets, corners in ascending
+                  rank (int64 on a mesh of 2^31 vertices or more).
     exact_volume: (e,) their volumes.
     error:        certified bound on the absolute error of every swept
                   volume that sweep_volumes computes from them.
@@ -84,8 +85,9 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     telescope to (0, 0, 0, total mesh volume).
 
     Three passes over blocks of _CHUNK tets. The first takes every tet's
-    rounding bound from its volume, kept from load, and sorted values;
-    the split keeps the tets of smallest bound. The second runs the
+    rounding bound from its volume, kept from load, and its values at its
+    rank-sorted corners, which are its values in ascending order; the
+    split keeps the tets of smallest bound. The second runs the
     spline kernel on blocks of the telescoped tets and groups their rows
     into rounds (_rounds), and adds round after round into the per-vertex
     Neumaier (sum, compensation) pairs, block after block in ascending
@@ -112,7 +114,7 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     volume = mesh.tet_volume
 
     def bounds(lo):
-        values = np.sort(mesh.values[mesh.tets[lo:lo + _CHUNK]], axis=1)
+        values = mesh.values[order.sort_tets(mesh.tets[lo:lo + _CHUNK])]
         bound[lo:lo + _CHUNK] = rounding_bound(volume[lo:lo + _CHUNK],
                                                values, big)
 
@@ -126,7 +128,9 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
         rest = np.ones(mesh.tet_count, dtype=bool)
         rest[kept] = False
         rest = np.flatnonzero(rest)
-        exact = np.empty((rest.size, 4), dtype=order.sort_index.dtype)
+        # vertex ids fit in int32 on any mesh of fewer than 2^31 vertices
+        exact = np.empty((rest.size, 4), dtype=np.int32
+                         if n <= np.iinfo(np.int32).max else np.int64)
 
         def corners(lo):
             exact[lo:lo + _CHUNK] = order.sort_tets(
@@ -326,14 +330,24 @@ class _Tour:
         differenced at cut(), taken from the total where not inside."""
         s, c = _compensated_prefix(rows[np.argsort(self.key)])
         lo, hi, inside = self.cut(arc, count)
-        run = (s[hi] - s[lo]) + (c[hi] - c[lo])
-        inside = inside.reshape(inside.shape + (1,) * (rows.ndim - 1))
-        return np.where(inside, run, (s[-1] + c[-1]) - run)
+        total = s[-1] + c[-1]
+        # (s[hi] - s[lo]) + (c[hi] - c[lo]), each prefix sum freed once
+        # differenced
+        run = c[hi]
+        run -= c[lo]
+        del c
+        ends = s[hi]
+        ends -= s[lo]
+        del s
+        run += ends
+        outside = ~inside.reshape(inside.shape + (1,) * (rows.ndim - 1))
+        return np.subtract(total, run, out=run, where=outside)
 
 
 def _split(nodes):
     """Whether each row of cut-tree nodes holds more than one node."""
-    return (nodes != nodes[:, :1]).any(axis=1)
+    n0, n1, n2, n3 = nodes.T
+    return (n1 != n0) | (n2 != n0) | (n3 != n0)
 
 
 class _ExactPart:
@@ -369,11 +383,22 @@ class _ExactPart:
         found = [(tets[:0], tets[:0], tets[:0])]
         while tets.size:
             depth = tour.depth[nodes]
-            deep = depth == depth.max(axis=1, keepdims=True)
-            same = nodes[:, :, None] == nodes[:, None, :]
-            first = ~np.tril(same, -1).any(axis=2)
+            d0, d1, d2, d3 = depth.T
+            deep = depth == np.maximum(np.maximum(d0, d1),
+                                       np.maximum(d2, d3))[:, None]
+            # from the six column equalities: a column holds its node's
+            # first occurrence when no earlier column holds the node, and
+            # count[:, c] columns hold the node of column c
+            n0, n1, n2, n3 = nodes.T
+            e01, e02, e03 = n0 == n1, n0 == n2, n0 == n3
+            e12, e13, e23 = n1 == n2, n1 == n3, n2 == n3
+            first = np.stack((np.ones_like(e01), ~e01, ~(e02 | e12),
+                              ~(e03 | e13 | e23)), axis=1)
+            count = np.stack((1 + e01 + e02 + e03, 1 + e01 + e12 + e13,
+                              1 + e02 + e12 + e23, 1 + e03 + e13 + e23),
+                             axis=1)
             t, c = np.nonzero(deep & first)
-            found.append((tets[t], nodes[t, c], same[t, c].sum(axis=1)))
+            found.append((tets[t], nodes[t, c], count[t, c]))
             nodes = np.where(deep, tour.parent[nodes], nodes)
             split = _split(nodes)
             tets, nodes = tets[split], nodes[split]
@@ -464,7 +489,14 @@ def _compensated_prefix(x):
     np.cumsum(x, axis=0, out=s[1:])
     back = s[1:] - s[:-1]
     c = np.zeros_like(s)
-    np.cumsum((s[:-1] - (s[1:] - back)) + (x - back), axis=0, out=c[1:])
+    # each step's error (s[:-1] - (s[1:] - back)) + (x - back), built in
+    # c[1:] and back so that four arrays of x's size are live at once
+    error = c[1:]
+    np.subtract(s[1:], back, out=error)
+    np.subtract(s[:-1], error, out=error)
+    np.subtract(x, back, out=back)
+    back += error
+    np.cumsum(back, axis=0, out=error)
     return s, c
 
 

@@ -10,7 +10,7 @@ import tetcontour.hypersweep
 import tetcontour.mesh
 from tetcontour.contourtree import (ContourTree, InconsistentTreesError,
                                     MonotoneLinks)
-from tetcontour.geometry import horner
+from tetcontour.geometry import horner, local_volume
 from tetcontour.isosurface import _ONE_TRI, _QUAD
 from tetcontour.mesh import (DataError, ParseError, StructuralError,
                              TetMesh, _cross, grid_to_tets)
@@ -488,6 +488,39 @@ def reference_sweep_volumes(tree, deltas):
             weight_top=float(horner(segs[-1], h_hi) + top[a]),
             error=deltas.error, exact=exact))
     return out
+
+
+def reference_arc_ends(exact):
+    """_ExactPart.arc_ends by climbing with (t, 4, 4) corner-pair
+    equalities: the deepest corners' first occurrences from a lower
+    triangle of the pairs, their counts from row sums. The reference its
+    column-wise climb is checked against bit for bit."""
+    tree, tour = exact.tree, exact.tour
+    corners = exact.corners
+    nodes = tour.node[corners]
+    tets = np.flatnonzero((nodes != nodes[:, :1]).any(axis=1))
+    nodes = nodes[tets]
+    found = [(tets[:0], tets[:0], tets[:0])]
+    while tets.size:
+        depth = tour.depth[nodes]
+        deep = depth == depth.max(axis=1, keepdims=True)
+        same = nodes[:, :, None] == nodes[:, None, :]
+        first = ~np.tril(same, -1).any(axis=2)
+        t, c = np.nonzero(deep & first)
+        found.append((tets[t], nodes[t, c], same[t, c].sum(axis=1)))
+        nodes = np.where(deep, tour.parent[nodes], nodes)
+        split = (nodes != nodes[:, :1]).any(axis=1)
+        tets, nodes = tets[split], nodes[split]
+    tets, node, inside = (np.concatenate(x) for x in zip(*found))
+    arcs = node // 2
+    child_lo = tour.child_lo[arcs]
+    end = ((node % 2 == 1) != child_lo).astype(np.int64)
+    h = tree.values[tree.supernodes[tree.superarcs[arcs, end]]]
+    v = local_volume(exact.volume[tets], tree.values[corners[tets]], h,
+                     np.where(child_lo, inside, 4 - inside))
+    return tuple(np.bincount(arcs[end == e], weights=v[end == e],
+                             minlength=tree.superarc_count).astype(np.float64)
+                 for e in (1, 0))
 
 
 def reference_march_tets(mesh, h):

@@ -17,8 +17,9 @@ from tetcontour.oracle import (contour_count_mismatches, rank_arc_end_volumes,
                                region_volume_errors)
 
 from conftest import (bit_check_meshes, branch_list, gaussian_grid_mesh,
-                      random_grid_mesh, reference_below_arc_sums,
-                      reference_sweep_volumes, two_peak_mesh)
+                      random_grid_mesh, reference_arc_ends,
+                      reference_below_arc_sums, reference_sweep_volumes,
+                      two_peak_mesh)
 
 
 def _pipeline(mesh):
@@ -26,6 +27,13 @@ def _pipeline(mesh):
     tree = build_contour_tree(mesh, order)
     deltas = compute_deltas(mesh, order)
     return order, tree, deltas
+
+
+def _three_bumps(n):
+    """Three bumps as in the grid-smooth benchmark on an n^3 grid."""
+    return gaussian_grid_mesh(n, [(0.3, 0.4, 0.5), (0.7, 0.5, 0.4),
+                                  (0.5, 0.7, 0.7)], [1.0, 0.8, 0.6],
+                              width=10.0)
 
 
 def test_deltas_telescope_to_total(rng):
@@ -118,9 +126,7 @@ def test_sweep_volumes_peak_memory():
     # three bumps as in the grid-smooth benchmark: 131,960 of its 178,746
     # tets are in the exact set; picking the crossed ones over all of them
     # at once peaks at 8.4 MiB, a block at a time near 7 MiB
-    mesh = gaussian_grid_mesh(32, [(0.3, 0.4, 0.5), (0.7, 0.5, 0.4),
-                                   (0.5, 0.7, 0.7)], [1.0, 0.8, 0.6],
-                              width=10.0)
+    mesh = _three_bumps(32)
     order, tree, deltas = _pipeline(mesh)
     assert len(deltas.exact) == 131_960
     tracemalloc.start()
@@ -130,6 +136,35 @@ def test_sweep_volumes_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 7.5 * 2 ** 20
+
+
+def test_below_peak_memory():
+    # every arc's segments on the 32^3 three-bump grid (32,768 vertices, a
+    # MiB per (n + 1, 4) array): new arrays for each term of the prefix
+    # sum's error and each difference of the cut peak near 6 MiB, written
+    # in place about 4.5 MiB
+    mesh = _three_bumps(32)
+    order, tree, deltas = _pipeline(mesh)
+    tour = hs._Tour.build(tree)
+    first = np.cumsum(tour.regulars + 1) - (tour.regulars + 1)
+    arcs = np.repeat(np.arange(tree.superarc_count), tour.regulars + 1)
+    count = np.arange(arcs.size) - first[arcs]
+    tracemalloc.start()
+    try:
+        tour.below(deltas.rows, arcs, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.25 * 2 ** 20
+
+
+def test_exact_set_corners_are_int32_ranks():
+    mesh = _three_bumps(14)
+    order, tree, deltas = _pipeline(mesh)
+    assert deltas.exact.dtype == np.int32 and len(deltas.exact) > 0
+    sorted_tets = order.sort_tets(mesh.tets)
+    rows = {tuple(r) for r in sorted_tets.tolist()}
+    assert all(tuple(r) in rows for r in deltas.exact.tolist())
 
 
 def _reference_deltas(mesh, order):
@@ -379,6 +414,28 @@ def test_arc_ends_are_float_without_crossed_exact_set_tets():
         assert not end.any()
 
 
+def test_arc_ends_match_reference(rng):
+    # the climb's masks from column equalities, bit for bit against the
+    # (t, 4, 4) climb; tied integer fields put corners of one tet in one
+    # node two, three or four at a time, and on the narrow 11^3 bumps some
+    # tets have only their two top-ranked corners in one node
+    meshes = bit_check_meshes(rng) + [_three_bumps(32), grid_to_tets(
+        (16, 16, 16), np.random.default_rng(1).normal(size=16 ** 3)),
+        gaussian_grid_mesh(11, [(0.3, 0.5, 0.5), (0.7, 0.5, 0.5)],
+                           [1.0, 0.6], width=40.0)]
+    meshes += [grid_to_tets((8, 8, 8), np.random.default_rng(seed).integers(
+        0, k, size=512).astype(float)) for k in (3, 5, 50)
+        for seed in range(3)]
+    crossed = 0
+    for mesh in meshes:
+        order, tree, deltas = _pipeline(mesh)
+        exact = hs._ExactPart(tree, hs._Tour.build(tree), deltas)
+        got, want = exact.arc_ends(), reference_arc_ends(exact)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+        crossed += np.count_nonzero(got[0]) + np.count_nonzero(got[1])
+    assert crossed > 0
+
+
 def _assert_arc_ends_match_oracle(mesh, bound):
     order, tree, deltas = _pipeline(mesh)
     volumes = sweep_volumes(tree, deltas)
@@ -455,10 +512,7 @@ def _full_scan(exact, arc, h):
 
 
 def test_crossed_exact_tets_come_from_the_arc_candidates():
-    # three bumps as in the grid-smooth benchmark, on a coarser grid
-    mesh = gaussian_grid_mesh(14, [(0.3, 0.4, 0.5), (0.7, 0.5, 0.4),
-                                   (0.5, 0.7, 0.7)], [1.0, 0.8, 0.6],
-                              width=10.0)
+    mesh = _three_bumps(14)
     order, tree, deltas = _pipeline(mesh)
     exact = sweep_volumes(tree, deltas)[0].exact
     crossed = 0

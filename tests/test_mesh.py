@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from tetcontour.mesh import (DataError, ParseError, StructuralError, TetMesh,
-                             _triple_products, build_topology_graph,
+                             _sort4, _triple_products, build_topology_graph,
                              build_vertex_order, grid_to_tets, load_raw_grid,
                              load_scalar_file, load_tetgen, tet_volumes)
 
-from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES,
+from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES, random_grid_mesh,
                       reference_load_scalar_file, reference_parse_ele_file,
                       reference_parse_node_file, reference_tet_volumes,
                       reference_triple_products, single_tet_mesh)
@@ -117,13 +117,42 @@ def test_repeated_corners_in_three_blocks_are_refused(small_blocks):
     mesh = grid_to_tets((9, 9, 9), np.zeros(729))
     tets = mesh.tets.copy()
     bad = [3, 5, 998, 1000, 1500, 1998, 2000, 2001, 2500, 2700, 2999]
-    tets[bad, 1 + np.arange(len(bad)) % 3] = tets[bad, 0]
+    # a repeat in each of the six corner pairs, then three and four equal
+    # corners
+    repeats = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2),
+               (1, 2, 3), (0, 1, 2, 3)]
+    for t, cols in zip(bad, itertools.cycle(repeats)):
+        tets[t, list(cols[1:])] = tets[t, cols[0]]
     rows = np.sort(tets, axis=1)
     want = np.flatnonzero(np.any(rows[:, :-1] == rows[:, 1:], axis=1))
     assert want.tolist() == bad
     with pytest.raises(StructuralError, match=re.escape(
             f"repeated vertex within tets {want[:10].tolist()}")):
         TetMesh.create(mesh.positions, mesh.values, tets)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_sort4_matches_sort(dtype):
+    # every order of 4 distinct values, then rows with ties of every shape
+    perms = np.array(list(itertools.permutations([-7, 0, 3, 2 ** 30])))
+    ties = np.random.default_rng(0).integers(-2, 3, size=(2000, 4))
+    for rows in (perms, ties, np.zeros((0, 4))):
+        rows = rows.astype(dtype)
+        got = _sort4(rows)
+        assert got.dtype == dtype and got.shape == rows.shape
+        assert np.array_equal(got, np.sort(rows, axis=1))
+    assert len(perms) == 24
+    assert {len(set(r)) for r in ties.tolist()} == {1, 2, 3, 4}
+
+
+def test_sort_tets_matches_sort_of_ranks(rng):
+    mesh = random_grid_mesh(rng, dims=(5, 5, 5))
+    order = build_vertex_order(mesh)
+    want = order.sort_index[np.sort(order.rank[mesh.tets], axis=-1)]
+    assert np.array_equal(order.sort_tets(mesh.tets), want)
+    for tet, row in zip(mesh.tets[:20], want[:20]):
+        got = order.sort_tets(tet)
+        assert got.shape == (4,) and np.array_equal(got, row)
 
 
 def test_grid_to_tets_counts_and_volume():
