@@ -3,8 +3,9 @@
 One subcommand, `run`: it writes tree.json, weights.csv, branches.json
 and one OBJ per top-ranked branch with an arc that is not flat, and
 prints the exact-set size, the certified volume error and per-stage wall
-times. Reruns with the same inputs produce byte-identical JSON/CSV
-regardless of --threads. The brute-force oracle suites live in the tests.
+times. Reruns with the same inputs produce byte-identical files. The run
+uses one thread; --threads is accepted and changes nothing. The
+brute-force oracle suites live in the tests.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def _pipeline(args):
         order = build_vertex_order(mesh)
         tree = build_contour_tree(mesh, order)
     with _stage(times, "weights"):
-        deltas = hypersweep.compute_deltas(mesh, order, threads=args.threads)
+        deltas = hypersweep.compute_deltas(mesh, order)
         if args.weights == "volume":
             weights = hypersweep.volume_weights(
                 hypersweep.sweep_volumes(tree, deltas), mesh.volume)
@@ -282,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=(1.0, 1.0, 1.0), metavar=("SX", "SY", "SZ"))
     run.add_argument("--weights", choices=("count", "volume"),
                      default="volume")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; the run uses one "
+                          "thread whatever its value")
     run.add_argument("--top", type=int, default=3)
     run.add_argument("--isovalue", action="append", metavar="SUPERARC=H",
                      help="override the extraction isovalue of a superarc")

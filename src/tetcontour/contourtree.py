@@ -121,7 +121,13 @@ def _last_of_key(codes: np.ndarray) -> np.ndarray:
 def _sweep(links: MonotoneLinks, order: VertexOrder,
            descending: bool) -> np.ndarray:
     """The join tree of the links by rounds of peak pruning in rank
-    space; the split tree is the join tree of the reversed ranks."""
+    space; the split tree is the join tree of the reversed ranks.
+
+    Raises ValueError on links with lo >= hi: with lo < hi every round
+    prunes at least its peaks, so the rounds end."""
+    bad = int(np.count_nonzero(links.lo >= links.hi))
+    if bad:
+        raise ValueError(f"{bad} of {links.lo.size} links have lo >= hi")
     sort_index = order.sort_index
     n = sort_index.shape[0]
     if descending:

@@ -38,8 +38,6 @@ and refuses a mesh whose bound exceeds REFUSE_ABOVE times its volume.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +73,7 @@ class SweepDeltas:
     error: float
 
 
-def compute_deltas(mesh: TetMesh, order: VertexOrder,
-                   threads: int = 1) -> SweepDeltas:
+def compute_deltas(mesh: TetMesh, order: VertexOrder) -> SweepDeltas:
     """Per-vertex cubic coefficient deltas and the exact set.
 
     Summed over any vertex subset that is downward-closed along the tree,
@@ -84,27 +81,20 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     tets the subset's boundary crosses; summed over all vertices they
     telescope to (0, 0, 0, total mesh volume).
 
-    Three passes over blocks of _CHUNK tets. The first takes every tet's
-    rounding bound from its volume, kept from load, and its values at its
-    rank-sorted corners, which are its values in ascending order; the
-    split keeps the tets of smallest bound. The second runs the
-    spline kernel on blocks of the telescoped tets and groups their rows
-    into rounds (_rounds), and adds round after round into the per-vertex
-    Neumaier (sum, compensation) pairs, block after block in ascending
-    order. The third sorts the exact-set tets' corners by rank; their
-    volumes then go in by one bincount in tet order.
-
-    With threads > 1, the first and third passes run on that many worker
-    threads, the third while the calling thread runs the second; each of
-    their blocks writes its own slice of a preallocated array. The second
-    stays on the calling thread: its blocks' temporaries are large, and
-    memory that worker threads free stays resident in their allocator
-    arenas, so on workers it would raise the process peak with threads.
+    Three passes over blocks of _CHUNK tets, on the calling thread. The
+    first takes every tet's rounding bound from its volume, kept from
+    load, and its values at its rank-sorted corners, which are its values
+    in ascending order; the split keeps the tets of smallest bound. The
+    second runs the spline kernel on blocks of the telescoped tets and
+    groups their rows into rounds (_rounds), and adds round after round
+    into the per-vertex Neumaier (sum, compensation) pairs, block after
+    block in ascending order. The third sorts the exact-set tets' corners
+    by rank; their volumes then go in by one bincount in tet order.
 
     Float addition is not associative, so the bits follow the order in
     which each vertex adds its rows: ascending (tet, corner), and each
-    tet's rows depend only on that tet. Neither the block size nor the
-    thread count plays a part in the bits.
+    tet's rows depend only on that tet. The block size plays no part in
+    the bits.
 
     Raises FloatingPointError when the certified error exceeds
     REFUSE_ABOVE times the mesh volume.
@@ -112,48 +102,39 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
     n = mesh.vertex_count
     big = float(np.max(np.abs(mesh.values)))
     volume = mesh.tet_volume
-
-    def bounds(lo):
+    bound = np.empty(mesh.tet_count)
+    for lo in range(0, mesh.tet_count, _CHUNK):
         values = mesh.values[order.sort_tets(mesh.tets[lo:lo + _CHUNK])]
         bound[lo:lo + _CHUNK] = rounding_bound(volume[lo:lo + _CHUNK],
                                                values, big)
-
-    bound = np.empty(mesh.tet_count)
+    kept = _cheapest(bound, EXACT_BUDGET * mesh.volume)
     deltas = np.zeros((n, 4))
     comp = np.zeros((n, 4))
-    pool = ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
-    with pool as ex:
-        _each_block(ex, bounds, mesh.tet_count)()
-        kept = _cheapest(bound, EXACT_BUDGET * mesh.volume)
-        rest = np.ones(mesh.tet_count, dtype=bool)
-        rest[kept] = False
-        rest = np.flatnonzero(rest)
-        # vertex ids fit in int32 on any mesh of fewer than 2^31 vertices
-        exact = np.empty((rest.size, 4), dtype=np.int32
-                         if n <= np.iinfo(np.int32).max else np.int64)
-
-        def corners(lo):
-            exact[lo:lo + _CHUNK] = order.sort_tets(
-                mesh.tets[rest[lo:lo + _CHUNK]])
-
-        sorted_corners = _each_block(ex, corners, rest.size)
-        for lo in range(0, kept.size, _CHUNK):
-            v, sizes, x = _rounds(mesh, order, kept[lo:lo + _CHUNK])
-            sums = deltas[v]
-            comps = comp[v]
-            done = 0
-            for m in sizes:
-                s = sums[:m]
-                x_k = x[done:done + m]
-                done += m
-                t = s + x_k
-                big_s = np.abs(s) >= np.abs(x_k)
-                comps[:m] += np.where(big_s, (s - t) + x_k, (x_k - t) + s)
-                s[...] = t
-            deltas[v] = sums
-            comp[v] = comps
-        sorted_corners()
+    for lo in range(0, kept.size, _CHUNK):
+        v, sizes, x = _rounds(mesh, order, kept[lo:lo + _CHUNK])
+        sums = deltas[v]
+        comps = comp[v]
+        done = 0
+        for m in sizes:
+            s = sums[:m]
+            x_k = x[done:done + m]
+            done += m
+            t = s + x_k
+            big_s = np.abs(s) >= np.abs(x_k)
+            comps[:m] += np.where(big_s, (s - t) + x_k, (x_k - t) + s)
+            s[...] = t
+        deltas[v] = sums
+        comp[v] = comps
     deltas += comp
+    rest = np.ones(mesh.tet_count, dtype=bool)
+    rest[kept] = False
+    rest = np.flatnonzero(rest)
+    # vertex ids fit in int32 on any mesh of fewer than 2^31 vertices
+    exact = np.empty((rest.size, 4), dtype=np.int32
+                     if n <= np.iinfo(np.int32).max else np.int64)
+    for lo in range(0, rest.size, _CHUNK):
+        exact[lo:lo + _CHUNK] = order.sort_tets(
+            mesh.tets[rest[lo:lo + _CHUNK]])
     exact_volume = volume[rest]
     deltas[:, 3] += np.bincount(exact[:, 3], weights=exact_volume,
                                 minlength=n)
@@ -164,18 +145,6 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder,
             f"certified volume error {error / mesh.volume:.3g}*T exceeds "
             f"{REFUSE_ABOVE:g}*T")
     return SweepDeltas(deltas, exact, exact_volume, error)
-
-
-def _each_block(ex, fn, size):
-    """fn(lo) for every block start lo in range(0, size, _CHUNK): started
-    now on executor ex, or run here by the returned function when ex is
-    None. The returned function ends when every call has, and raises any
-    exception one of them raised."""
-    starts = range(0, size, _CHUNK)
-    if ex is None:
-        return lambda: [fn(lo) for lo in starts]
-    calls = [ex.submit(fn, lo) for lo in starts]
-    return lambda: [call.result() for call in calls]
 
 
 def _rounds(mesh, order, tets):

@@ -153,8 +153,8 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
     key. So the labels are those of one walk per end, computed once per
     distinct (below key, above key) pair, with at most one straddling_arcs
     call per supernode, all sharing one memo. mesh is unread; it stays in
-    the signature until seed-and-flood extraction takes labeling off the
-    hot path.
+    the signature because perfbench/tracer.py's _unlabeled reads the soup
+    as the third positional argument.
     """
     k = tree.supernode_count
     ends = soup.crossing

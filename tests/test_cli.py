@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ def test_config_requires_exactly_one_input(tmp_path, capsys):
                    "--dims", "2", "2", "2", "--raw", "c"],
                   ["--node", "a"],                  # .ele missing
                   ["--dims", "2", "2", "2", "--raw", "c", "--top", "0"],
+                  ["--dims", "2", "2", "2", "--raw", "c", "--threads", "0"],
                   # TetGen field flags on a grid input
                   ["--dims", "2", "2", "2", "--raw", str(raw),
                    "--field", "nope.txt", "--field-attr", "3"]):
@@ -133,6 +135,17 @@ def test_run_deterministic_across_threads(tmp_path, grid_input):
     for name in ("tree.json", "weights.csv", "branches.json",
                  "branch_0.obj"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_run_starts_no_thread(tmp_path, grid_input, monkeypatch):
+    # --threads is accepted, and the run stays on the calling thread
+
+    def refuse(self):
+        raise RuntimeError("ct run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["run", *grid_input, "--threads", "2",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_isovalue_override(tmp_path, grid_input):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tetcontour.contourtree import (InconsistentTreesError,
+from tetcontour.contourtree import (InconsistentTreesError, MonotoneLinks,
                                     build_contour_tree, build_join_tree,
                                     build_monotone_links, build_split_tree,
                                     merge_trees, straddling_arcs)
@@ -71,6 +71,18 @@ def test_join_split_tree_roots():
             assert order.rank[join[v]] < order.rank[v]
         if split[v] >= 0:
             assert order.rank[split[v]] > order.rank[v]
+
+
+def test_links_with_lo_not_below_hi_are_refused():
+    # peak pruning's rounds stop pruning on such links; the check before
+    # them keeps a defect in the links from hanging the sweep
+    mesh = random_grid_mesh(np.random.default_rng(1), dims=(4, 4, 4))
+    order = build_vertex_order(mesh)
+    links = build_monotone_links(mesh, order)
+    swapped = MonotoneLinks(links.hi, links.lo, 0)
+    for build in (build_join_tree, build_split_tree):
+        with pytest.raises(ValueError, match="have lo >= hi"):
+            build(swapped, order)
 
 
 def test_tree_structure_invariants(rng):

@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 
 import numpy as np
@@ -47,30 +46,26 @@ def test_deltas_telescope_to_total(rng):
         assert np.all(np.abs(summed[:3]) <= 1e-9 * total)
 
 
-def test_deltas_independent_of_thread_count(rng):
+def test_deltas_independent_of_block_size(rng):
     mesh = random_grid_mesh(rng, dims=(9, 9, 9))
     order = build_vertex_order(mesh)
-    base = compute_deltas(mesh, order, threads=1)
+    base = compute_deltas(mesh, order)
     # shrink the chunk size so the mesh spans many chunks
     original = hs._CHUNK
     hs._CHUNK = 512
     try:
-        single = compute_deltas(mesh, order, threads=1)
-        threaded = compute_deltas(mesh, order, threads=4)
+        got = compute_deltas(mesh, order)
     finally:
         hs._CHUNK = original
-    for got in (single, threaded):
-        np.testing.assert_array_equal(base.rows, got.rows)
-        np.testing.assert_array_equal(base.exact, got.exact)
-        assert base.error == got.error
+    np.testing.assert_array_equal(base.rows, got.rows)
+    np.testing.assert_array_equal(base.exact, got.exact)
+    assert base.error == got.error
 
     # at the default chunk size: 13,182 tets span two chunks
     mesh = random_grid_mesh(rng, dims=(14, 14, 14))
     order = build_vertex_order(mesh)
-    ref = _reference_deltas(mesh, order)
-    for threads in (1, 2, 4):
-        np.testing.assert_array_equal(
-            compute_deltas(mesh, order, threads=threads).rows, ref)
+    np.testing.assert_array_equal(compute_deltas(mesh, order).rows,
+                                  _reference_deltas(mesh, order))
 
 
 def test_deltas_peak_memory():
@@ -80,7 +75,7 @@ def test_deltas_peak_memory():
     order = build_vertex_order(mesh)
     tracemalloc.start()
     try:
-        compute_deltas(mesh, order, threads=2)
+        compute_deltas(mesh, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -89,37 +84,19 @@ def test_deltas_peak_memory():
 
 def test_deltas_peak_memory_independent_of_tet_count():
     # staging every row of the mesh before summing takes over 90 MB here;
-    # blocks streamed into the per-vertex sums peak near 21 MB, the sums
-    # and a few blocks in flight, however many tets there are
+    # blocks streamed into the per-vertex sums peak near 17 MB, the sums
+    # and one block in flight, however many tets there are
     mesh = grid_to_tets((40, 40, 40),
                         np.random.default_rng(1).normal(size=40 ** 3))
     assert mesh.tet_count == 355_914
     order = build_vertex_order(mesh)
     tracemalloc.start()
     try:
-        compute_deltas(mesh, order, threads=2)
+        compute_deltas(mesh, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40e6
-
-
-def test_kernel_runs_on_calling_thread(monkeypatch):
-    # memory that worker threads free stays in their allocator arenas, so
-    # the kernel's and the grouping's block temporaries stay on this thread
-    calls = []
-    kernel = hs.batch_spline_coefficients
-
-    def recording(*args):
-        calls.append(threading.get_ident())
-        return kernel(*args)
-
-    monkeypatch.setattr(hs, "batch_spline_coefficients", recording)
-    monkeypatch.setattr(hs, "_CHUNK", 512)
-    mesh = random_grid_mesh(np.random.default_rng(0), dims=(9, 9, 9))
-    compute_deltas(mesh, build_vertex_order(mesh), threads=2)
-    assert len(calls) > 4
-    assert set(calls) == {threading.get_ident()}
 
 
 def test_sweep_volumes_peak_memory():
@@ -221,10 +198,9 @@ def test_deltas_match_scalar_neumaier_reference(rng, monkeypatch):
     for mesh in meshes:
         order = build_vertex_order(mesh)
         ref = _reference_deltas(mesh, order)
-        for threads in (1, 2, 4):
-            got = compute_deltas(mesh, order, threads=threads)
-            assert np.array_equal(got.rows, ref)
-            assert np.array_equal(np.signbit(got.rows), np.signbit(ref))
+        got = compute_deltas(mesh, order)
+        assert np.array_equal(got.rows, ref)
+        assert np.array_equal(np.signbit(got.rows), np.signbit(ref))
         exact += len(got.exact)
     assert exact > 0
 
