@@ -84,7 +84,7 @@ def build_tet_spline(mesh: TetMesh, tet_index: int,
 def _ratio(num, den, ok):
     """num / den where ok, else 0, never dividing by a masked-out den."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+        return np.divide(num, den, out=np.zeros(ok.shape), where=ok)
 
 
 def piece_terms(volume, values):
@@ -172,9 +172,29 @@ def rounding_bound(volume, values, big):
     a, b, _, d = values.T
     k1, mid, k3 = piece_terms(volume, values)
     with np.errstate(over="ignore", invalid="ignore"):
-        sa, sb, sd = big + np.abs(a), big + np.abs(b), big + np.abs(d)
-        norm = (k1 * sa ** 3 + volume + k3 * sd ** 3
-                + mid[:, 0] + sb * (mid[:, 1] + sb * (
-                    mid[:, 2] + sb * np.abs(mid[:, 3]))))
-        bound = 10.0 * np.finfo(np.float64).eps * norm
-    return np.where(np.isfinite(bound) & (d > a), bound, np.inf)
+        # k1 (big + |a|)^3 + T + k3 (big + |d|)^3 + mid_0
+        #   + sb (mid_1 + sb (mid_2 + sb |mid_3|)), sb = big + |b|,
+        # summed left to right, each term built in place
+        norm = np.abs(a)
+        norm += big
+        norm **= 3
+        norm *= k1
+        norm += volume
+        term = np.abs(d)
+        term += big
+        term **= 3
+        term *= k3
+        norm += term
+        norm += mid[:, 0]
+        sb = np.abs(b)
+        sb += big
+        np.abs(mid[:, 3], out=term)
+        term *= sb
+        term += mid[:, 2]
+        term *= sb
+        term += mid[:, 1]
+        term *= sb
+        norm += term
+        norm *= 10.0 * np.finfo(np.float64).eps
+    norm[~(np.isfinite(norm) & (d > a))] = np.inf
+    return norm

@@ -81,15 +81,19 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder) -> SweepDeltas:
     tets the subset's boundary crosses; summed over all vertices they
     telescope to (0, 0, 0, total mesh volume).
 
-    Three passes over blocks of _CHUNK tets, on the calling thread. The
-    first takes every tet's rounding bound from its volume, kept from
-    load, and its values at its rank-sorted corners, which are its values
-    in ascending order; the split keeps the tets of smallest bound. The
-    second runs the spline kernel on blocks of the telescoped tets and
-    groups their rows into rounds (_rounds), and adds round after round
-    into the per-vertex Neumaier (sum, compensation) pairs, block after
-    block in ascending order. The third sorts the exact-set tets' corners
-    by rank; their volumes then go in by one bincount in tet order.
+    Three passes over blocks of _CHUNK tets, on the calling thread, and
+    each tet's corners are sorted by rank once. The first pass writes every
+    tet's rank-sorted corners into one (m, 4) buffer of vertex ids and takes
+    its rounding bound from its volume, kept from load, and its values at
+    those corners, which are its values in ascending order; the split keeps
+    the tets of smallest bound. The second runs the spline kernel on blocks
+    of the telescoped tets, their corners read from the buffer, groups
+    their rows into rounds (_rounds), and adds round after round into the
+    per-vertex Neumaier (sum, compensation) pairs, block after block in
+    ascending order; each step's error is TwoSum's. The third moves the
+    exact-set tets' rows to the front of the buffer, in tet order, and
+    the buffer, shrunk in place to that front, is SweepDeltas.exact;
+    their volumes then go in by one bincount in tet order.
 
     Float addition is not associative, so the bits follow the order in
     which each vertex adds its rows: ascending (tet, corner), and each
@@ -102,43 +106,60 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder) -> SweepDeltas:
     n = mesh.vertex_count
     big = float(np.max(np.abs(mesh.values)))
     volume = mesh.tet_volume
+    # vertex ids fit in int32 on any mesh of fewer than 2^31 vertices
+    corners = np.empty((mesh.tet_count, 4), dtype=np.int32
+                       if n <= np.iinfo(np.int32).max else np.int64)
     bound = np.empty(mesh.tet_count)
     for lo in range(0, mesh.tet_count, _CHUNK):
-        values = mesh.values[order.sort_tets(mesh.tets[lo:lo + _CHUNK])]
+        corners[lo:lo + _CHUNK] = order.sort_tets(mesh.tets[lo:lo + _CHUNK])
+        # a (4, b) gather, so rounding_bound reads contiguous columns
+        values = mesh.values[corners[lo:lo + _CHUNK].T]
         bound[lo:lo + _CHUNK] = rounding_bound(volume[lo:lo + _CHUNK],
-                                               values, big)
+                                               values.T, big)
     kept = _cheapest(bound, EXACT_BUDGET * mesh.volume)
+    kept_bound = float(np.sum(bound[kept]))
+    del bound
     deltas = np.zeros((n, 4))
     comp = np.zeros((n, 4))
     for lo in range(0, kept.size, _CHUNK):
-        v, sizes, x = _rounds(mesh, order, kept[lo:lo + _CHUNK])
-        sums = deltas[v]
-        comps = comp[v]
+        tets = kept[lo:lo + _CHUNK]
+        v, sizes, x = _rounds(volume[tets], mesh.values,
+                              np.take(corners, tets, axis=0))
+        sums = np.take(deltas, v, axis=0)
+        comps = np.take(comp, v, axis=0)
         done = 0
         for m in sizes:
             s = sums[:m]
             x_k = x[done:done + m]
             done += m
+            # TwoSum (Knuth, TAOCP vol. 2, 4.2.2): the exact error of
+            # s + x_k, the same float as the branch on the larger of the two
             t = s + x_k
-            big_s = np.abs(s) >= np.abs(x_k)
-            comps[:m] += np.where(big_s, (s - t) + x_k, (x_k - t) + s)
+            z = t - s
+            err = t - z
+            np.subtract(s, err, out=err)
+            np.subtract(x_k, z, out=z)
+            err += z
+            comps[:m] += err
             s[...] = t
-        deltas[v] = sums
-        comp[v] = comps
+        _rows(deltas)[v] = _rows(sums)
+        _rows(comp)[v] = _rows(comps)
     deltas += comp
     rest = np.ones(mesh.tet_count, dtype=bool)
     rest[kept] = False
     rest = np.flatnonzero(rest)
-    # vertex ids fit in int32 on any mesh of fewer than 2^31 vertices
-    exact = np.empty((rest.size, 4), dtype=np.int32
-                     if n <= np.iinfo(np.int32).max else np.int64)
+    # the exact-set rows move to the front of the buffer; rest[i] >= i, so
+    # no block reads a row that an earlier block has overwritten. No view
+    # of the buffer outlives its statement, so it shrinks in place.
     for lo in range(0, rest.size, _CHUNK):
-        exact[lo:lo + _CHUNK] = order.sort_tets(
-            mesh.tets[rest[lo:lo + _CHUNK]])
+        tets = rest[lo:lo + _CHUNK]
+        corners[lo:lo + tets.size] = np.take(corners, tets, axis=0)
+    corners.resize((rest.size, 4), refcheck=False)
+    exact = corners
     exact_volume = volume[rest]
     deltas[:, 3] += np.bincount(exact[:, 3], weights=exact_volume,
                                 minlength=n)
-    error = (float(np.sum(bound[kept]))
+    error = (kept_bound
              + _summation_bound(deltas, big) + 16 * _U * mesh.volume)
     if not error <= REFUSE_ABOVE * mesh.volume:
         raise FloatingPointError(
@@ -147,24 +168,22 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder) -> SweepDeltas:
     return SweepDeltas(deltas, exact, exact_volume, error)
 
 
-def _rounds(mesh, order, tets):
-    """(v, sizes, x): the per-corner difference rows of telescoped tets,
-    their corners sorted by rank, grouped into rounds.
+def _rounds(volume, values, corners):
+    """(v, sizes, x): the per-corner difference rows of a block of
+    telescoped tets, from their volumes and their corners in ascending
+    rank, grouped into rounds.
 
     Round k holds the k-th row of every vertex in the block, in tet
     order, so no vertex appears twice in a round. v lists the block's
     vertices longest run first, so round k's vertices, those with more
     than k rows, are the prefix v[:sizes[k]], and x holds the rows round
-    after round in that order.
+    after round in that order. Each (tet, corner) row is written once,
+    straight into its slot of x.
     """
-    volume = mesh.tet_volume[tets]
-    block = order.sort_tets(mesh.tets[tets])
-    p1, p2, p3 = batch_spline_coefficients(volume, mesh.values[block])
-    rows = np.stack((p1, p2 - p1, p3 - p2, -p3), axis=1)
-    rows[:, 3, 3] += volume
+    p1, p2, p3 = batch_spline_coefficients(volume, values[corners])
     # rows grouped by vertex, each vertex's run in tet order (the keys are
     # distinct, so any sort gives this order)
-    flat = block.ravel()
+    flat = corners.ravel().astype(np.int64)
     by_vertex = np.argsort(flat * flat.size + np.arange(flat.size))
     targets = flat[by_vertex]
     start = np.flatnonzero(np.diff(targets, prepend=-1))
@@ -176,10 +195,25 @@ def _rounds(mesh, order, tets):
     # vertex's place within round k
     k = np.arange(targets.size) - np.repeat(start, length)
     sizes = np.bincount(k)
+    dest = np.empty_like(by_vertex)
+    dest[by_vertex] = (np.cumsum(sizes) - sizes)[k] + np.repeat(place,
+                                                                 length)
+    dest = dest.reshape(-1, 4)
     x = np.empty((flat.size, 4))
-    x[(np.cumsum(sizes) - sizes)[k] + np.repeat(place, length)] = \
-        rows.reshape(-1, 4)[by_vertex]
+    into = _rows(x)
+    into[dest[:, 0]] = _rows(p1)
+    into[dest[:, 1]] = _rows(np.subtract(p2, p1, out=p1))
+    into[dest[:, 2]] = _rows(np.subtract(p3, p2, out=p2))
+    np.negative(p3, out=p3)
+    p3[:, 3] += volume
+    into[dest[:, 3]] = _rows(p3)
     return targets[start[longest]], sizes.tolist(), x
+
+
+def _rows(a):
+    """The rows of a C-ordered (m, 4) float64 array as m single items, so
+    that a scatter copies each row whole rather than element by element."""
+    return a.view(np.dtype((np.void, 32)))[:, 0]
 
 
 def _cheapest(bound, budget):

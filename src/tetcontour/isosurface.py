@@ -173,7 +173,7 @@ def label_superarcs(mesh: TetMesh, tree: ContourTree, soup: TriangleSoup,
     memo = {}
     walks = {key: frozenset((key - k,)) if key >= k else
              straddling_arcs(tree, int(tree.supernodes[key]), h, memo)
-             for key in np.union1d(below, above).tolist()}
+             for key in sorted({*below.tolist(), *above.tolist()})}
     labels = np.full(pairs.shape[0], -1, dtype=np.int64)
     for i, (b, a) in enumerate(zip(below.tolist(), above.tolist())):
         both = walks[b] & walks[a]

@@ -371,6 +371,35 @@ def reference_spline_coefficients(volume, values):
     return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
+def reference_rounding_bound(volume, values, big):
+    """rounding_bound and the piece terms it reads as they were with two
+    np.where passes per ratio and a new array for every product and sum:
+    the reference the in-place array code is checked against bit for
+    bit."""
+    def ratio(num, den, ok):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+
+    a, b, c, d = values.T
+    g1, w, g3 = b - a, c - b, d - c
+    ca, db, da = c - a, d - b, d - a
+    k1 = ratio(volume, g1 * ca * da, g1 > 0.0)
+    k3 = ratio(volume, g3 * db * da, g3 > 0.0)
+    mid = np.empty((values.shape[0], 4))
+    mid[:, 0] = ratio(volume * g1 * g1, ca * da, ca > 0.0)
+    curve = ratio(volume, ca * da, w > 0.0)
+    mid[:, 1] = 3.0 * g1 * curve
+    mid[:, 2] = 3.0 * curve
+    mid[:, 3] = -ratio(volume * (ca + db), w * ca * db * da, w > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa, sb, sd = big + np.abs(a), big + np.abs(b), big + np.abs(d)
+        norm = (k1 * sa ** 3 + volume + k3 * sd ** 3
+                + mid[:, 0] + sb * (mid[:, 1] + sb * (
+                    mid[:, 2] + sb * np.abs(mid[:, 3]))))
+        bound = 10.0 * np.finfo(np.float64).eps * norm
+    return np.where(np.isfinite(bound) & (d > a), bound, np.inf)
+
+
 def reference_triple_products(positions, tets):
     """Triple products over an (m, 4, 3) gather and np.cross: the reference
     mesh._triple_products is checked against bit for bit."""

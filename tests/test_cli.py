@@ -1,11 +1,16 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetcontour
 from tetcontour import cli, hypersweep, oracle
 from tetcontour.cli import main
 from tetcontour.contourtree import build_contour_tree
@@ -146,6 +151,26 @@ def test_run_starts_no_thread(tmp_path, grid_input, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert main(["run", *grid_input, "--threads", "2",
                  "--out", str(tmp_path / "out")]) == 0
+
+
+def test_run_does_not_import_numpy_ma(tmp_path, grid_input):
+    # on numpy >= 2.3 a plain np.unique imports numpy.ma, about 10 ms of a
+    # run; a new process shows whether the run does (numpy 1.24 loads
+    # numpy.ma with numpy, before the run)
+    script = ("import json, sys\n"
+              "from tetcontour.cli import main\n"
+              "before = set(sys.modules)\n"
+              "assert main(json.loads(sys.argv[1])) == 0\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    path = [str(Path(tetcontour.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    args = ["run", *grid_input, "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(args)], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    imported = json.loads(done.stdout.splitlines()[-1])
+    assert "numpy.ma" not in imported
 
 
 def test_isovalue_override(tmp_path, grid_input):

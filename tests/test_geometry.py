@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from tetcontour.geometry import (batch_spline_coefficients, build_tet_spline,
-                                 local_volume)
+                                 local_volume, rounding_bound)
 from tetcontour.mesh import TetMesh, build_vertex_order, tet_volumes
 from tetcontour.oracle import (clip_area, clip_volume, clip_volume_errors,
                                random_tet)
 
 from conftest import (coarea_factor, gaussian_grid_mesh,
-                      reference_spline_coefficients, single_tet_mesh)
+                      reference_rounding_bound, reference_spline_coefficients,
+                      single_tet_mesh)
 
 
 def _spline(mesh):
@@ -177,6 +178,43 @@ def test_kernel_matches_reference_bits(rng):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
             assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_rounding_bound_matches_reference_bits(rng):
+    m = 5_000
+    normal = np.sort(rng.normal(size=(m, 4)), axis=1)
+    inputs = [
+        normal,
+        # ties: zero-width pieces and flat tets
+        np.sort(rng.integers(0, 3, size=(m, 4)), axis=1).astype(float),
+        np.sort(rng.choice([-1.0, -0.0, 0.0, 1.0], size=(m, 4)), axis=1),
+        # near 1e100 the bound is finite; near 1e102 (big + |a|)^3
+        # overflows it to inf on some rows
+        normal * 1e100,
+        normal * 1e102,
+    ]
+    volume = rng.uniform(size=m)
+    overflowed = 0
+    for values in inputs:
+        big = float(np.max(np.abs(values)))
+        # near 1e100 products of four gaps overflow, in the kernel as in
+        # the references, and numpy warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_rounding_bound(volume, values, big)
+            kernel = reference_spline_coefficients(volume, values)
+            # (m, 4) rows and the columns of a (4, m) gather, as
+            # compute_deltas passes them
+            for layout in (values, np.ascontiguousarray(values.T).T):
+                assert _same_bits(rounding_bound(volume, layout, big), want)
+                got = batch_spline_coefficients(volume, layout)
+                assert all(_same_bits(g, w) for g, w in zip(got, kernel))
+        overflowed += np.count_nonzero(np.isinf(want) & (values[:, 3]
+                                                         > values[:, 0]))
+    assert overflowed > 0
 
 
 def test_zero_width_pieces_carry_their_value():

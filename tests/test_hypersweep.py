@@ -10,8 +10,8 @@ from tetcontour.geometry import (batch_spline_coefficients, local_volume,
                                 rounding_bound)
 from tetcontour.hypersweep import (ArcWeights, compute_deltas, count_weights,
                                    sweep_volumes, volume_weights)
-from tetcontour.mesh import (TetMesh, build_vertex_order, grid_to_tets,
-                             tet_volumes)
+from tetcontour.mesh import (TetMesh, VertexOrder, build_vertex_order,
+                             grid_to_tets, tet_volumes)
 from tetcontour.oracle import (contour_count_mismatches, rank_arc_end_volumes,
                                region_volume_errors)
 
@@ -84,8 +84,9 @@ def test_deltas_peak_memory():
 
 def test_deltas_peak_memory_independent_of_tet_count():
     # staging every row of the mesh before summing takes over 90 MB here;
-    # blocks streamed into the per-vertex sums peak near 17 MB, the sums
-    # and one block in flight, however many tets there are
+    # blocks streamed into the per-vertex sums peak near 18 MB: the sums,
+    # one block in flight and the (m, 4) int32 buffer of sorted corners,
+    # whose front becomes the exact set
     mesh = grid_to_tets((40, 40, 40),
                         np.random.default_rng(1).normal(size=40 ** 3))
     assert mesh.tet_count == 355_914
@@ -142,6 +143,24 @@ def test_exact_set_corners_are_int32_ranks():
     sorted_tets = order.sort_tets(mesh.tets)
     rows = {tuple(r) for r in sorted_tets.tolist()}
     assert all(tuple(r) in rows for r in deltas.exact.tolist())
+
+
+def test_each_tet_is_sorted_once(monkeypatch):
+    # the bounds pass keeps the sorted corners, and both the telescoped
+    # blocks and the exact set read them back
+    mesh = _three_bumps(14)
+    order = build_vertex_order(mesh)
+    sort_tets = VertexOrder.sort_tets
+    rows = []
+
+    def counted(self, tets):
+        rows.append(np.asarray(tets).reshape(-1, 4).shape[0])
+        return sort_tets(self, tets)
+
+    monkeypatch.setattr(VertexOrder, "sort_tets", counted)
+    deltas = compute_deltas(mesh, order)
+    assert 0 < len(deltas.exact) < mesh.tet_count
+    assert sum(rows) == mesh.tet_count
 
 
 def _reference_deltas(mesh, order):
