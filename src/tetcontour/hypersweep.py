@@ -101,8 +101,18 @@ def compute_deltas(mesh: TetMesh, order: VertexOrder) -> SweepDeltas:
     the bits.
 
     Raises FloatingPointError when the certified error exceeds
-    REFUSE_ABOVE times the mesh volume.
+    REFUSE_ABOVE times the mesh volume, and, before any spline term is
+    formed, when the span of the values (max - min) has a fourth power
+    that overflows float64: a tet's product of four value gaps, which
+    its middle piece divides by, is at most span^4.
     """
+    with np.errstate(over="ignore"):
+        span = np.max(mesh.values) - np.min(mesh.values)
+        if not np.isfinite(span ** 4):
+            raise FloatingPointError(
+                f"value span {span:.3g} is too wide: its fourth power, "
+                "which bounds a tet's product of four value gaps, "
+                "overflows float64")
     n = mesh.vertex_count
     big = float(np.max(np.abs(mesh.values)))
     volume = mesh.tet_volume

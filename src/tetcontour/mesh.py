@@ -71,7 +71,13 @@ class TetMesh:
 
     @staticmethod
     def create(positions, values, tets) -> "TetMesh":
-        """Validate arrays and build a TetMesh; raises on invariant violations."""
+        """Validate arrays and build a TetMesh; raises on invariant violations.
+
+        The whole-mesh checks run in blocks of _CHUNK tets: a repeated
+        corner is found by the six compares of a tet's corner pairs,
+        column against column, without sorting, and the first ten tets
+        with one are reported. Every tet's volume is taken once
+        (tet_volumes) and kept."""
         positions = np.ascontiguousarray(positions, dtype=np.float64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         tets = np.ascontiguousarray(tets, dtype=np.int64)
@@ -92,9 +98,10 @@ class TetMesh:
             raise StructuralError(f"tet vertex index out of range [0, {n})")
         dup = []
         for lo in range(0, tets.shape[0], _CHUNK):
-            r0, r1, r2, r3 = _sort4(tets[lo:lo + _CHUNK]).T
+            c0, c1, c2, c3 = tets[lo:lo + _CHUNK].T
             dup += (lo + np.flatnonzero(
-                (r0 == r1) | (r1 == r2) | (r2 == r3))).tolist()
+                (c0 == c1) | (c0 == c2) | (c0 == c3) | (c1 == c2)
+                | (c1 == c3) | (c2 == c3))).tolist()
             if len(dup) >= 10:
                 break
         if dup:
@@ -133,19 +140,42 @@ def _triple(a, b, c):
     return np.einsum("ij,ij->i", a, _cross(b, c))
 
 
-def _triple_products(positions, tets) -> np.ndarray:
-    """Signed scalar triple product of every tet's edges from corner 0."""
-    p0 = positions[tets[:, 0]]
-    return _triple(*(positions[tets[:, k]] - p0 for k in (1, 2, 3)))
+def _triple_products(positions, tets, corners=None) -> np.ndarray:
+    """Signed scalar triple product of every tet's edges from corner 0.
+
+    Corner k of every tet is gathered by np.take into corners[k], a
+    contiguous (m, 3) table; corners is a (4, m, 3) float64 scratch array,
+    new when None. So the edges, the cross product and the einsum all read
+    contiguous operands.
+
+    An index outside [-n, n) raises IndexError, as fancy indexing would.
+    The gathers then take mode="wrap": given `out`, np.take's checking
+    mode gathers into a copy first."""
+    n = positions.shape[0]
+    if tets.size and (tets.min() < -n or tets.max() >= n):
+        raise IndexError(f"tet corner index out of range for {n} points")
+    if corners is None:
+        corners = np.empty((4, tets.shape[0], 3))
+    for k in range(4):
+        np.take(positions, tets[:, k], axis=0, out=corners[k], mode="wrap")
+    p0, p1, p2, p3 = corners
+    p1 -= p0
+    p2 -= p0
+    p3 -= p0
+    return _triple(p1, p2, p3)
 
 
 def tet_volumes(positions, tets) -> np.ndarray:
     """Unsigned volume |scalar triple product| / 6 for every tet, taken
-    in blocks of _CHUNK tets; each row depends on its own tet only."""
+    in blocks of _CHUNK tets; each row depends on its own tet only. Each
+    block's corners are gathered by four row takes into one scratch array
+    that every block reuses."""
     out = np.empty(tets.shape[0])
+    corners = np.empty((4, min(tets.shape[0], _CHUNK), 3))
     for lo in range(0, tets.shape[0], _CHUNK):
         block = out[lo:lo + _CHUNK]
-        np.abs(_triple_products(positions, tets[lo:lo + _CHUNK]), out=block)
+        np.abs(_triple_products(positions, tets[lo:lo + _CHUNK],
+                                corners[:, :block.size]), out=block)
         block /= 6.0
     return out
 
@@ -229,6 +259,10 @@ def grid_to_tets(dims, values, spacing=(1.0, 1.0, 1.0)) -> TetMesh:
     diagonal from its (0,0,0) to its (1,1,1) corner, so faces shared by
     neighboring cubes triangulate consistently. values is a flat array in
     x-fastest layout; vertex positions are index * spacing.
+
+    The tets are cube-major, path k of the 6 monotone lattice paths at row
+    6 c + k, built in one broadcast of the cubes' base vertex ids against a
+    (6, 4) table of corner offsets, the orientation swap folded into it.
     """
     nx, ny, nz = (int(d) for d in dims)
     if nx < 2 or ny < 2 or nz < 2:
@@ -239,44 +273,33 @@ def grid_to_tets(dims, values, spacing=(1.0, 1.0, 1.0)) -> TetMesh:
             f"expected {nx * ny * nz} grid values, got {values.shape[0]}")
     spacing = np.asarray(spacing, dtype=np.float64)
 
-    zz, yy, xx = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
-                             indexing="ij")
-    positions = np.empty((nx * ny * nz, 3), dtype=np.float64)
-    positions[:, 0] = xx.ravel() * spacing[0]
-    positions[:, 1] = yy.ravel() * spacing[1]
-    positions[:, 2] = zz.ravel() * spacing[2]
+    positions = np.empty((nz, ny, nx, 3), dtype=np.float64)
+    positions[..., 0] = np.arange(nx) * spacing[0]
+    positions[..., 1] = (np.arange(ny) * spacing[1])[:, None]
+    positions[..., 2] = (np.arange(nz) * spacing[2])[:, None, None]
 
-    def vid(ix, iy, iz):
-        return ix + nx * (iy + ny * iz)
-
-    cz, cy, cx = np.meshgrid(np.arange(nz - 1), np.arange(ny - 1),
-                             np.arange(nx - 1), indexing="ij")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    cz = cz.ravel()
-    base = vid(cx, cy, cz)
-    far = vid(cx + 1, cy + 1, cz + 1)
-
-    # the 6 Kuhn tets follow the 6 monotone lattice paths 000 -> 111
-    axis_perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
-                  (2, 0, 1), (2, 1, 0))
-    step = (np.int64(1), np.int64(nx), np.int64(nx * ny))
-    # canonical orientation: positive scalar triple product. The edges from
+    # each cube's (0,0,0) corner, cube-major in x-fastest order
+    base = (np.arange(nz - 1)[:, None, None] * (nx * ny)
+            + np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    # the 6 Kuhn tets follow the 6 monotone lattice paths 000 -> 111; row k
+    # of the table holds path k's corners as offsets from the cube's base.
+    # Canonical orientation: positive scalar triple product. The edges from
     # corner 0 are partial sums of the steps spacing[a_i] * e_a_i, so their
     # triple product is prod(spacing) times the sign of (a0, a1, a2); where
-    # that is negative, swapping corners 2 and 3 makes it positive
+    # that is negative, corners 2 and 3 swap
+    axis_perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
+                  (2, 0, 1), (2, 1, 0))
+    step = (1, nx, nx * ny)
     negative = bool(np.prod(spacing) < 0.0)
-    tets = np.empty((base.shape[0] * 6, 4), dtype=np.int64)
+    table = np.zeros((6, 4), dtype=np.int64)
     for k, (a0, a1, _a2) in enumerate(axis_perms):
-        v1 = base + step[a0]
-        v2 = v1 + step[a1]
         odd = (a1 - a0) % 3 == 2          # the even ones are cyclic shifts
         swap = int(odd != negative)
-        tets[k::6, 0] = base
-        tets[k::6, 1] = v1
-        tets[k::6, 2 + swap] = v2
-        tets[k::6, 3 - swap] = far
-    return TetMesh.create(positions, values, tets)
+        table[k, 1] = step[a0]
+        table[k, 2 + swap] = step[a0] + step[a1]
+        table[k, 3 - swap] = sum(step)
+    tets = (base[:, None, None] + table).reshape(-1, 4)
+    return TetMesh.create(positions.reshape(-1, 3), values, tets)
 
 
 def _data_lines(path):
@@ -292,24 +315,33 @@ def _header(path, what, fields, second):
     """Line number and first `fields` counts of a TetGen header line; the
     second count is fixed (the dimension, or the nodes per tet)."""
     no = next(_data_lines(path), (0,))[0]
-    counts = _body(path, f"{what} header", 0, 1, fields, np.int64)[0]
-    if counts.min() < 0:
+    head = _body(path, f"{what} header", 0, 1, fields, np.int64)
+    counts = [int(head["first"][0]), *head["rest"][0].tolist()]
+    if min(counts) < 0:
         raise ParseError(path, no, f"negative count in {what} header")
     if counts[1] != second:
         raise ParseError(path, no, f"count 2 is {counts[1]}, not {second}")
-    return no, counts.tolist()
+    return no, counts
 
 
 def _body(path, what, after, rows, width, dtype, exact=False):
-    """The first `rows` data lines after line `after` (all if rows=None)
-    as a (rows, width) table of `dtype`, read in one loadtxt pass. Columns
-    past `width` are ignored, or refused if `exact`.
+    """The first `rows` data lines after line `after` (all if rows=None),
+    read in one loadtxt pass.
+
+    A TetGen table (not `exact`) is read by the row rule of a TetGen line,
+    an int64 first column and `dtype` for the rest: it comes back as a
+    (rows,) structured array, the first column as field "first" and the
+    next width - 1 as field "rest", and columns past `width` are ignored.
+    An `exact` table is a (rows, width) array of `dtype`, and a line of
+    more columns is refused.
 
     Otherwise the lines are rescanned and the first offending one is
-    reported; a TetGen line (not `exact`) starts with an integer.
+    reported, each line read alone by the same rule.
     """
+    row = dtype if exact else [("first", np.int64),
+                               ("rest", dtype, (width - 1,))]
     if rows == 0:
-        return np.empty((0, width), dtype)
+        return np.empty((0, width) if exact else 0, row)
     lines = ((no, t) for no, t in _data_lines(path) if no > after)
     first = list(islice(lines, 1))
     with warnings.catch_warnings():
@@ -323,11 +355,12 @@ def _body(path, what, after, rows, width, dtype, exact=False):
             # a width from a corrupt header count fails on the first row
             # below, before loadtxt sets up that many columns
             if exact or first and width <= len(first[0][1]):
-                table = np.loadtxt(path, dtype=dtype, comments="#",
+                table = np.loadtxt(path, dtype=row, comments="#",
                                    skiprows=after, max_rows=rows,
                                    usecols=None if exact else range(width),
-                                   ndmin=2)
-                if table.shape[1] == width and rows in (None, len(table)):
+                                   ndmin=2 if exact else 1)
+                if ((not exact or table.shape[1] == width)
+                        and rows in (None, len(table))):
                     return table
         except (ValueError, DeprecationWarning) as exc:
             cause = str(exc)
@@ -338,8 +371,6 @@ def _body(path, what, after, rows, width, dtype, exact=False):
                 raise ParseError(path, line_no, f"{len(tokens)} fields, "
                                  f"expected {width}")
             try:       # the line alone, by loadtxt's own rules
-                row = dtype if exact else [("first", np.int64),
-                                           ("rest", dtype, (width - 1,))]
                 np.loadtxt([" ".join(tokens[:width])], dtype=row)
             except (ValueError, DeprecationWarning):
                 raise ParseError(path, line_no,
@@ -369,16 +400,16 @@ def load_tetgen(node_path, ele_path, field_path=None,
     normalized to 0-based.
     """
     line, (n_points, _, n_attrs, _) = _header(node_path, ".node", 4, 3)
-    points = _body(node_path, "point", line, n_points, 4 + n_attrs,
-                   np.float64)
-    indices = _body(node_path, "point", line, n_points, 1, np.int64)[:, 0]
+    table = _body(node_path, "point", line, n_points, 4 + n_attrs,
+                  np.float64)
+    indices, points = table["first"], table["rest"]
     base = int(indices[0]) if n_points else 0
     if base not in (0, 1) or not np.array_equal(
             indices, np.arange(base, base + n_points)):
         raise StructuralError(f"{node_path}: point indices do not run "
                               "0, 1, 2, ... or 1, 2, 3, ...")
     line, (n_tets, _) = _header(ele_path, ".ele", 2, 4)
-    tets = _body(ele_path, "tet", line, n_tets, 5, np.int64)[:, 1:]
+    tets = _body(ele_path, "tet", line, n_tets, 5, np.int64)["rest"]
 
     if field_attr is not None:
         if field_path is not None:
@@ -387,12 +418,12 @@ def load_tetgen(node_path, ele_path, field_path=None,
             raise DataError(
                 f"field attribute {field_attr} out of range; "
                 f".node declares {n_attrs} attributes")
-        values = points[:, 4 + field_attr]
+        values = points[:, 3 + field_attr]
     elif field_path is not None:
         values = load_scalar_file(field_path, n_points)
     else:
         raise DataError("a field source is required (field_attr or field_path)")
-    return TetMesh.create(points[:, 1:4], values, tets - base)
+    return TetMesh.create(points[:, :3], values, tets - base)
 
 
 def load_raw_grid(raw_path, dims, spacing=(1.0, 1.0, 1.0)) -> TetMesh:

@@ -413,6 +413,39 @@ def reference_tet_volumes(positions, tets):
     return np.abs(reference_triple_products(positions, tets)) / 6.0
 
 
+def reference_grid_tets(dims, spacing):
+    """The Kuhn tets of grid_to_tets by the per-path strided column fill
+    that its table of corner offsets replaced: the reference its tets are
+    checked against byte for byte."""
+    nx, ny, nz = dims
+
+    def vid(ix, iy, iz):
+        return ix + nx * (iy + ny * iz)
+
+    cz, cy, cx = np.meshgrid(np.arange(nz - 1), np.arange(ny - 1),
+                             np.arange(nx - 1), indexing="ij")
+    cx = cx.ravel()
+    cy = cy.ravel()
+    cz = cz.ravel()
+    base = vid(cx, cy, cz)
+    far = vid(cx + 1, cy + 1, cz + 1)
+    axis_perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0),
+                  (2, 0, 1), (2, 1, 0))
+    step = (np.int64(1), np.int64(nx), np.int64(nx * ny))
+    negative = bool(np.prod(np.asarray(spacing, dtype=np.float64)) < 0.0)
+    tets = np.empty((base.shape[0] * 6, 4), dtype=np.int64)
+    for k, (a0, a1, _a2) in enumerate(axis_perms):
+        v1 = base + step[a0]
+        v2 = v1 + step[a1]
+        odd = (a1 - a0) % 3 == 2
+        swap = int(odd != negative)
+        tets[k::6, 0] = base
+        tets[k::6, 1] = v1
+        tets[k::6, 2 + swap] = v2
+        tets[k::6, 3 - swap] = far
+    return tets
+
+
 def reference_monotone_links(mesh, order):
     """build_monotone_links as one whole-mesh pass: every code at once, and
     the kept pairs from full-size key and skip-bit arrays."""

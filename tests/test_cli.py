@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +407,37 @@ def test_uncertified_weights_are_refused(tmp_path, grid_input, monkeypatch,
     assert ("error in weights: certified volume error "
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_fields_whose_spline_terms_overflow_are_refused(tmp_path, capsys):
+    # a tet's product of four value gaps is at most span^4, which
+    # overflows from a span of about 1.16e77. Below that the weights are
+    # those of the unscaled field, whose volumes are equal, within the
+    # certified errors; above it the run is refused before any spline
+    # term is formed, with no warning
+    field = np.random.default_rng(1).normal(size=216)
+    weights, errors = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e76):
+            flags = _raw_grid(tmp_path / "g.f64", field * scale)
+            out = tmp_path / f"{scale:g}"
+            assert main(["run", *flags, "--top", "2", "--out",
+                         str(out)]) == 0
+            with open(out / "weights.csv") as fh:
+                weights.append(np.array(
+                    [float(r["weight"]) for r in csv.DictReader(fh)]))
+            mesh = grid_to_tets((6, 6, 6), field * scale)
+            errors.append(compute_deltas(mesh,
+                                         build_vertex_order(mesh)).error)
+        assert np.all(np.abs(weights[1] - weights[0]) <= sum(errors))
+        capsys.readouterr()
+        for scale in (1e77, 1e100):
+            flags = _raw_grid(tmp_path / "g.f64", field * scale)
+            out = tmp_path / f"{scale:g}"
+            assert main(["run", *flags, "--out", str(out)]) == 1
+            assert "error in weights: value span " in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_arc_within_an_ulp_is_not_extracted(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 import tracemalloc
 
@@ -11,9 +12,10 @@ from tetcontour.mesh import (DataError, ParseError, StructuralError, TetMesh,
                              load_scalar_file, load_tetgen, tet_volumes)
 
 from conftest import (UNIT_TET_POSITIONS, UNIT_TET_VALUES, random_grid_mesh,
-                      reference_load_scalar_file, reference_parse_ele_file,
-                      reference_parse_node_file, reference_tet_volumes,
-                      reference_triple_products, single_tet_mesh)
+                      reference_grid_tets, reference_load_scalar_file,
+                      reference_parse_ele_file, reference_parse_node_file,
+                      reference_tet_volumes, reference_triple_products,
+                      single_tet_mesh)
 
 
 def test_create_validates_unit_tet(unit_tet):
@@ -57,6 +59,14 @@ def test_tet_volumes_signed_consistency(rng):
         assert vols[0] == pytest.approx(ref, rel=1e-12)
 
 
+def test_tet_volumes_refuse_out_of_range_corners(rng):
+    # the corner gathers wrap; an index past either end is refused first
+    pos = rng.uniform(size=(5, 3))
+    for bad in (5, -6):
+        with pytest.raises(IndexError):
+            tet_volumes(pos, np.array([[0, 1, 2, 3], [0, 1, 2, bad]]))
+
+
 def test_triple_products_match_reference_bits(rng):
     spatial = pytest.importorskip("scipy.spatial")
     points = rng.uniform(size=(2000, 3))
@@ -78,7 +88,8 @@ def test_triple_products_match_reference_bits(rng):
 
 def test_create_peak_memory():
     # whole-mesh (m, 3) corner gathers and a sorted (m, 4) copy peaked near
-    # 63 MB here; in blocks of tets the kept (m,) volumes, 2.8 MB, dominate
+    # 63 MB here; in blocks of tets, with the repeated-corner check made by
+    # column compares, the kept (m,) volumes, 2.8 MB, dominate
     mesh = grid_to_tets((40, 40, 40),
                         np.random.default_rng(1).normal(size=40 ** 3))
     assert mesh.tet_count == 355_914
@@ -178,6 +189,18 @@ def test_grid_to_tets_orientation_matches_triple_products(signs):
     ref[flip, 2:] = ref[flip][:, [3, 2]]
     assert flip.any()
     np.testing.assert_array_equal(mesh.tets, ref)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 3, 5), (9, 10, 11),
+                                  (31, 17, 11)])
+def test_grid_tets_match_reference_fill(dims):
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        spacing = np.multiply(signs, (0.5, 1.25, 2.0))
+        got = grid_to_tets(dims, np.zeros(int(np.prod(dims))),
+                           spacing=spacing).tets
+        want = reference_grid_tets(dims, spacing)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_grid_to_tets_x_fastest_layout():
@@ -331,6 +354,26 @@ def test_load_tetgen_matches_reference_parser(tmp_path, rng, base):
                           (mesh.tets, ref_tets)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def test_node_file_is_parsed_once(tmp_path, rng, monkeypatch):
+    """One load_tetgen reads the .node file by loadtxt twice: its header
+    line, then its whole body in one pass."""
+    grid = grid_to_tets((4, 4, 4), np.zeros(64))
+    node, ele = _write_tetgen(tmp_path, grid.positions, grid.tets,
+                              rng.normal(size=(64, 2)), 1)
+    reads = []
+    loadtxt = np.loadtxt
+
+    def counted(fname, *args, **kwargs):
+        if isinstance(fname, (str, os.PathLike)):
+            reads.append(os.fspath(fname))
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    mesh = load_tetgen(node, ele, field_attr=1)
+    assert mesh.tet_count == grid.tet_count
+    assert reads.count(os.fspath(node)) == 2
 
 
 _NODE = "4 3 0 0\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
