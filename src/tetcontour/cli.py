@@ -85,15 +85,15 @@ def _pipeline(args):
         order = build_vertex_order(mesh)
         tree = build_contour_tree(mesh, order)
     with _stage(times, "weights"):
-        deltas = hypersweep.compute_deltas(mesh, order)
         if args.weights == "volume":
+            deltas = hypersweep.compute_deltas(mesh, order)
+            certificate = (len(deltas.exact), deltas.error / mesh.volume)
             weights = hypersweep.volume_weights(
                 hypersweep.sweep_volumes(tree, deltas), mesh.volume)
         else:
-            weights = hypersweep.count_weights(tree)
+            weights, certificate = hypersweep.count_weights(tree), None
     with _stage(times, "branch decomposition"):
         branches = decomposition.decompose(tree, weights)
-    certificate = (len(deltas.exact), deltas.error / mesh.volume)
     return mesh, tree, weights, branches, certificate, times
 
 
@@ -249,8 +249,9 @@ def cmd_run(args) -> int:
           f"supernodes {tree.supernode_count} "
           f"superarcs {tree.superarc_count}")
     print(f"total volume {_fmt(mesh.volume)}")
-    print(f"exact-set tets {certificate[0]} of {mesh.tet_count}")
-    print(f"certified volume error {certificate[1]:.2e}*T")
+    if certificate:
+        print(f"exact-set tets {certificate[0]} of {mesh.tet_count}")
+        print(f"certified volume error {certificate[1]:.2e}*T")
     for name, secs in times.items():
         print(f"time {name} {secs:.3f}s")
     return 0

@@ -33,16 +33,11 @@ more. The split tree is the join tree of the reversed ranks, with
 parents pointing up. A mesh that is not connected leaves more than one
 root and is refused.
 
-The merge works on the supernodes, the vertices whose join or split child
-count is not 1. Pointer doubling contracts each tree to them, iterated
-leaf pruning merges the two into the superarcs, and binary lifting over
-the supernode tree places every regular vertex on its superarc, all in
-numpy; only the k supernodes see a Python loop. Superarc ids go by the
-lower supernode's vertex id, ties by the order in which a leaf pruning of
-the fully augmented tree would emit each arc's lowest edge. That pruning
-is a breadth-first leaf peel, so a heap over the supernodes, with each
-superarc weighted by its count of regular vertices, gives its order
-without visiting the regular vertices.
+The merge works on the supernodes. Pointer doubling contracts each tree
+to them, iterated leaf pruning merges the two into the superarcs, the
+Euler-tour technique roots the supernode tree (root_tree), and binary
+lifting over it places every regular vertex on its superarc. Only the
+pruning and the heap that orders the superarc ids loop in Python.
 """
 from __future__ import annotations
 
@@ -225,9 +220,9 @@ class ContourTree:
     root:          supernode id of the global maximum.
     arc_child:     (k-1,) per superarc, the supernode on its far side from
                    the root.
-    arc_order:     (k-1,) superarc ids root first: each arc after the arc
-                   into its root-side end, a supernode's arcs to its
-                   children in descending id.
+    preorder:      (k,) supernodes from the root, children by descending
+                   arc id; tin, tout, depth: (k,) per supernode its place
+                   there, tin + its subtree's size, and its depth.
     values:        (n,) the scalar field the tree was built from.
     """
 
@@ -240,7 +235,10 @@ class ContourTree:
     down_arcs: list
     root: int
     arc_child: np.ndarray
-    arc_order: np.ndarray
+    preorder: np.ndarray
+    tin: np.ndarray
+    tout: np.ndarray
+    depth: np.ndarray
     values: np.ndarray
 
     @property
@@ -267,7 +265,7 @@ class InconsistentTreesError(Exception):
 def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                 values: np.ndarray) -> ContourTree:
     """The contour tree from its join and split trees, with Python loops
-    over the k supernodes only.
+    over the supernodes only in the pruning and the ids' heap.
 
     1. Supernodes: the vertices whose join or split child count is not 1,
        that is whose up- or down-degree in the tree is not 1.
@@ -282,11 +280,9 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
        Weber, Sewell & Ahrens, LDAV 2016).
     4. Superarc ids: by the vertex id of the lower supernode, ties in
        the order in which a per-vertex FIFO leaf pruning of the augmented
-       tree would emit the arcs' lowest edges. That pruning is a
-       breadth-first leaf peel keyed by (generation, vertex id of the
-       chain's first leaf), which a heap over the supernodes replays with
-       each superarc weighted by its count of regular vertices
-       (_peel_keys).
+       tree would emit the arcs' lowest edges, replayed by a heap over the
+       supernodes (_peel_keys).
+    5. root_tree roots the superarcs at the global maximum.
 
     Trees that do not belong together are refused with
     InconsistentTreesError: a tree with other than one root or with a
@@ -320,14 +316,16 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
         _contracted_parents(s_child, s_parent, bottom, is_super,
                             supernode_of, k))
 
+    ends = np.array(rows, dtype=np.int64).reshape(k - 1, 2)
     # regular vertices in rank order, each on its pruning row
     regs = order.sort_index[~is_super[order.sort_index]]
     reg_rank = rank[regs]
     sn_rank = rank[supernodes]
-    row = _place(rows, supernode_of[top[regs]], supernode_of[bottom[regs]],
+    root = int(np.argmax(sn_rank))
+    row = _place(root_tree(ends[:, 0], ends[:, 1], root),
+                 supernode_of[top[regs]], supernode_of[bottom[regs]],
                  sn_rank, reg_rank)
     del top, bottom
-    ends = np.array(rows, dtype=np.int64).reshape(k - 1, 2)
     flip = sn_rank[ends[:, 0]] > sn_rank[ends[:, 1]]
     lo = np.where(flip, ends[:, 1], ends[:, 0])
     hi = np.where(flip, ends[:, 0], ends[:, 1])
@@ -350,8 +348,8 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
     row = arc_id[row]
     arc_of = np.full(n, -1, dtype=np.int64)
     arc_of[regs] = row
-    # stable, so each superarc's regular vertices stay in rank order
-    regs = regs[np.argsort(row, kind="stable")]
+    # distinct keys, so each superarc's regular vertices stay in rank order
+    regs = regs[np.argsort(row * n + np.arange(row.size))]
     stops = np.cumsum(counts[by_id]).tolist()
     arc_regulars = [regs[a:b] for a, b in zip([0] + stops, stops)]
 
@@ -360,42 +358,22 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
     for a, (s, t) in enumerate(superarcs.tolist()):
         up_arcs[s].append(a)
         down_arcs[t].append(a)
-    # each supernode's arcs in descending id, in CSR form
-    by_node = np.lexsort((-np.arange(2 * k - 2), superarcs.ravel())) // 2
-    incident = by_node.tolist()
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(superarcs.ravel(), minlength=k), out=offsets[1:])
-    offsets = offsets.tolist()
-    # root at the global maximum supernode; each arc's child is the end
-    # first reached through it; arcs join arc_order as they are reached
-    root = int(np.argmax(sn_rank))
-    far = (superarcs[:, 0] + superarcs[:, 1]).tolist()
-    arc_child = [-1] * (k - 1)
-    arc_order = []
-    seen = [False] * k
-    stack = [root]
-    seen[root] = True
-    while stack:
-        s = stack.pop()
-        for a in incident[offsets[s]:offsets[s + 1]]:
-            t = far[a] - s
-            if not seen[t]:
-                seen[t] = True
-                arc_child[a] = t
-                arc_order.append(a)
-                stack.append(t)
+    arcs = np.arange(k - 1)
+    _, arc_in, preorder, tin, tout, depth = root_tree(
+        superarcs[:, 0], superarcs[:, 1], root, arcs[::-1])
+    arc_child = np.argsort(arc_in)[1:]          # the root's -1 sorts first
     # canonical supernode-to-superarc assignment: the upward arc (largest
     # id when a split saddle offers several), falling back to the largest
     # downward arc at maxima
-    arc_of[supernodes] = [(up or down)[-1]
-                          for up, down in zip(up_arcs, down_arcs)]
+    up, down = np.full((2, k), -1, dtype=np.int64)
+    np.maximum.at(up, superarcs[:, 0], arcs)
+    np.maximum.at(down, superarcs[:, 1], arcs)
+    arc_of[supernodes] = np.where(up >= 0, up, down)
     return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
                        superarcs=superarcs, arc_regulars=arc_regulars,
                        arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root,
-                       arc_child=np.array(arc_child, dtype=np.int64),
-                       arc_order=np.array(arc_order, dtype=np.int64),
-                       values=values)
+                       root=root, arc_child=arc_child, preorder=preorder,
+                       tin=tin, tout=tout, depth=depth, values=values)
 
 
 def _check_tree(parent: np.ndarray, rank: np.ndarray, name: str,
@@ -514,41 +492,24 @@ def _prune(jp: np.ndarray, sp: np.ndarray) -> list:
     return rows
 
 
-def _place(rows: list, top: np.ndarray, bottom: np.ndarray,
+def _place(rooted: tuple, top: np.ndarray, bottom: np.ndarray,
            sn_rank: np.ndarray, v_rank: np.ndarray) -> np.ndarray:
-    """The pruning row holding each regular vertex v, given J(v) (top),
-    S(v) (bottom) and rank(v).
+    """The pruning row holding each regular vertex v, given the rows'
+    tree as root_tree roots it, J(v) (top), S(v) (bottom) and rank(v).
 
-    The rows root the tree at the node the pruning leaves: each row's
-    node hangs below its neighbour. On the path J(v)...S(v), the nodes on
-    J's side rank above v and those on S's side below, so v's row is
-    where the path crosses rank(v). Binary lifting climbs from J while the
-    ancestor ranks above v and is not an ancestor of S, and from S while
-    it ranks below v and is not an ancestor of J; each climb stops below
-    the crossing or below the lowest common ancestor. The crossing is on
-    J's side when J is not an ancestor of S and the node past J's climb
-    ranks below v. Ancestors are tested by preorder intervals."""
-    k = len(rows) + 1
-    node = [v for v, _ in rows]
-    root = (set(range(k)) - set(node)).pop()
-    size = [1] * k
-    for v, w in rows:
-        size[w] += size[v]
-    tin = [0] * k
-    free = [1] * k        # per node, the next preorder slot of its subtree
-    for v, w in reversed(rows):
-        tin[v] = free[w]
-        free[w] += size[v]
-        free[v] = tin[v] + 1
-    tin = np.array(tin, dtype=np.int64)
-    tout = tin + size
-    parent = np.full(k, root, dtype=np.int64)
-    parent[node] = [w for _, w in rows]
-    row_of = np.full(k, -1, dtype=np.int64)
-    row_of[node] = np.arange(k - 1)
+    On the path J(v)...S(v), the nodes on J's side rank above v and those
+    on S's side below, so v's row is where the path crosses rank(v), on
+    any root. Binary lifting climbs from J while the ancestor ranks above
+    v and is not an ancestor of S, and from S while it ranks below v and
+    is not an ancestor of J; each climb stops below the crossing or below
+    the lowest common ancestor, and the row is the edge from the node it
+    stops at to its parent. The crossing is on J's side when J is not an
+    ancestor of S and the node past J's climb ranks below v. Ancestors
+    are tested by preorder intervals."""
+    parent, edge, preorder, tin, tout, _ = rooted
     # jumps[i][s]: the 2**i-th ancestor of s, or the root
     jumps = [parent]
-    while np.any(jumps[-1] != root):
+    while np.any(jumps[-1] != preorder[0]):
         jumps.append(jumps[-1][jumps[-1]])
 
     def climb(x, other, ranked_above):
@@ -562,8 +523,51 @@ def _place(rows: list, top: np.ndarray, bottom: np.ndarray,
 
     from_top = climb(top, bottom, True)
     on_top = (((tin[top] > tin[bottom]) | (tin[bottom] >= tout[top]))
-              & (sn_rank[parent[from_top]] < v_rank))
-    return row_of[np.where(on_top, from_top, climb(bottom, top, False))]
+              & (sn_rank[jumps[0][from_top]] < v_rank))
+    return edge[np.where(on_top, from_top, climb(bottom, top, False))]
+
+
+def root_tree(lo: np.ndarray, hi: np.ndarray, root: int,
+              order: np.ndarray | None = None) -> tuple:
+    """(parent, edge, preorder, tin, tout, depth), each (k,) int64: the
+    tree on the k - 1 >= 1 int64 edges (lo, hi) rooted at root, per node
+    its parent (the root's own) and edge to it (-1 at the root), its place
+    tin in the preorder, tin + its subtree's size, and its depth. order, a
+    permutation of the edges, lists each node's children first to last.
+
+    Euler-tour technique (Tarjan & Vishkin, SIAM J. Comput. 1985): the
+    tour leaves a node by the arc after the reverse of its way in, in a
+    rotation of its outgoing arcs that must begin with the arc toward the
+    root (a first tour finds it), and pointer doubling ranks the arcs."""
+    k, m = lo.shape[0] + 1, 2 * lo.shape[0]
+    tail = np.stack((lo, hi), axis=1).ravel()      # arc 2i is lo -> hi
+    last = np.cumsum(np.bincount(tail, minlength=k)) - 1
+    first = np.append(0, last[:-1] + 1)            # each node's run in rot
+    rank = np.zeros(m, dtype=np.int64)
+    for _ in range(1 if order is None else 2):
+        rot = np.argsort(tail * k + rank)          # the rotations, in turn
+        succ = np.empty(m + 1, dtype=np.int64)
+        succ[rot ^ 1] = np.roll(rot, -1)
+        succ[rot[last] ^ 1] = rot[first]
+        succ[[rot[last[root]] ^ 1, m]] = m         # m ends the tour
+        rest = (succ < m).astype(np.int64)         # the arcs after each
+        for _ in range((m - 1).bit_length()):
+            rest += rest[succ]
+            succ = succ[succ]
+        place = (m - 1) - rest[:m]
+        down = place[0::2] < place[1::2]           # whether lo is the parent
+        if order is not None:           # the arc toward the root first
+            rank[order * 2] = rank[order * 2 + 1] = np.arange(1, k)
+            rank[0::2][~down] = rank[1::2][down] = 0
+    arc = np.arange(0, m, 2) + ~down               # each edge's arc down
+    child, into = tail[arc ^ 1], place[arc]
+    entered = np.cumsum(np.bincount(into, minlength=m))    # nodes so far
+    parent, edge, tin, tout, depth = np.zeros((5, k), dtype=np.int64)
+    parent[root], edge[root], tout[root] = root, -1, k
+    parent[child], edge[child] = tail[arc], np.arange(k - 1)
+    tin[child], tout[child] = entered[into], entered[place[arc ^ 1]] + 1
+    depth[child] = 2 * tin[child] - into - 1       # arcs in less arcs out
+    return parent, edge, np.argsort(tin), tin, tout, depth
 
 
 def _peel_keys(lo: np.ndarray, hi: np.ndarray, regulars: np.ndarray,

@@ -265,7 +265,7 @@ class _Tour:
     """A depth-first tour of the vertices over the superarc tree rooted at
     the global maximum: the root, then per arc leaving it, the arc's
     regular vertices from the root side on, its far end and everything
-    past it.
+    past it, the supernodes in the tree's preorder.
 
     A cut of arc a with `below` of its regular vertices below has the
     arc's far side in one run of the tour: cut() names it. The runs of the
@@ -287,26 +287,17 @@ class _Tour:
     @staticmethod
     def build(tree: ContourTree) -> "_Tour":
         k = tree.superarc_count
-        lo, hi = tree.superarcs.T
-        child_lo = tree.arc_child == lo
+        child = tree.arc_child
+        child_lo = child == tree.superarcs[:, 0]
         arc_in = np.full(tree.supernode_count, -1, dtype=np.int64)
-        arc_in[tree.arc_child] = np.arange(k)
-        up = arc_in[np.where(child_lo, hi, lo)].tolist()
+        arc_in[child] = np.arange(k)
+        up = arc_in[tree.superarcs.sum(axis=1) - child]    # the arc above
         regulars = np.fromiter(map(len, tree.arc_regulars), np.int64, k)
-        arc_order = tree.arc_order.tolist()
-        size = (regulars + 1).tolist() + [0]   # the last slot for the root
-        for a in arc_order[::-1]:
-            size[up[a]] += size[a]
-        start = [0] * k
-        depth = [0] * (2 * k + 1)
-        free = [1] * k + [1]           # next free place past each far end
-        for a, r in zip(arc_order, regulars[tree.arc_order].tolist()):
-            start[a] = free[up[a]]
-            free[up[a]] += size[a]
-            free[a] = start[a] + r + 1
-            depth[2 * a] = depth[2 * up[a] + 1 if up[a] >= 0 else 2 * k] + 1
-            depth[2 * a + 1] = depth[2 * a] + 1
-        start = np.array(start, dtype=np.int64)
+        # each supernode's run: 1 place at the root, else its arc's too
+        weight = np.ones(tree.supernode_count, dtype=np.int64)
+        weight[child] = regulars + 1
+        places = np.append(0, np.cumsum(weight[tree.preorder]))
+        start = places[tree.tin[child]]
         key = np.zeros(tree.values.shape[0], dtype=np.int64)
         node = np.full_like(key, 2 * k)
         # arc a's regular vertices take the places from start[a] on, from
@@ -317,15 +308,16 @@ class _Tour:
         key[regs] = start[arc] + np.where(child_lo[arc],
                                           regulars[arc] - 1 - j, j)
         node[regs] = 2 * arc
-        far = tree.supernodes[tree.arc_child]
+        far = tree.supernodes[child]
         key[far] = start + regulars
         node[far] = 2 * np.arange(k) + 1
-        up = np.array(up, dtype=np.int64)
         parent = np.full(2 * k + 1, -1, dtype=np.int64)
         parent[0:2 * k:2] = np.where(up >= 0, 2 * up + 1, 2 * k)
         parent[1::2] = np.arange(0, 2 * k, 2)
-        return _Tour(key, start, start + np.array(size[:k], dtype=np.int64),
-                     regulars, child_lo, node, parent, np.array(depth))
+        d = 2 * tree.depth[child]        # node 2a + 1's depth; 2a one less
+        depth = np.append(np.stack((d - 1, d), axis=1).ravel(), 0)
+        return _Tour(key, start, places[tree.tout[child]], regulars,
+                     child_lo, node, parent, depth)
 
     def cut(self, arc, below):
         """(lo, hi, inside): the vertices below a cut of arc with `below` of
@@ -341,11 +333,13 @@ class _Tour:
         """Sums of the per-vertex rows below cuts of arcs with counts of their
         regular vertices below: one compensated prefix sum along the tour
         differenced at cut(), taken from the total where not inside."""
-        s, c = _compensated_prefix(rows[np.argsort(self.key)])
+        ordered = np.empty_like(rows)
+        ordered[self.key] = rows
+        s, c = _compensated_prefix(ordered)
+        del ordered
         lo, hi, inside = self.cut(arc, count)
         total = s[-1] + c[-1]
-        # (s[hi] - s[lo]) + (c[hi] - c[lo]), each prefix sum freed once
-        # differenced
+        # (s[hi] - s[lo]) + (c[hi] - c[lo]); each prefix sum freed once used
         run = c[hi]
         run -= c[lo]
         del c

@@ -267,25 +267,15 @@ def reference_contract(arcs, order, values):
     for a, (lo, hi) in enumerate(superarcs):
         up_arcs[lo].append(a)
         down_arcs[hi].append(a)
-    # root at the global maximum supernode; each arc's child is the end
-    # first reached through it; arcs join arc_order as they are reached
+    # rooted at the global maximum supernode, children in descending arc id
     root = int(np.argmax(rank[supernodes]))
+    _, arc_in, preorder, tin, tout, depth = reference_root_tree(
+        superarcs[:, 0], superarcs[:, 1], root,
+        np.arange(superarcs.shape[0])[::-1])
     arc_child = np.full(superarcs.shape[0], -1, dtype=np.int64)
-    arc_order = []
-    seen = np.zeros(k, dtype=bool)
-    stack = [root]
-    seen[root] = True
-    while stack:
-        s = stack.pop()
-        for a in sorted(up_arcs[s] + down_arcs[s], reverse=True):
-            t = superarcs[a, 1] if superarcs[a, 0] == s else superarcs[a, 0]
-            if not seen[t]:
-                seen[t] = True
-                arc_child[a] = t
-                arc_order.append(a)
-                stack.append(t)
-    if not seen.all():
-        raise InconsistentTreesError("contour tree is not connected")
+    for s in range(k):
+        if s != root:
+            arc_child[arc_in[s]] = s
     # canonical supernode-to-superarc assignment: the upward arc (largest
     # id when a split saddle offers several), falling back to the largest
     # downward arc at maxima
@@ -294,9 +284,55 @@ def reference_contract(arcs, order, values):
     return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
                        superarcs=superarcs, arc_regulars=arc_regulars,
                        arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root, arc_child=arc_child,
-                       arc_order=np.array(arc_order, dtype=np.int64),
-                       values=values)
+                       root=root, arc_child=arc_child, preorder=preorder,
+                       tin=tin, tout=tout, depth=depth, values=values)
+
+
+def reference_root_tree(lo, hi, root, order):
+    """contourtree.root_tree by a stack walk from the root, which finds
+    each node's parent and the edge to it, then an explicit depth-first
+    preorder that visits each node's children in the order of their
+    edges in `order` and counts subtree sizes and depths on the way."""
+    k = len(lo) + 1
+    incident = [[] for _ in range(k)]
+    for i in order.tolist():
+        incident[lo[i]].append(i)
+        incident[hi[i]].append(i)
+    far = (np.asarray(lo) + np.asarray(hi)).tolist()
+    parent = np.full(k, root, dtype=np.int64)
+    edge = np.full(k, -1, dtype=np.int64)
+    seen = [False] * k
+    seen[root] = True
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        for i in incident[s]:
+            t = far[i] - s
+            if not seen[t]:
+                seen[t] = True
+                parent[t], edge[t] = s, i
+                stack.append(t)
+    if not all(seen):
+        raise InconsistentTreesError("tree is not connected")
+    preorder, depth = [], np.zeros(k, dtype=np.int64)
+    tin = np.zeros(k, dtype=np.int64)
+    tout = np.zeros(k, dtype=np.int64)
+    # (node, whether its subtree is done)
+    stack = [(root, False)]
+    while stack:
+        s, done = stack.pop()
+        if done:
+            tout[s] = len(preorder)
+            continue
+        tin[s] = len(preorder)
+        preorder.append(s)
+        stack.append((s, True))
+        children = [far[i] - s for i in incident[s] if i != edge[s]]
+        for t in reversed(children):
+            depth[t] = depth[s] + 1
+            stack.append((t, False))
+    return (parent, edge, np.array(preorder, dtype=np.int64), tin, tout,
+            depth)
 
 
 def reference_leaf_peel(arcs, n):
@@ -479,9 +515,9 @@ def bit_check_meshes(rng):
 
 
 def reference_below_arc_sums(tree, per_vertex):
-    """below_arc_sums over per-supernode children lists, a two-phase
-    post-order stack and a separate below loop: the reference its one pass
-    over tree.arc_order is checked against bit for bit."""
+    """The sums below each arc's end cuts over per-supernode children
+    lists, a two-phase post-order stack and a separate below loop: the
+    reference the tour's cut-sums are checked against."""
     k = tree.supernode_count
     own = per_vertex[tree.supernodes]
     reg_sums = np.zeros((tree.superarc_count,) + per_vertex.shape[1:])
@@ -515,6 +551,42 @@ def reference_below_arc_sums(tree, per_vertex):
         else:
             below[a] = total - sub[hi] - reg_sums[a]
     return below, reg_sums
+
+
+def reference_tour(tree):
+    """_Tour.build's key, start, stop and cut-tree depths by the loops it
+    once ran over a parent-first arc order: subtree sizes summed from the
+    leaves up, then places and depths handed out from the root down. The
+    rooting is reference_root_tree's, children in descending arc id."""
+    k = tree.superarc_count
+    lo, hi = tree.superarcs.T
+    parent, arc_in, preorder, _, _, _ = reference_root_tree(
+        lo, hi, tree.root, np.arange(k)[::-1])
+    arc_order = arc_in[preorder[1:]].tolist()
+    child = np.empty(k, dtype=np.int64)
+    child[arc_order] = preorder[1:]
+    up = arc_in[parent[child]].tolist()      # -1 below the root
+    regulars = [len(regs) for regs in tree.arc_regulars]
+    size = [r + 1 for r in regulars] + [0]   # the last slot for the root
+    for a in arc_order[::-1]:
+        size[up[a]] += size[a]
+    start = [0] * k
+    depth = [0] * (2 * k + 1)
+    free = [1] * (k + 1)                     # next free place past each end
+    for a in arc_order:
+        start[a] = free[up[a]]
+        free[up[a]] += size[a]
+        free[a] = start[a] + regulars[a] + 1
+        depth[2 * a] = depth[2 * up[a] + 1 if up[a] >= 0 else 2 * k] + 1
+        depth[2 * a + 1] = depth[2 * a] + 1
+    key = np.zeros(tree.values.shape[0], dtype=np.int64)
+    for a, regs in enumerate(tree.arc_regulars):
+        key[regs[::-1] if child[a] == lo[a] else regs] = \
+            start[a] + np.arange(len(regs))
+        key[tree.supernodes[child[a]]] = start[a] + regulars[a]
+    start = np.array(start, dtype=np.int64)
+    return (key, start, start + np.array(size[:k], dtype=np.int64),
+            np.array(depth, dtype=np.int64))
 
 
 def reference_sweep_volumes(tree, deltas):

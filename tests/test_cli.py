@@ -240,15 +240,36 @@ def test_isovalue_for_missing_superarc_is_reported(tmp_path, grid_input,
 
 
 def test_count_weights_skip_swept_volumes(tmp_path, grid_input,
-                                          monkeypatch):
-    # under count weights nothing reads the swept volumes; the certificate
-    # comes from the deltas
-    def refuse(*args):
-        raise AssertionError("sweep_volumes called")
+                                          monkeypatch, capsys):
+    # under count weights nothing reads the deltas or the swept volumes,
+    # so the run prints no exact set and no certified error
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(hypersweep, "sweep_volumes", refuse)
+    for name in ("compute_deltas", "sweep_volumes"):
+        monkeypatch.setattr(hypersweep, name, refuse(name))
     assert main(["run", *grid_input, "--weights", "count",
                  "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "exact-set tets" not in out and "certified" not in out
+
+
+def test_count_weights_accept_wide_value_span(tmp_path):
+    # a span of 5.6e100, whose fourth power overflows, is refused for
+    # volume weights; count weights form no spline term and take it
+    raw = tmp_path / "wide.f64"
+    field = np.random.default_rng(1).normal(size=216) * 1e100
+    field.astype("<f8").tofile(raw)
+    out = tmp_path / "out"
+    assert main(["run", "--dims", "6", "6", "6", "--raw", str(raw),
+                 "--weights", "count", "--top", "2", "--out", str(out)]) == 0
+    with open(out / "weights.csv") as fh:
+        weights = [float(r["weight"]) for r in csv.DictReader(fh)]
+    assert weights and all(w == int(w) and 1 <= w <= 216 for w in weights)
+    assert main(["run", "--dims", "6", "6", "6", "--raw", str(raw),
+                 "--out", str(tmp_path / "volume")]) == 1
 
 
 def test_run_loads_through_module_hook(tmp_path, grid_input, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from tetcontour.contourtree import (InconsistentTreesError, MonotoneLinks,
                                     build_contour_tree, build_join_tree,
                                     build_monotone_links, build_split_tree,
-                                    merge_trees, straddling_arcs)
+                                    merge_trees, root_tree, straddling_arcs)
 from tetcontour.mesh import (StructuralError, TetMesh, VertexOrder,
                              build_topology_graph, build_vertex_order,
                              grid_to_tets)
@@ -17,7 +18,8 @@ from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
                       random_grid_mesh, reference_contract,
                       reference_leaf_peel, reference_link_sweep,
                       reference_merge_arcs, reference_merge_tree,
-                      reference_monotone_links, two_peak_mesh)
+                      reference_monotone_links, reference_root_tree,
+                      two_peak_mesh)
 
 
 def _tree(mesh):
@@ -195,21 +197,97 @@ def test_no_arc_straddles_the_global_maximum(rng):
         assert straddling_arcs(tree, v, h) == set()
 
 
-def test_arc_order_is_root_first(rng):
+def test_preorder_is_root_first(rng):
     tied = grid_to_tets((6, 6, 6), rng.integers(0, 3, size=216) * 1.0)
     for mesh in (random_grid_mesh(rng, dims=(7, 7, 7)), tied,
                  two_peak_mesh()):
         tree, _ = _tree(mesh)
-        order = tree.arc_order.tolist()
-        assert sorted(order) == list(range(tree.superarc_count))
-        place = {a: i for i, a in enumerate(order)}
+        k = tree.supernode_count
+        assert tree.preorder[0] == tree.root and tree.tout[tree.root] == k
+        assert np.array_equal(tree.tin[tree.preorder], np.arange(k))
         # the arc whose child is each supernode: none for the root
         into = {int(c): a for a, c in enumerate(tree.arc_child.tolist())}
-        assert set(into) == set(range(tree.supernode_count)) - {tree.root}
+        assert set(into) == set(range(k)) - {tree.root}
+        children = [[] for _ in range(k)]
         for a, (lo, hi) in enumerate(tree.superarcs.tolist()):
-            parent = hi if tree.arc_child[a] == lo else lo
-            if parent != tree.root:
-                assert place[into[parent]] < place[a]
+            child = int(tree.arc_child[a])
+            parent = hi if child == lo else lo
+            children[parent].append((int(tree.tin[child]), a))
+            # a child's subtree is a run inside its parent's, a level down
+            assert tree.tin[parent] < tree.tin[child]
+            assert tree.tout[child] <= tree.tout[parent]
+            assert tree.depth[child] == tree.depth[parent] + 1
+        for s in range(k):
+            # in preorder, children follow in descending arc id, each
+            # subtree's run right after the one before
+            runs = sorted(children[s])
+            assert [a for _, a in runs] == sorted(
+                (a for _, a in runs), reverse=True)
+            ends = [tree.tin[s] + 1] + [tree.tout[tree.arc_child[a]]
+                                        for _, a in runs]
+            assert [t for t, _ in runs] == ends[:-1]
+            assert ends[-1] == tree.tout[s]
+
+
+def _prufer_tree(rng, k):
+    """The edges of a random labelled tree on k nodes, decoded from a
+    random Pruefer sequence, each edge's ends in random order."""
+    seq = rng.integers(0, k, size=k - 2).tolist()
+    degree = np.ones(k, dtype=np.int64)
+    np.add.at(degree, seq, 1)
+    leaves = np.flatnonzero(degree == 1).tolist()     # sorted: a heap
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((leaves[0], leaves[1]))
+    edges = np.array(edges, dtype=np.int64)
+    flip = rng.random(k - 1) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges[:, 0].copy(), edges[:, 1].copy()
+
+
+def _root_tree_inputs():
+    """(lo, hi) trees: k = 2, a star, a path of 5,000 nodes and random
+    Pruefer trees of 1,000 nodes."""
+    yield np.array([0]), np.array([1])
+    yield np.zeros(49, dtype=np.int64), np.arange(1, 50)
+    yield np.arange(4999), np.arange(1, 5000)
+    for seed in range(5):
+        yield _prufer_tree(np.random.default_rng(seed), 1000)
+
+
+_ROOTED = ("parent", "edge", "preorder", "tin", "tout", "depth")
+
+
+def test_root_tree_matches_reference():
+    rng = np.random.default_rng(0)
+    for lo, hi in _root_tree_inputs():
+        k = lo.size + 1
+        degree = np.bincount(np.concatenate((lo, hi)), minlength=k)
+        # a leaf, and an interior node where there is one
+        roots = {int(np.flatnonzero(degree == 1)[-1]),
+                 int(np.argmax(degree))}
+        for root in sorted(roots):
+            for order in (np.arange(k - 1)[::-1], rng.permutation(k - 1)):
+                got = root_tree(lo, hi, root, order)
+                want = reference_root_tree(lo, hi, root, order)
+                for name, g, w in zip(_ROOTED, got, want):
+                    assert _same(g, w), (k, root, name)
+            # in any child order: the same parents, edges and depths, and
+            # each subtree one run of the preorder
+            parent, edge, preorder, tin, tout, depth = root_tree(lo, hi,
+                                                                 root)
+            want = reference_root_tree(lo, hi, root, np.arange(k - 1))
+            for g, w in zip((parent, edge, tout - tin, depth),
+                            (want[0], want[1], want[4] - want[3], want[5])):
+                assert _same(g, w), (k, root)
+            assert np.array_equal(tin[preorder], np.arange(k))
+            child = preorder[1:]
+            assert np.all(tin[parent[child]] < tin[child])
+            assert np.all(tout[child] <= tout[parent[child]])
 
 
 def test_straddling_arcs_own_interval(rng):

@@ -18,7 +18,7 @@ from tetcontour.oracle import (contour_count_mismatches, rank_arc_end_volumes,
 from conftest import (bit_check_meshes, branch_list, gaussian_grid_mesh,
                       random_grid_mesh, reference_arc_ends,
                       reference_below_arc_sums, reference_sweep_volumes,
-                      two_peak_mesh)
+                      reference_tour, two_peak_mesh)
 
 
 def _pipeline(mesh):
@@ -368,6 +368,21 @@ def test_region_sums_match_subtree_sums(rng):
 def _bits(x):
     x = np.asarray(x)
     return x.dtype, x.shape, x.tobytes()
+
+
+def test_tour_matches_reference(rng):
+    # the tour's places and cut-tree depths, read from the tree's
+    # preorder, against the loops over an arc order that once built them
+    meshes = bit_check_meshes(rng) + [random_grid_mesh(
+        np.random.default_rng(1), dims=(16, 16, 16))]
+    for mesh in meshes:
+        tree = build_contour_tree(mesh, build_vertex_order(mesh))
+        tour = hs._Tour.build(tree)
+        got = (tour.key, tour.start, tour.stop, tour.depth)
+        for name, g, w in zip(("key", "start", "stop", "depth"), got,
+                              reference_tour(tree)):
+            assert (g.dtype == w.dtype and g.shape == w.shape
+                    and g.tobytes() == w.tobytes()), name
 
 
 def test_sweep_volumes_match_per_arc_reference(rng):
