@@ -36,14 +36,14 @@ root and is refused.
 The merge works on the supernodes. Pointer doubling contracts each tree
 to them, iterated leaf pruning merges the two into the superarcs, the
 Euler-tour technique roots the supernode tree (root_tree), and binary
-lifting over it places every regular vertex on its superarc. Only the
-pruning and the heap that orders the superarc ids loop in Python.
+lifting over it places every regular vertex on its superarc. A superarc's
+id is the rank of its (lower, upper) supernode pair. Only the pruning
+loops in Python.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -210,13 +210,15 @@ class ContourTree:
     supernodes:    (k,) vertex indices of the critical points.
     supernode_of:  (n,) supernode id per vertex, -1 for regular vertices.
     superarcs:     (k-1, 2) rows (lo, hi) of supernode ids, lo below hi in
-                   the global vertex order.
+                   the global vertex order; row a is superarc a, and the
+                   rows ascend by (lo, hi).
     arc_regulars:  per superarc, regular vertex indices in ascending order.
     arc_of:        (n,) superarc id for every vertex; supernodes carry
                    their canonical arc (the arc toward the global maximum,
                    for the global maximum itself its single incident arc).
-    up_arcs:       per supernode, the superarcs leaving it upward (ids
-                   ascending); down_arcs likewise those arriving from below.
+    up_arcs:       per supernode, the superarcs leaving it upward, ids
+                   ascending and so by upper end; down_arcs likewise those
+                   arriving from below, by lower end.
     root:          supernode id of the global maximum.
     arc_child:     (k-1,) per superarc, the supernode on its far side from
                    the root.
@@ -264,8 +266,8 @@ class InconsistentTreesError(Exception):
 
 def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                 values: np.ndarray) -> ContourTree:
-    """The contour tree from its join and split trees, with Python loops
-    over the supernodes only in the pruning and the ids' heap.
+    """The contour tree from its join and split trees, with a Python loop
+    over the supernodes only in the pruning.
 
     1. Supernodes: the vertices whose join or split child count is not 1,
        that is whose up- or down-degree in the tree is not 1.
@@ -278,10 +280,9 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
        unique split children (downward). Binary lifting finds every
        vertex's superarc at once (augmentation in arrays, as in Carr,
        Weber, Sewell & Ahrens, LDAV 2016).
-    4. Superarc ids: by the vertex id of the lower supernode, ties in
-       the order in which a per-vertex FIFO leaf pruning of the augmented
-       tree would emit the arcs' lowest edges, replayed by a heap over the
-       supernodes (_peel_keys).
+    4. Superarc ids ascend by (lower, upper) supernode id. Supernode ids
+       ascend with vertex ids, and no two arcs share both ends, so the
+       ids depend on the tree alone, not on the pruning order.
     5. root_tree roots the superarcs at the global maximum.
 
     Trees that do not belong together are refused with
@@ -341,7 +342,7 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
             "a regular vertex lies outside its superarc's rank range")
     counts = np.bincount(row, minlength=k - 1)
 
-    by_id = np.lexsort((_peel_keys(lo, hi, counts, supernodes, n), lo))
+    by_id = np.lexsort((hi, lo))
     arc_id = np.empty(k - 1, dtype=np.int64)
     arc_id[by_id] = np.arange(k - 1)
     superarcs = np.stack([lo[by_id], hi[by_id]], axis=1)
@@ -430,7 +431,9 @@ def _prune(jp: np.ndarray, sp: np.ndarray) -> list:
     """Iterated leaf pruning of the contracted join and split trees, given
     as (k,) parent arrays, over per-node child counts and child-id sums. A
     pruned node has at most one child in the other tree: its child-id sum
-    there. Returns the (node, neighbour) rows in pruning order."""
+    there. Returns the (node, neighbour) rows, one per edge of the merged
+    tree; their order reaches no output, since merge_trees numbers the
+    superarcs by their ends."""
     k = jp.shape[0]
 
     def children(parent):
@@ -568,54 +571,6 @@ def root_tree(lo: np.ndarray, hi: np.ndarray, root: int,
     tin[child], tout[child] = entered[into], entered[place[arc ^ 1]] + 1
     depth[child] = 2 * tin[child] - into - 1       # arcs in less arcs out
     return parent, edge, np.argsort(tin), tin, tout, depth
-
-
-def _peel_keys(lo: np.ndarray, hi: np.ndarray, regulars: np.ndarray,
-               supernodes: np.ndarray, n: int) -> np.ndarray:
-    """Per superarc, a key that orders the up-arcs of each supernode as a
-    FIFO leaf pruning of the augmented tree emits their lowest edges.
-
-    That pruning queues the initial leaves by vertex id, and each removal
-    queues only its one remaining neighbour, once that is a leaf. So the
-    queue runs in (generation, vertex id of the chain's first leaf)
-    order, encoded as generation * n + id. The heap replays it over the
-    supernodes: a supernode's removal crosses its last superarc, one
-    generation per regular vertex, and the arrival that leaves the far
-    end one superarc queues it one generation later. The key is the step
-    at which the peel has crossed the arc. The lowest edge of an up-arc
-    of supernode a goes at that step when the peel reaches a through the
-    arc; the one arc a leaves by goes at a's removal or later, after all
-    of a's other arcs, and is crossed later still, or never (largest
-    int64) when both its ends peel into it."""
-    k = supernodes.shape[0]
-    arcs = np.arange(lo.shape[0])
-    degree = np.bincount(lo, minlength=k) + np.bincount(hi, minlength=k)
-    incident = (np.bincount(lo, arcs, minlength=k)
-                + np.bincount(hi, arcs, minlength=k)).astype(np.int64)
-    degree, incident = degree.tolist(), incident.tolist()
-    ends = (lo + hi).tolist()
-    steps = (regulars * n).tolist()
-    removed = [False] * k
-    key = np.full(arcs.shape, np.iinfo(np.int64).max)
-    # (step, supernode, arc it is reached by, or -1 for its removal)
-    heap = [(v, s, -1) for s, v in enumerate(supernodes.tolist())
-            if degree[s] == 1]
-    while heap:
-        t, s, via = heappop(heap)
-        if removed[s]:
-            continue
-        if via < 0:
-            if degree[s] == 1:     # else no arc is left: s is left last
-                removed[s] = True
-                a = incident[s]
-                heappush(heap, (t + steps[a], ends[a] - s, a))
-            continue
-        key[via] = t
-        degree[s] -= 1
-        incident[s] -= via
-        if degree[s] == 1:
-            heappush(heap, (t + n, s, -1))
-    return key
 
 
 def build_contour_tree(mesh: TetMesh, order: VertexOrder) -> ContourTree:

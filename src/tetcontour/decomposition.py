@@ -53,9 +53,10 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     weights.down_weight[a] measures what a drags below its top supernode,
     weights.up_weight[a] what it holds above its bottom one. Weights
     within weights.tie of the heaviest are tied, and ties break toward the
-    larger superarc id; branch ranks tie the same way, over runs of
-    weights each within weights.tie of the next. So the decomposition is
-    deterministic, and rounding does not break a tie of exact weights.
+    larger superarc id, that is the larger (lower, upper) supernode pair;
+    branch ranks tie the same way, over runs of weights each within
+    weights.tie of the next. So the decomposition is deterministic, and
+    rounding does not break a tie of exact weights.
     """
     k = tree.supernode_count
     if tree.superarc_count == 0:

@@ -165,7 +165,8 @@ def reference_link_sweep(links, order, descending):
 def reference_merge_arcs(join, split):
     """The leaf pruning of merge_trees over per-vertex child sets: the
     reference its count-and-sum pruning is checked against. Returns the
-    (n - 1, 2) augmented arc rows in pruning order."""
+    (n - 1, 2) augmented arc rows in pruning order, which no ContourTree
+    field depends on."""
     n = join.shape[0]
     jp = join.copy()
     sp = split.copy()
@@ -224,11 +225,10 @@ def reference_merge_arcs(join, split):
 
 
 def reference_contract(arcs, order, values):
-    """The augmented tree's rows, as reference_merge_arcs emits them,
-    contracted into a ContourTree by one walk up each superarc's chain of
-    regular vertices: the reference merge_trees is checked against field
-    by field. Superarc ids go by lower supernode vertex id, then by the
-    order in which the rows were emitted."""
+    """The augmented tree's rows, in any order, contracted into a
+    ContourTree by one walk up each superarc's chain of regular vertices:
+    the reference merge_trees is checked against field by field. Superarc
+    ids go by the pair (lower, upper) of supernode vertex ids."""
     n = arcs.shape[0] + 1
     rank = order.rank
     flip = rank[arcs[:, 0]] > rank[arcs[:, 1]]
@@ -243,20 +243,21 @@ def reference_contract(arcs, order, values):
     up = np.empty(n, dtype=np.int64)
     up[lo] = hi
 
-    # this order fixes the superarc ids written to tree.json: by lower
-    # supernode vertex id, then by the merge's arc order
-    starts = np.flatnonzero(is_super[lo])
-    starts = starts[np.argsort(lo[starts], kind="stable")]
-    superarcs = np.empty((starts.shape[0], 2), dtype=np.int64)
-    arc_regulars = []
-    arc_of = np.full(n, -1, dtype=np.int64)
-    for arc_id, row in enumerate(starts):
+    chains = []
+    for row in np.flatnonzero(is_super[lo]):
         regs = []
         cur = hi[row]
         while not is_super[cur]:
             regs.append(cur)
             cur = up[cur]
-        superarcs[arc_id] = supernode_of[lo[row]], supernode_of[cur]
+        chains.append((int(supernode_of[lo[row]]), int(supernode_of[cur]),
+                       regs))
+    # this order fixes the superarc ids written to tree.json
+    chains.sort(key=lambda c: c[:2])
+    superarcs = np.array([c[:2] for c in chains], dtype=np.int64)
+    arc_regulars = []
+    arc_of = np.full(n, -1, dtype=np.int64)
+    for arc_id, (_, _, regs) in enumerate(chains):
         regs_arr = np.asarray(regs, dtype=np.int64)
         arc_regulars.append(regs_arr)
         arc_of[regs_arr] = arc_id
@@ -333,35 +334,6 @@ def reference_root_tree(lo, hi, root, order):
             stack.append((t, False))
     return (parent, edge, np.array(preorder, dtype=np.int64), tin, tout,
             depth)
-
-
-def reference_leaf_peel(arcs, n):
-    """A breadth-first leaf peel of the tree on the given edges: the
-    leaves of each generation are removed in order of the vertex id of
-    the first leaf of their chain, and a removal passes its chain to its
-    one remaining neighbour once that is a leaf. Returns the (n - 1, 2)
-    rows (removed vertex, neighbour) in removal order."""
-    nbrs = [[] for _ in range(n)]
-    for a, b in arcs.tolist():
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    degree = [len(x) for x in nbrs]
-    removed = [False] * n
-    layer = [(v, v) for v in range(n) if degree[v] == 1]  # (chain, leaf)
-    rows = []
-    while len(rows) < n - 1:
-        following = []
-        for chain, v in sorted(layer):
-            if len(rows) == n - 1:
-                break
-            (w,) = [u for u in nbrs[v] if not removed[u]]
-            rows.append((v, w))
-            removed[v] = True
-            degree[w] -= 1
-            if degree[w] == 1:
-                following.append((chain, w))
-        layer = following
-    return np.array(rows, dtype=np.int64).reshape(n - 1, 2)
 
 
 def reference_write_obj(path, soup, group=None, material=None,

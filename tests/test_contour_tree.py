@@ -16,10 +16,9 @@ from tetcontour.oracle import reference_contour_count
 
 from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
                       random_grid_mesh, reference_contract,
-                      reference_leaf_peel, reference_link_sweep,
-                      reference_merge_arcs, reference_merge_tree,
-                      reference_monotone_links, reference_root_tree,
-                      two_peak_mesh)
+                      reference_link_sweep, reference_merge_arcs,
+                      reference_merge_tree, reference_monotone_links,
+                      reference_root_tree, two_peak_mesh)
 
 
 def _tree(mesh):
@@ -437,7 +436,7 @@ def _oracle_meshes():
     yield TetMesh.create(points, rng.integers(0, 5, size=600) * 1.0,
                          spatial.Delaunay(points).simplices)
     # many supernodes with several up-arcs, where superarc ids tie on the
-    # lower supernode and the pruning order decides
+    # lower supernode and the upper one decides
     yield random_grid_mesh(np.random.default_rng(6), dims=(10, 10, 10))
     for seed in (0, 1):
         tied = np.random.default_rng(seed)
@@ -540,17 +539,9 @@ def test_merge_trees_match_reference_arcs():
                                  mesh.values)
         for f in dataclasses.fields(tree):
             assert _same(getattr(tree, f.name), getattr(ref, f.name)), f.name
-
-
-def test_merge_order_is_a_leaf_peel():
-    # merge_trees takes its superarc ids from this property: the leaf
-    # pruning emits the augmented tree's edges in breadth-first leaf-peel
-    # order, keyed by (generation, vertex id of the chain's first leaf)
-    for mesh in _oracle_meshes():
-        join, split, _ = _sweeps(mesh)
-        rows = reference_merge_arcs(join, split)
-        assert np.array_equal(rows,
-                              reference_leaf_peel(rows, mesh.vertex_count))
+        # superarc ids ascend strictly by (lower, upper) supernode id
+        key = tree.superarcs @ [tree.supernode_count, 1]
+        assert np.all(key[1:] > key[:-1])
 
 
 def _disjoint_tets():
