@@ -5,7 +5,7 @@ from .contourtree import (ContourTree, build_contour_tree, build_join_tree,
                           merge_trees)
 from .decomposition import Branch, decompose
 from .geometry import PiecewiseCubic, build_tet_spline
-from .hypersweep import (ArcWeights, SuperarcVolume, SweepDeltas,
+from .hypersweep import (ArcWeights, SweepDeltas, SweptVolumes,
                          compute_deltas, count_weights, sweep_volumes,
                          volume_weights)
 from .isosurface import (TriangleSoup, euler_characteristic,
@@ -15,7 +15,7 @@ from .mesh import (TetMesh, build_topology_graph, build_vertex_order,
 
 __all__ = [
     "ArcWeights", "Branch", "ContourTree", "PiecewiseCubic",
-    "SuperarcVolume", "SweepDeltas", "TetMesh", "TriangleSoup",
+    "SweepDeltas", "SweptVolumes", "TetMesh", "TriangleSoup",
     "build_contour_tree", "build_join_tree", "build_monotone_links",
     "build_split_tree", "build_tet_spline", "build_topology_graph",
     "build_vertex_order", "compute_deltas", "count_weights", "decompose",

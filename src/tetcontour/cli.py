@@ -127,8 +127,9 @@ def _branch_extraction(tree: ContourTree, branch, overrides):
     alo, ahi = ranges[i]
     # np.unique's values by a sort and a first-of-run mask: a plain
     # np.unique imports numpy.ma on numpy >= 2.3, 10 ms of every run
+    first, last = tree.regular_start[arc:arc + 2]
     on_arc = np.sort(np.concatenate(
-        [tree.values[tree.arc_regulars[arc]], [alo, ahi]]))
+        [tree.values[tree.regulars[first:last]], [alo, ahi]]))
     on_arc = on_arc[np.concatenate(([True], on_arc[1:] != on_arc[:-1]))]
     h = overrides.get(arc, 0.5 * (alo + ahi))
     if arc in overrides and not alo <= h < ahi:
@@ -158,8 +159,8 @@ def _write_tree_json(path, mesh, tree):
         "superarcs": [
             {"id": int(a), "lo": int(tree.superarcs[a][0]),
              "hi": int(tree.superarcs[a][1]),
-             "regularCount": int(len(tree.arc_regulars[a]))}
-            for a in range(tree.superarc_count)],
+             "regularCount": count}
+            for a, count in enumerate(np.diff(tree.regular_start).tolist())],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -212,13 +212,14 @@ class ContourTree:
     superarcs:     (k-1, 2) rows (lo, hi) of supernode ids, lo below hi in
                    the global vertex order; row a is superarc a, and the
                    rows ascend by (lo, hi).
-    arc_regulars:  per superarc, regular vertex indices in ascending order.
+    regulars:      (n-k,) regular vertex ids by arc, each arc's ascending in
+                   rank from regular_start[a] to regular_start[a + 1], (k,).
     arc_of:        (n,) superarc id for every vertex; supernodes carry
                    their canonical arc (the arc toward the global maximum,
                    for the global maximum itself its single incident arc).
-    up_arcs:       per supernode, the superarcs leaving it upward, ids
-                   ascending and so by upper end; down_arcs likewise those
-                   arriving from below, by lower end.
+    up_start:      (k+1,) the arcs leaving supernode s upward are the ids
+                   up_start[s] to up_start[s + 1]; those arriving from below
+                   are down_arcs[down_start[s]:down_start[s + 1]], ascending.
     root:          supernode id of the global maximum.
     arc_child:     (k-1,) per superarc, the supernode on its far side from
                    the root.
@@ -231,10 +232,12 @@ class ContourTree:
     supernodes: np.ndarray
     supernode_of: np.ndarray
     superarcs: np.ndarray
-    arc_regulars: list
+    regulars: np.ndarray
+    regular_start: np.ndarray
     arc_of: np.ndarray
-    up_arcs: list
-    down_arcs: list
+    up_start: np.ndarray
+    down_arcs: np.ndarray
+    down_start: np.ndarray
     root: int
     arc_child: np.ndarray
     preorder: np.ndarray
@@ -340,7 +343,6 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
             and np.all(reg_rank < sn_rank[hi[row]])):
         raise InconsistentTreesError(
             "a regular vertex lies outside its superarc's rank range")
-    counts = np.bincount(row, minlength=k - 1)
 
     by_id = np.lexsort((hi, lo))
     arc_id = np.empty(k - 1, dtype=np.int64)
@@ -349,32 +351,30 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
     row = arc_id[row]
     arc_of = np.full(n, -1, dtype=np.int64)
     arc_of[regs] = row
-    # distinct keys, so each superarc's regular vertices stay in rank order
-    regs = regs[np.argsort(row * n + np.arange(row.size))]
-    stops = np.cumsum(counts[by_id]).tolist()
-    arc_regulars = [regs[a:b] for a, b in zip([0] + stops, stops)]
+    # stable, so each superarc's regular vertices stay in rank order
+    regs = regs[np.argsort(row, kind="stable")]
+    regular_start = np.append(0, np.cumsum(np.bincount(row, minlength=k - 1)))
 
-    up_arcs = [[] for _ in range(k)]
-    down_arcs = [[] for _ in range(k)]
-    for a, (s, t) in enumerate(superarcs.tolist()):
-        up_arcs[s].append(a)
-        down_arcs[t].append(a)
-    arcs = np.arange(k - 1)
+    # the rows ascend by (lo, hi): each supernode's up arcs are one id range
+    up_start = np.searchsorted(superarcs[:, 0], np.arange(k + 1))
+    down_arcs = np.argsort(superarcs[:, 1], kind="stable")
+    down_start = np.searchsorted(superarcs[down_arcs, 1], np.arange(k + 1))
     _, arc_in, preorder, tin, tout, depth = root_tree(
-        superarcs[:, 0], superarcs[:, 1], root, arcs[::-1])
+        superarcs[:, 0], superarcs[:, 1], root, np.arange(k - 1)[::-1])
     arc_child = np.argsort(arc_in)[1:]          # the root's -1 sorts first
     # canonical supernode-to-superarc assignment: the upward arc (largest
     # id when a split saddle offers several), falling back to the largest
-    # downward arc at maxima
-    up, down = np.full((2, k), -1, dtype=np.int64)
-    np.maximum.at(up, superarcs[:, 0], arcs)
-    np.maximum.at(down, superarcs[:, 1], arcs)
-    arc_of[supernodes] = np.where(up >= 0, up, down)
+    # downward arc at maxima; each range's last id is its largest
+    arc_of[supernodes] = np.where(up_start[1:] > up_start[:-1],
+                                  up_start[1:] - 1,
+                                  down_arcs[down_start[1:] - 1])
     return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
-                       superarcs=superarcs, arc_regulars=arc_regulars,
-                       arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root, arc_child=arc_child, preorder=preorder,
-                       tin=tin, tout=tout, depth=depth, values=values)
+                       superarcs=superarcs, regulars=regs,
+                       regular_start=regular_start, arc_of=arc_of,
+                       up_start=up_start, down_arcs=down_arcs,
+                       down_start=down_start, root=root, arc_child=arc_child,
+                       preorder=preorder, tin=tin, tout=tout, depth=depth,
+                       values=values)
 
 
 def _check_tree(parent: np.ndarray, rank: np.ndarray, name: str,
@@ -597,14 +597,16 @@ def _arcs_past(tree: ContourTree, sn: int, h: float, memo: dict) -> frozenset:
         if s in memo:
             stack.pop()
             continue
-        up = bool(tree.values[tree.supernodes[s]] <= h)
+        up = int(tree.values[tree.supernodes[s]] <= h)
         found, pending = set(), []
-        for a in (tree.up_arcs[s] if up else tree.down_arcs[s]):
+        offsets = tree.up_start if up else tree.down_start
+        lo, hi = offsets.item(s), offsets.item(s + 1)
+        for a in (range(lo, hi) if up else tree.down_arcs[lo:hi].tolist()):
             if _arc_contains(tree, a, h):
                 found.add(a)
                 continue
             # the arc lies wholly before h: its far end walks on the same way
-            far = int(tree.superarcs[a, int(up)])
+            far = tree.superarcs.item(a, up)
             if far in memo:
                 found |= memo[far]
             else:

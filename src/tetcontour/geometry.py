@@ -33,8 +33,8 @@ top-ranked corner; hypersweep sends flat tets to its exact set.
 batch_spline_coefficients writes the pieces as standard-form rows
 [a, b, c, d] of a*h^3 + b*h^2 + c*h + d, so rows of different tets sum
 directly; it works row by row, so a tet's bits never depend on the batch
-it is in. PiecewiseCubic evaluates a tet's V(h), and each superarc's swept
-volume as hypersweep.SuperarcVolume.
+it is in. PiecewiseCubic evaluates a tet's V(h); hypersweep.SweptVolumes
+evaluates each superarc's swept volume from one table of such segments.
 """
 from __future__ import annotations
 

@@ -24,7 +24,7 @@ splits the tets:
 - The I tets a cut crosses (some corners below, not all) are added in
   local form (geometry.local_volume), on the piece that their count of
   corners below names. sweep_volumes finds the crossed tets of every arc
-  end by climbing a tree of nested cut sets; SuperarcVolume finds those
+  end by climbing a tree of nested cut sets; SweptVolumes finds those
   of a cut inside an arc on demand.
 
 The vertices below any cut of a superarc are one run of a depth-first
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contourtree import ContourTree
-from .geometry import (PiecewiseCubic, batch_spline_coefficients, horner,
-                       local_volume, rounding_bound)
+from .geometry import (batch_spline_coefficients, horner, local_volume,
+                       rounding_bound)
 from .mesh import _CHUNK, TetMesh, VertexOrder
 
 
@@ -292,7 +292,7 @@ class _Tour:
         arc_in = np.full(tree.supernode_count, -1, dtype=np.int64)
         arc_in[child] = np.arange(k)
         up = arc_in[tree.superarcs.sum(axis=1) - child]    # the arc above
-        regulars = np.fromiter(map(len, tree.arc_regulars), np.int64, k)
+        regulars = np.diff(tree.regular_start)
         # each supernode's run: 1 place at the root, else its arc's too
         weight = np.ones(tree.supernode_count, dtype=np.int64)
         weight[child] = regulars + 1
@@ -302,12 +302,11 @@ class _Tour:
         node = np.full_like(key, 2 * k)
         # arc a's regular vertices take the places from start[a] on, from
         # the root side: in descending order where its child is its lower end
-        regs = np.concatenate(tree.arc_regulars)
         arc = np.repeat(np.arange(k), regulars)
-        j = np.arange(regs.size) - (np.cumsum(regulars) - regulars)[arc]
-        key[regs] = start[arc] + np.where(child_lo[arc],
-                                          regulars[arc] - 1 - j, j)
-        node[regs] = 2 * arc
+        j = np.arange(tree.regulars.size) - tree.regular_start[arc]
+        key[tree.regulars] = start[arc] + np.where(child_lo[arc],
+                                                   regulars[arc] - 1 - j, j)
+        node[tree.regulars] = 2 * arc
         far = tree.supernodes[child]
         key[far] = start + regulars
         node[far] = 2 * np.arange(k) + 1
@@ -445,9 +444,9 @@ class _ExactPart:
         """The crossed exact-set volume of arc's cut at h, the arc's
         regular vertices at or below h counted below."""
         tree = self.tree
-        regs = tree.arc_regulars[arc]
-        lo, hi, inside = self.tour.cut(
-            arc, np.searchsorted(tree.values[regs], h, side="right"))
+        first, last = tree.regular_start[arc:arc + 2]
+        lo, hi, inside = self.tour.cut(arc, np.searchsorted(
+            tree.values[tree.regulars[first:last]], h, side="right"))
         tets = self.candidates(arc)
         key = self.tour.key[self.corners[tets]]
         count = ((key >= lo) & (key < hi)).sum(axis=1)
@@ -460,31 +459,33 @@ class _ExactPart:
 
 
 @dataclass(frozen=True)
-class SuperarcVolume(PiecewiseCubic):
-    """Swept volume along one superarc.
+class SweptVolumes:
+    """Swept volume along every superarc, as one table.
 
-    breakpoints: (k,) values of the arc's regular vertices, ascending;
-    segments: (k + 1, 4), the telescoped part from the lower supernode
-    value h_lo up to the upper supernode value h_hi. Calling it adds the
-    exact-set tets that the cut crosses. weight_bottom and weight_top are
-    the volumes below a cut just above the lower supernode and just under
-    the upper one: the arc's regular vertices all above, then all below.
-    error is the certified bound on the error of each of these volumes.
+    As in a PiecewiseCubic, arc a's breakpoints[start[a]:start[a + 1]] are
+    its regular vertices' values, start the tree's regular_start, and
+    segments[start[a] + a:start[a + 1] + a + 1] its telescoped part, from
+    its lower supernode value to its upper one. volumes(a, h), h a float
+    or an array, adds the exact-set tets the cut crosses. weight_bottom
+    and weight_top (k - 1,) are the volumes below a cut just above the
+    lower supernode and just under the upper one: the arc's regular
+    vertices all above, then all below. error bounds each one's error.
     """
 
-    superarc: int
-    h_lo: float
-    h_hi: float
-    weight_bottom: float
-    weight_top: float
+    start: np.ndarray
+    breakpoints: np.ndarray
+    segments: np.ndarray
+    weight_bottom: np.ndarray
+    weight_top: np.ndarray
     error: float
     exact: _ExactPart
 
-    def __call__(self, h):
+    def __call__(self, arc: int, h):
+        lo, hi = self.start[arc:arc + 2].tolist()
         h = np.asarray(h, dtype=np.float64)
-        out = np.asarray(super().__call__(h)) + np.reshape(
-            [self.exact(self.superarc, x) for x in h.ravel().tolist()],
-            h.shape)
+        row = np.searchsorted(self.breakpoints[lo:hi], h, side="right")
+        out = horner(self.segments[row + lo + arc], h) + np.reshape(
+            [self.exact(arc, x) for x in h.ravel().tolist()], h.shape)
         return out if out.ndim else float(out)
 
 
@@ -507,29 +508,23 @@ def _compensated_prefix(x):
     return s, c
 
 
-def sweep_volumes(tree: ContourTree, deltas: SweepDeltas) -> list:
-    """SuperarcVolume for every superarc; arc a's segments are rows first[a]
+def sweep_volumes(tree: ContourTree, deltas: SweepDeltas) -> SweptVolumes:
+    """SweptVolumes of every superarc; arc a's segments are rows first[a]
     to first[a] + regulars[a] of one table from _Tour.below, one per count
     of its regular vertices below, and its ends add crossed exact-set tets."""
     tour = _Tour.build(tree)
     exact = _ExactPart(tree, tour, deltas)
     top, bottom = exact.arc_ends()
     regulars = tour.regulars
-    first = np.cumsum(regulars + 1) - (regulars + 1)
+    # each arc has one segment more than breakpoints
+    first = tree.regular_start[:-1] + np.arange(tree.superarc_count)
     arcs = np.repeat(np.arange(tree.superarc_count), regulars + 1)
     table = tour.below(deltas.rows, arcs, np.arange(arcs.size) - first[arcs])
     h_lo, h_hi = tree.values[tree.supernodes[tree.superarcs]].T
-    weight_bottom = horner(table[first], h_lo) + bottom
-    weight_top = horner(table[first + regulars], h_hi) + top
-    # each arc has one segment more than breakpoints: a's start at first[a] - a
-    breakpoints = tree.values[np.concatenate(tree.arc_regulars)]
-    return [SuperarcVolume(
-        superarc=a, h_lo=lo, h_hi=hi,
-        breakpoints=breakpoints[f - a:f - a + r], segments=table[f:f + r + 1],
-        weight_bottom=wb, weight_top=wt, error=deltas.error, exact=exact)
-        for a, (lo, hi, f, r, wb, wt) in enumerate(zip(
-            h_lo.tolist(), h_hi.tolist(), first.tolist(), regulars.tolist(),
-            weight_bottom.tolist(), weight_top.tolist()))]
+    return SweptVolumes(tree.regular_start, tree.values[tree.regulars], table,
+                        horner(table[first], h_lo) + bottom,
+                        horner(table[first + regulars], h_hi) + top,
+                        deltas.error, exact)
 
 
 @dataclass(frozen=True)
@@ -550,13 +545,12 @@ class ArcWeights:
     tie: float = 0.0
 
 
-def volume_weights(volumes: list, total_volume: float) -> ArcWeights:
+def volume_weights(volumes: SweptVolumes, total_volume: float) -> ArcWeights:
     """Arc weights from the swept volumes at the arc ends; weights within
     twice the certified error of each other are tied."""
-    down = np.array([v.weight_top for v in volumes])
-    up = total_volume - np.array([v.weight_bottom for v in volumes])
-    return ArcWeights(down, up, float(total_volume),
-                      2.0 * max(v.error for v in volumes))
+    return ArcWeights(volumes.weight_top,
+                      total_volume - volumes.weight_bottom,
+                      float(total_volume), 2.0 * volumes.error)
 
 
 def count_weights(tree: ContourTree) -> ArcWeights:

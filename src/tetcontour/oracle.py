@@ -255,8 +255,8 @@ def _low_side_vertices(mesh: TetMesh, tree, superarc: int,
                 seen_sn[t] = True
                 stack.append(t)
     mask = np.zeros(mesh.vertex_count, dtype=bool)
-    for a in np.flatnonzero(seen_arc):
-        mask[tree.arc_regulars[a]] = True
+    on_seen = np.repeat(seen_arc, np.diff(tree.regular_start))
+    mask[tree.regulars[on_seen]] = True
     mask[tree.supernodes[seen_sn]] = True
     return mask
 
@@ -274,9 +274,9 @@ def region_volume(mesh: TetMesh, tree, superarc: int, h: float,
     adj = _adjacency(tree, {} if clips is None else clips)
     vols = mesh.tet_volume
     mask = _low_side_vertices(mesh, tree, superarc, adj)
-    regs = tree.arc_regulars[superarc]
-    if len(regs):
-        mask[regs] = mesh.values[regs] <= h
+    first, last = tree.regular_start[superarc:superarc + 2]
+    regs = tree.regulars[first:last]
+    mask[regs] = mesh.values[regs] <= h
     in_tet = mask[mesh.tets]
     touched = np.flatnonzero(np.any(in_tet, axis=1))
     total = 0.0
@@ -314,7 +314,8 @@ def rank_region_volume(mesh: TetMesh, tree, superarc: int, top: bool,
     adj = _adjacency(tree, clips)
     vols = mesh.tet_volume
     mask = _low_side_vertices(mesh, tree, superarc, adj)
-    mask[tree.arc_regulars[superarc]] = top
+    first, last = tree.regular_start[superarc:superarc + 2]
+    mask[tree.regulars[first:last]] = top
     h = float(tree.values[tree.supernodes[tree.superarcs[superarc,
                                                          int(top)]]])
     in_tet = mask[mesh.tets]
@@ -385,17 +386,19 @@ def clip_volume_errors(positions, values, hs, volumes) -> np.ndarray:
                      for h, v in zip(hs, volumes)])
 
 
-def region_volume_errors(mesh: TetMesh, tree, volumes, fracs):
-    """(errors, refs), each (arcs, fracs): |V_arc(h) - region_volume| and
-    region_volume at h = h_lo + frac * (h_hi - h_lo) on every superarc."""
-    errors = np.empty((len(volumes), len(fracs)))
+def region_volume_errors(mesh: TetMesh, tree, volumes, fracs, arcs=None):
+    """(errors, refs), each (arcs, fracs): |volumes(arc, h) - region_volume|
+    and region_volume at h = h_lo + frac * (h_hi - h_lo) on arcs, or all."""
+    arcs = range(tree.superarc_count) if arcs is None else arcs
+    errors = np.empty((len(arcs), len(fracs)))
     refs = np.empty_like(errors)
     clips = {}
-    for i, sv in enumerate(volumes):
+    for i, arc in enumerate(arcs):
+        h_lo, h_hi = tree.arc_value_range(arc)
         for j, frac in enumerate(fracs):
-            h = sv.h_lo + frac * (sv.h_hi - sv.h_lo)
-            refs[i, j] = region_volume(mesh, tree, sv.superarc, h, clips)
-            errors[i, j] = abs(float(sv(h)) - refs[i, j])
+            h = h_lo + frac * (h_hi - h_lo)
+            refs[i, j] = region_volume(mesh, tree, arc, h, clips)
+            errors[i, j] = abs(volumes(arc, h) - refs[i, j])
     return errors, refs
 
 

@@ -32,6 +32,12 @@ def single_tet_mesh(pos, vals):
     return TetMesh.create(pos, vals, np.arange(4)[None, :])
 
 
+def arc_regulars(tree):
+    """Each superarc's regular vertices, one slice of tree.regulars per
+    arc."""
+    return np.split(tree.regulars, tree.regular_start[1:-1])
+
+
 def random_grid_mesh(rng, dims=(8, 8, 8)):
     vals = rng.normal(size=dims[0] * dims[1] * dims[2])
     return grid_to_tets(dims, vals)
@@ -255,12 +261,13 @@ def reference_contract(arcs, order, values):
     # this order fixes the superarc ids written to tree.json
     chains.sort(key=lambda c: c[:2])
     superarcs = np.array([c[:2] for c in chains], dtype=np.int64)
-    arc_regulars = []
+    regulars = []
+    regular_start = [0]
     arc_of = np.full(n, -1, dtype=np.int64)
     for arc_id, (_, _, regs) in enumerate(chains):
-        regs_arr = np.asarray(regs, dtype=np.int64)
-        arc_regulars.append(regs_arr)
-        arc_of[regs_arr] = arc_id
+        regulars += regs
+        regular_start.append(len(regulars))
+        arc_of[np.asarray(regs, dtype=np.int64)] = arc_id
 
     k = supernodes.shape[0]
     up_arcs = [[] for _ in range(k)]
@@ -282,11 +289,18 @@ def reference_contract(arcs, order, values):
     # downward arc at maxima
     for sn in range(k):
         arc_of[supernodes[sn]] = max(up_arcs[sn] or down_arcs[sn])
-    return ContourTree(supernodes=supernodes, supernode_of=supernode_of,
-                       superarcs=superarcs, arc_regulars=arc_regulars,
-                       arc_of=arc_of, up_arcs=up_arcs, down_arcs=down_arcs,
-                       root=root, arc_child=arc_child, preorder=preorder,
-                       tin=tin, tout=tout, depth=depth, values=values)
+    # the per-supernode lists as offsets, down ids grouped by upper end
+    up_start, down_start = (
+        np.cumsum([0] + [len(arcs) for arcs in lists], dtype=np.int64)
+        for lists in (up_arcs, down_arcs))
+    return ContourTree(
+        supernodes=supernodes, supernode_of=supernode_of,
+        superarcs=superarcs, regulars=np.array(regulars, dtype=np.int64),
+        regular_start=np.array(regular_start, dtype=np.int64),
+        arc_of=arc_of, up_start=up_start,
+        down_arcs=np.array(sum(down_arcs, []), dtype=np.int64),
+        down_start=down_start, root=root, arc_child=arc_child,
+        preorder=preorder, tin=tin, tout=tout, depth=depth, values=values)
 
 
 def reference_root_tree(lo, hi, root, order):
@@ -493,7 +507,7 @@ def reference_below_arc_sums(tree, per_vertex):
     k = tree.supernode_count
     own = per_vertex[tree.supernodes]
     reg_sums = np.zeros((tree.superarc_count,) + per_vertex.shape[1:])
-    for a, regs in enumerate(tree.arc_regulars):
+    for a, regs in enumerate(arc_regulars(tree)):
         if len(regs):
             reg_sums[a] = per_vertex[regs].sum(axis=0)
     children = [[] for _ in range(k)]
@@ -538,7 +552,7 @@ def reference_tour(tree):
     child = np.empty(k, dtype=np.int64)
     child[arc_order] = preorder[1:]
     up = arc_in[parent[child]].tolist()      # -1 below the root
-    regulars = [len(regs) for regs in tree.arc_regulars]
+    regulars = np.diff(tree.regular_start).tolist()
     size = [r + 1 for r in regulars] + [0]   # the last slot for the root
     for a in arc_order[::-1]:
         size[up[a]] += size[a]
@@ -552,7 +566,7 @@ def reference_tour(tree):
         depth[2 * a] = depth[2 * up[a] + 1 if up[a] >= 0 else 2 * k] + 1
         depth[2 * a + 1] = depth[2 * a] + 1
     key = np.zeros(tree.values.shape[0], dtype=np.int64)
-    for a, regs in enumerate(tree.arc_regulars):
+    for a, regs in enumerate(arc_regulars(tree)):
         key[regs[::-1] if child[a] == lo[a] else regs] = \
             start[a] + np.arange(len(regs))
         key[tree.supernodes[child[a]]] = start[a] + regulars[a]
@@ -562,15 +576,15 @@ def reference_tour(tree):
 
 
 def reference_sweep_volumes(tree, deltas):
-    """sweep_volumes as one pass per arc: each arc's segments from its own
-    cut of the compensated prefix sum, its weights from two scalar horner
-    calls, on a tour whose places and cut-tree nodes are set arc by arc.
-    The reference its one table of segments is checked against bit for
-    bit."""
+    """sweep_volumes as one pass per arc: each arc's breakpoints and
+    segments from its own cut of the compensated prefix sum, its weights
+    from two scalar horner calls, on a tour whose places and cut-tree
+    nodes are set arc by arc, the arcs' rows then joined into the table.
+    The reference its one table is checked against bit for bit."""
     hs = tetcontour.hypersweep
     tour = hs._Tour.build(tree)
     key, node = tour.key.copy(), tour.node.copy()
-    for a, regs in enumerate(tree.arc_regulars):
+    for a, regs in enumerate(arc_regulars(tree)):
         key[regs[::-1] if tour.child_lo[a] else regs] = \
             tour.start[a] + np.arange(len(regs))
         node[regs] = 2 * a
@@ -579,21 +593,21 @@ def reference_sweep_volumes(tree, deltas):
     top, bottom = exact.arc_ends()
     s, c = hs._compensated_prefix(deltas.rows[np.argsort(tour.key)])
     total = s[-1] + c[-1]
-    out = []
-    for a in range(tree.superarc_count):
+    breakpoints, segments, weight_bottom, weight_top = [], [], [], []
+    for a, regs in enumerate(arc_regulars(tree)):
         lo, hi, inside = tour.cut(a, np.arange(tour.regulars[a] + 1))
         segs = (s[hi] - s[lo]) + (c[hi] - c[lo])
         if not inside:
             segs = total - segs
         h_lo, h_hi = tree.arc_value_range(a)
-        out.append(hs.SuperarcVolume(
-            superarc=a, h_lo=h_lo, h_hi=h_hi,
-            breakpoints=tree.values[tree.arc_regulars[a]].astype(np.float64),
-            segments=segs,
-            weight_bottom=float(horner(segs[0], h_lo) + bottom[a]),
-            weight_top=float(horner(segs[-1], h_hi) + top[a]),
-            error=deltas.error, exact=exact))
-    return out
+        breakpoints.append(tree.values[regs].astype(np.float64))
+        segments.append(segs)
+        weight_bottom.append(float(horner(segs[0], h_lo) + bottom[a]))
+        weight_top.append(float(horner(segs[-1], h_hi) + top[a]))
+    return hs.SweptVolumes(
+        tree.regular_start, np.concatenate(breakpoints),
+        np.concatenate(segments), np.array(weight_bottom),
+        np.array(weight_top), deltas.error, exact)
 
 
 def reference_arc_ends(exact):
@@ -690,12 +704,18 @@ def reference_walker(tree, h):
 
     lo_val = [sn_vals[lo] for lo, _ in arcs]
     hi_val = [sn_vals[hi] for _, hi in arcs]
+    # per supernode, the arcs leaving it upward and those arriving from
+    # below, read from the offsets
+    up_arcs = [x.tolist() for x in np.split(np.arange(len(arcs)),
+                                            tree.up_start[1:-1])]
+    down_arcs = [x.tolist() for x in np.split(tree.down_arcs,
+                                              tree.down_start[1:-1])]
     done = {}
 
     def walk(seed_vertex):
         going_up = h >= values[seed_vertex]
         sn = supernode_of[seed_vertex]
-        arcs_out = tree.up_arcs if going_up else tree.down_arcs
+        arcs_out = up_arcs if going_up else down_arcs
         starts = arcs_out[sn] if sn >= 0 else []
         if not starts:
             starts = [arc_of[seed_vertex]]

@@ -116,7 +116,7 @@ def test_criterion_04_conservation_on_random_grids():
         volumes = sweep_volumes(tree, compute_deltas(mesh, order))
         root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
         total = mesh.volume
-        worst = max(worst, abs(volumes[root_arc].weight_top - total) / total)
+        worst = max(worst, abs(volumes.weight_top[root_arc] - total) / total)
     _report(4, "conservation at the global maximum",
             worst <= 1e-9, f"worst rel {worst:.2e}")
 
@@ -264,7 +264,7 @@ def test_criterion_10_desk_scale_performance():
     # a swept volume: the arc below the global maximum holds the mesh
     root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
     sane = (tree.superarc_count >= 2 and len(branches) >= 2
-            and abs(volumes[root_arc].weight_top - mesh.volume)
+            and abs(volumes.weight_top[root_arc] - mesh.volume)
             <= 1e-9 * mesh.volume)
     _report(10, "100K-vertex pipeline under 60 s",
             elapsed < 60.0 and sane,

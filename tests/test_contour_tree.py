@@ -14,7 +14,7 @@ from tetcontour.mesh import (StructuralError, TetMesh, VertexOrder,
                              grid_to_tets)
 from tetcontour.oracle import reference_contour_count
 
-from conftest import (UNIT_TET_POSITIONS, gaussian_grid_mesh,
+from conftest import (UNIT_TET_POSITIONS, arc_regulars, gaussian_grid_mesh,
                       random_grid_mesh, reference_contract,
                       reference_link_sweep, reference_merge_arcs,
                       reference_merge_tree, reference_monotone_links,
@@ -52,7 +52,7 @@ def test_monotone_field_single_superarc():
     tree, _ = _tree(mesh)
     assert tree.supernode_count == 2
     assert tree.superarc_count == 1
-    assert len(tree.arc_regulars[0]) == 6
+    assert tree.regular_start.tolist() == [0, 6]
 
 
 def test_join_split_tree_roots():
@@ -91,10 +91,24 @@ def test_tree_structure_invariants(rng):
         mesh = random_grid_mesh(rng, dims=(6, 6, 6))
         tree, order = _tree(mesh)
         n = mesh.vertex_count
-        assert tree.superarc_count == tree.supernode_count - 1
+        k = tree.supernode_count
+        assert tree.superarc_count == k - 1
+        # the offsets: arc a's regular vertices are one slice, the up ids
+        # of supernode s one range and its down ids one run, ascending
+        start = tree.regular_start
+        assert start.shape == (k,) and start[0] == 0
+        assert np.all(np.diff(start) >= 0) and start[-1] == n - k
+        assert tree.up_start.shape == tree.down_start.shape == (k + 1,)
+        for s in range(k):
+            up = np.arange(tree.up_start[s], tree.up_start[s + 1])
+            assert np.array_equal(up,
+                                  np.flatnonzero(tree.superarcs[:, 0] == s))
+            down = tree.down_arcs[tree.down_start[s]:tree.down_start[s + 1]]
+            assert np.array_equal(down,
+                                  np.flatnonzero(tree.superarcs[:, 1] == s))
         # partition: every vertex in exactly one arc
         counts = np.zeros(n, dtype=int)
-        for a, regs in enumerate(tree.arc_regulars):
+        for a, regs in enumerate(arc_regulars(tree)):
             counts[regs] += 1
             assert np.all(tree.arc_of[regs] == a)
             lo, hi = tree.superarcs[a]
@@ -146,7 +160,10 @@ def test_canonical_supernode_assignment(rng):
     for a, (lo, hi) in enumerate(tree.superarcs):
         up_arcs[lo].append(a)
         down_arcs[hi].append(a)
-    assert tree.up_arcs == up_arcs and tree.down_arcs == down_arcs
+    assert [x.tolist() for x in np.split(np.arange(tree.superarc_count),
+                                         tree.up_start[1:-1])] == up_arcs
+    assert [x.tolist() for x in np.split(tree.down_arcs,
+                                         tree.down_start[1:-1])] == down_arcs
     for sn in range(tree.supernode_count):
         arc = tree.arc_of[tree.supernodes[sn]]
         if up_arcs[sn]:
@@ -293,7 +310,7 @@ def test_straddling_arcs_own_interval(rng):
     """A regular vertex queried at its own value finds only its arc."""
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     tree, _ = _tree(mesh)
-    for a, regs in enumerate(tree.arc_regulars):
+    for a, regs in enumerate(arc_regulars(tree)):
         if not len(regs):
             continue
         v = int(regs[len(regs) // 2])

@@ -260,12 +260,13 @@ def test_tied_integer_fields_match_both_oracles():
         # on a flat arc (both ends at one value) the region below the cut
         # grows along the arc at a single isovalue, which no function of
         # h can follow, so only arcs spanning a value range are compared
-        volumes = [sv for sv in sweep_volumes(tree, deltas)
-                   if sv.h_lo < sv.h_hi]
-        assert len(volumes) >= 5
+        ranges = map(tree.arc_value_range, range(tree.superarc_count))
+        arcs = [a for a, (lo, hi) in enumerate(ranges) if lo < hi]
+        assert len(arcs) >= 5
         floor = 64.0 * np.finfo(float).eps * mesh.volume
-        errors, refs = region_volume_errors(mesh, tree, volumes,
-                                            np.linspace(0.1, 0.9, 8))
+        errors, refs = region_volume_errors(
+            mesh, tree, sweep_volumes(tree, deltas), np.linspace(0.1, 0.9, 8),
+            arcs)
         worst = np.max(np.maximum(errors - floor, 0.0)
                        / np.maximum(refs, 1e-12))
         assert worst <= 1e-8
@@ -281,19 +282,22 @@ def test_volume_function_continuous_at_breakpoints(rng):
     for mesh in meshes:
         order, tree, deltas = _pipeline(mesh)
         total = mesh.volume
-        for sv in sweep_volumes(tree, deltas):
-            for bp in sv.breakpoints:
-                left = sv(np.nextafter(bp, -np.inf))
-                assert abs(sv(bp) - left) <= 1e-10 * total
+        volumes = sweep_volumes(tree, deltas)
+        for a in range(tree.superarc_count):
+            first, last = volumes.start[a:a + 2]
+            for bp in volumes.breakpoints[first:last]:
+                left = volumes(a, np.nextafter(bp, -np.inf))
+                assert abs(volumes(a, bp) - left) <= 1e-10 * total
     assert len(deltas.exact) > 0
 
 
 def test_volume_function_monotone_in_h(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
-    for sv in sweep_volumes(tree, deltas):
-        hs = np.linspace(sv.h_lo, sv.h_hi, 64)
-        v = sv(hs)
+    volumes = sweep_volumes(tree, deltas)
+    for a in range(tree.superarc_count):
+        hs = np.linspace(*tree.arc_value_range(a), 64)
+        v = volumes(a, hs)
         assert np.all(np.diff(v) >= -1e-9 * mesh.volume)
 
 
@@ -301,9 +305,11 @@ def test_weight_endpoints_bracket_the_interval(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
     total = mesh.volume
-    for sv in sweep_volumes(tree, deltas):
-        assert -1e-9 * total <= sv.weight_bottom <= sv.weight_top
-        assert sv.weight_top <= total * (1 + 1e-9)
+    volumes = sweep_volumes(tree, deltas)
+    for a in range(tree.superarc_count):
+        bottom, top = volumes.weight_bottom[a], volumes.weight_top[a]
+        assert -1e-9 * total <= bottom <= top
+        assert top <= total * (1 + 1e-9)
 
 
 def test_root_arc_sweeps_everything(rng):
@@ -311,7 +317,7 @@ def test_root_arc_sweeps_everything(rng):
     order, tree, deltas = _pipeline(mesh)
     volumes = sweep_volumes(tree, deltas)
     root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
-    assert volumes[root_arc].weight_top == pytest.approx(
+    assert volumes.weight_top[root_arc] == pytest.approx(
         mesh.volume, rel=1e-9)
 
 
@@ -339,7 +345,7 @@ def test_two_peak_saddle_volumes_split_the_total():
     total = mesh.volume
     # each peak arc at its own bottom (the shared saddle) sweeps the
     # complement of its own region; the two regions partition the mesh
-    regions = [total - sv.weight_bottom for sv in volumes]
+    regions = [total - w for w in volumes.weight_bottom.tolist()]
     assert sum(regions) == pytest.approx(total, rel=1e-9)
     errors, refs = region_volume_errors(mesh, tree, volumes, (0.3, 0.7))
     assert np.max(errors / np.maximum(refs, 1e-12)) <= 1e-8
@@ -356,11 +362,13 @@ def test_region_sums_match_subtree_sums(rng):
         assert np.array_equal(counts.down_weight, below + reg_sums)
         assert np.array_equal(counts.up_weight, mesh.vertex_count - below)
         below, reg_sums = reference_below_arc_sums(tree, deltas.rows)
-        for sv in sweep_volumes(tree, deltas):
-            a = sv.superarc
-            for row, want, h in ((sv.segments[0], below[a], sv.h_lo),
-                                 (sv.segments[-1], below[a] + reg_sums[a],
-                                  sv.h_hi)):
+        volumes = sweep_volumes(tree, deltas)
+        for a in range(tree.superarc_count):
+            h_lo, h_hi = tree.arc_value_range(a)
+            first, last = volumes.start[a:a + 2] + a
+            for row, want, h in ((volumes.segments[first], below[a], h_lo),
+                                 (volumes.segments[last],
+                                  below[a] + reg_sums[a], h_hi)):
                 assert abs(np.polyval(row, h) - np.polyval(want, h)) \
                     <= deltas.error
 
@@ -386,10 +394,11 @@ def test_tour_matches_reference(rng):
 
 
 def test_sweep_volumes_match_per_arc_reference(rng):
-    # the one segment table, the arc-end weights from one horner over
-    # every arc and the tour's places set in whole arrays, bit for bit
-    # against a pass per arc; tied integer fields give flat arcs and arcs
-    # with no regular vertex, the linear field a tree of one arc
+    # the one table of breakpoints and segments, the arc-end weights from
+    # one horner over every arc and the tour's places set in whole arrays,
+    # bit for bit against a pass per arc; tied integer fields give flat
+    # arcs and arcs with no regular vertex, the linear field a tree of one
+    # arc
     meshes = bit_check_meshes(rng) + [two_peak_mesh()]
     meshes += [grid_to_tets((n, n, n), np.random.default_rng(1).normal(
         size=n ** 3)) for n in (16, 32)]
@@ -401,13 +410,11 @@ def test_sweep_volumes_match_per_arc_reference(rng):
         order, tree, deltas = _pipeline(mesh)
         got = sweep_volumes(tree, deltas)
         want = reference_sweep_volumes(tree, deltas)
-        assert len(got) == len(want) == tree.superarc_count
-        for g, w in zip(got, want):
-            for field in ("breakpoints", "segments", "weight_bottom",
-                          "weight_top", "h_lo", "h_hi"):
-                assert _bits(getattr(g, field)) == _bits(getattr(w, field))
-            assert type(g.weight_top) is type(w.weight_top) is float
-            assert type(g.weight_bottom) is float
+        for field in ("start", "breakpoints", "segments", "weight_bottom",
+                      "weight_top"):
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field))
+        assert got.weight_top.shape == (tree.superarc_count,)
+        assert got.error == deltas.error
     assert tree.superarc_count == 1
 
 
@@ -451,10 +458,8 @@ def _assert_arc_ends_match_oracle(mesh, bound):
     volumes = sweep_volumes(tree, deltas)
     top, bottom = rank_arc_end_volumes(mesh, tree)
     total = mesh.volume
-    assert np.all(np.abs([sv.weight_top for sv in volumes] - top)
-                  <= bound * total)
-    assert np.all(np.abs([sv.weight_bottom for sv in volumes] - bottom)
-                  <= bound * total)
+    assert np.all(np.abs(volumes.weight_top - top) <= bound * total)
+    assert np.all(np.abs(volumes.weight_bottom - bottom) <= bound * total)
     assert deltas.error <= hs.REFUSE_ABOVE * total
     weights = volume_weights(volumes, total)
     oracle = ArcWeights(top, total - bottom, total, weights.tie)
@@ -508,7 +513,8 @@ def _full_scan(exact, arc, h):
     """The crossed exact-set volume of arc's cut at h, over every
     exact-set tet."""
     tree, tour = exact.tree, exact.tour
-    regs = tree.arc_regulars[arc]
+    first, last = tree.regular_start[arc:arc + 2]
+    regs = tree.regulars[first:last]
     lo, hi, inside = tour.cut(
         arc, np.searchsorted(tree.values[regs], h, side="right"))
     key = tour.key[exact.corners]
@@ -524,7 +530,7 @@ def _full_scan(exact, arc, h):
 def test_crossed_exact_tets_come_from_the_arc_candidates():
     mesh = _three_bumps(14)
     order, tree, deltas = _pipeline(mesh)
-    exact = sweep_volumes(tree, deltas)[0].exact
+    exact = sweep_volumes(tree, deltas).exact
     crossed = 0
     for a in range(tree.superarc_count):
         h_lo, h_hi = tree.arc_value_range(a)
