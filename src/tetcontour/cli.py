@@ -110,7 +110,7 @@ def _branch_extraction(tree: ContourTree, branch, overrides):
     isovalue is None if all arcs are flat, or if the widest gap is one
     ulp, so that no float lies inside it."""
     ranges = [tree.arc_value_range(a) for a in branch.superarcs]
-    if branch.rank == 0 or branch.attachment_supernode < 0:
+    if branch.attachment_supernode < 0:
         lo = tree.supernode_value(branch.lower_supernode)
         hi = tree.supernode_value(branch.upper_supernode)
         h = 0.5 * (lo + hi)
@@ -125,12 +125,11 @@ def _branch_extraction(tree: ContourTree, branch, overrides):
         i = min(cut, key=lambda j: (abs(j - i), j))
     arc = branch.superarcs[i]
     alo, ahi = ranges[i]
-    # np.unique's values by a sort and a first-of-run mask: a plain
-    # np.unique imports numpy.ma on numpy >= 2.3, 10 ms of every run
+    # ascending, as the arc's regular vertices ascend in rank; a repeated
+    # value only adds a zero gap
     first, last = tree.regular_start[arc:arc + 2]
-    on_arc = np.sort(np.concatenate(
-        [tree.values[tree.regulars[first:last]], [alo, ahi]]))
-    on_arc = on_arc[np.concatenate(([True], on_arc[1:] != on_arc[:-1]))]
+    on_arc = np.concatenate(
+        ([alo], tree.values[tree.regulars[first:last]], [ahi]))
     h = overrides.get(arc, 0.5 * (alo + ahi))
     if arc in overrides and not alo <= h < ahi:
         raise ValueError(

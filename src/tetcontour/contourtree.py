@@ -34,11 +34,11 @@ parents pointing up. A mesh that is not connected leaves more than one
 root and is refused.
 
 The merge works on the supernodes. Pointer doubling contracts each tree
-to them, iterated leaf pruning merges the two into the superarcs, the
-Euler-tour technique roots the supernode tree (root_tree), and binary
-lifting over it places every regular vertex on its superarc. A superarc's
-id is the rank of its (lower, upper) supernode pair. Only the pruning
-loops in Python.
+to them, and iterated leaf pruning merges the two into the superarcs. A
+superarc's id is the rank of its (lower, upper) supernode pair. The
+Euler-tour technique roots the numbered superarcs once (root_tree), and
+binary lifting over that rooting places every regular vertex on its
+superarc. Only the pruning loops in Python.
 """
 from __future__ import annotations
 
@@ -221,7 +221,7 @@ class ContourTree:
                    up_start[s] to up_start[s + 1]; those arriving from below
                    are down_arcs[down_start[s]:down_start[s + 1]], ascending.
     root:          supernode id of the global maximum.
-    arc_child:     (k-1,) per superarc, the supernode on its far side from
+    parent_arc:    (k,) per supernode, the superarc toward the root, -1 at
                    the root.
     preorder:      (k,) supernodes from the root, children by descending
                    arc id; tin, tout, depth: (k,) per supernode its place
@@ -239,7 +239,7 @@ class ContourTree:
     down_arcs: np.ndarray
     down_start: np.ndarray
     root: int
-    arc_child: np.ndarray
+    parent_arc: np.ndarray
     preorder: np.ndarray
     tin: np.ndarray
     tout: np.ndarray
@@ -277,16 +277,17 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
     2. Each tree is contracted to its supernodes by pointer doubling, and
        the two are merged by iterated leaf pruning (Carr, Snoeyink & Axen,
        CGTA 2003) into the superarcs.
-    3. A regular vertex v lies on the superarc where the tree path from
+    3. Superarc ids ascend by (lower, upper) supernode id. Supernode ids
+       ascend with vertex ids, and no two arcs share both ends, so the
+       ids depend on the tree alone, not on the pruning order.
+    4. root_tree roots them at the global maximum, once: step 5 and the
+       tree's parent_arc, preorder, tin, tout and depth read that rooting.
+    5. A regular vertex v lies on the superarc where the tree path from
        J(v) to S(v) crosses rank(v): J(v) and S(v) are the first
        supernodes reached from v by unique join children (upward) and by
        unique split children (downward). Binary lifting finds every
-       vertex's superarc at once (augmentation in arrays, as in Carr,
+       vertex's superarc id at once (augmentation in arrays, as in Carr,
        Weber, Sewell & Ahrens, LDAV 2016).
-    4. Superarc ids ascend by (lower, upper) supernode id. Supernode ids
-       ascend with vertex ids, and no two arcs share both ends, so the
-       ids depend on the tree alone, not on the pruning order.
-    5. root_tree roots the superarcs at the global maximum.
 
     Trees that do not belong together are refused with
     InconsistentTreesError: a tree with other than one root or with a
@@ -321,15 +322,7 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                             supernode_of, k))
 
     ends = np.array(rows, dtype=np.int64).reshape(k - 1, 2)
-    # regular vertices in rank order, each on its pruning row
-    regs = order.sort_index[~is_super[order.sort_index]]
-    reg_rank = rank[regs]
     sn_rank = rank[supernodes]
-    root = int(np.argmax(sn_rank))
-    row = _place(root_tree(ends[:, 0], ends[:, 1], root),
-                 supernode_of[top[regs]], supernode_of[bottom[regs]],
-                 sn_rank, reg_rank)
-    del top, bottom
     flip = sn_rank[ends[:, 0]] > sn_rank[ends[:, 1]]
     lo = np.where(flip, ends[:, 1], ends[:, 0])
     hi = np.where(flip, ends[:, 0], ends[:, 1])
@@ -339,29 +332,33 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                                down_count[supernodes])):
         raise InconsistentTreesError(
             "superarc degrees differ from the trees' child counts")
-    if not (np.all(sn_rank[lo[row]] < reg_rank)
-            and np.all(reg_rank < sn_rank[hi[row]])):
-        raise InconsistentTreesError(
-            "a regular vertex lies outside its superarc's rank range")
 
     by_id = np.lexsort((hi, lo))
-    arc_id = np.empty(k - 1, dtype=np.int64)
-    arc_id[by_id] = np.arange(k - 1)
     superarcs = np.stack([lo[by_id], hi[by_id]], axis=1)
-    row = arc_id[row]
+    root = int(np.argmax(sn_rank))
+    rooted = root_tree(superarcs[:, 0], superarcs[:, 1], root,
+                       np.arange(k - 1)[::-1])
+    # regular vertices in rank order, each on its superarc
+    regs = order.sort_index[~is_super[order.sort_index]]
+    reg_rank = rank[regs]
+    arc = _place(rooted, supernode_of[top[regs]],
+                 supernode_of[bottom[regs]], sn_rank, reg_rank)
+    del top, bottom
+    if not (np.all(sn_rank[superarcs[arc, 0]] < reg_rank)
+            and np.all(reg_rank < sn_rank[superarcs[arc, 1]])):
+        raise InconsistentTreesError(
+            "a regular vertex lies outside its superarc's rank range")
     arc_of = np.full(n, -1, dtype=np.int64)
-    arc_of[regs] = row
+    arc_of[regs] = arc
     # stable, so each superarc's regular vertices stay in rank order
-    regs = regs[np.argsort(row, kind="stable")]
-    regular_start = np.append(0, np.cumsum(np.bincount(row, minlength=k - 1)))
+    regs = regs[np.argsort(arc, kind="stable")]
+    regular_start = np.append(0, np.cumsum(np.bincount(arc, minlength=k - 1)))
 
     # the rows ascend by (lo, hi): each supernode's up arcs are one id range
     up_start = np.searchsorted(superarcs[:, 0], np.arange(k + 1))
     down_arcs = np.argsort(superarcs[:, 1], kind="stable")
     down_start = np.searchsorted(superarcs[down_arcs, 1], np.arange(k + 1))
-    _, arc_in, preorder, tin, tout, depth = root_tree(
-        superarcs[:, 0], superarcs[:, 1], root, np.arange(k - 1)[::-1])
-    arc_child = np.argsort(arc_in)[1:]          # the root's -1 sorts first
+    _, parent_arc, preorder, tin, tout, depth = rooted
     # canonical supernode-to-superarc assignment: the upward arc (largest
     # id when a split saddle offers several), falling back to the largest
     # downward arc at maxima; each range's last id is its largest
@@ -372,9 +369,9 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                        superarcs=superarcs, regulars=regs,
                        regular_start=regular_start, arc_of=arc_of,
                        up_start=up_start, down_arcs=down_arcs,
-                       down_start=down_start, root=root, arc_child=arc_child,
-                       preorder=preorder, tin=tin, tout=tout, depth=depth,
-                       values=values)
+                       down_start=down_start, root=root,
+                       parent_arc=parent_arc, preorder=preorder, tin=tin,
+                       tout=tout, depth=depth, values=values)
 
 
 def _check_tree(parent: np.ndarray, rank: np.ndarray, name: str,
@@ -497,15 +494,15 @@ def _prune(jp: np.ndarray, sp: np.ndarray) -> list:
 
 def _place(rooted: tuple, top: np.ndarray, bottom: np.ndarray,
            sn_rank: np.ndarray, v_rank: np.ndarray) -> np.ndarray:
-    """The pruning row holding each regular vertex v, given the rows'
+    """The superarc holding each regular vertex v, given the superarcs'
     tree as root_tree roots it, J(v) (top), S(v) (bottom) and rank(v).
 
     On the path J(v)...S(v), the nodes on J's side rank above v and those
-    on S's side below, so v's row is where the path crosses rank(v), on
+    on S's side below, so v's arc is where the path crosses rank(v), on
     any root. Binary lifting climbs from J while the ancestor ranks above
     v and is not an ancestor of S, and from S while it ranks below v and
     is not an ancestor of J; each climb stops below the crossing or below
-    the lowest common ancestor, and the row is the edge from the node it
+    the lowest common ancestor, and the arc is the edge from the node it
     stops at to its parent. The crossing is on J's side when J is not an
     ancestor of S and the node past J's climb ranks below v. Ancestors
     are tested by preorder intervals."""
@@ -531,7 +528,7 @@ def _place(rooted: tuple, top: np.ndarray, bottom: np.ndarray,
 
 
 def root_tree(lo: np.ndarray, hi: np.ndarray, root: int,
-              order: np.ndarray | None = None) -> tuple:
+              order: np.ndarray) -> tuple:
     """(parent, edge, preorder, tin, tout, depth), each (k,) int64: the
     tree on the k - 1 >= 1 int64 edges (lo, hi) rooted at root, per node
     its parent (the root's own) and edge to it (-1 at the root), its place
@@ -547,7 +544,7 @@ def root_tree(lo: np.ndarray, hi: np.ndarray, root: int,
     last = np.cumsum(np.bincount(tail, minlength=k)) - 1
     first = np.append(0, last[:-1] + 1)            # each node's run in rot
     rank = np.zeros(m, dtype=np.int64)
-    for _ in range(1 if order is None else 2):
+    for _ in range(2):
         rot = np.argsort(tail * k + rank)          # the rotations, in turn
         succ = np.empty(m + 1, dtype=np.int64)
         succ[rot ^ 1] = np.roll(rot, -1)
@@ -559,9 +556,9 @@ def root_tree(lo: np.ndarray, hi: np.ndarray, root: int,
             succ = succ[succ]
         place = (m - 1) - rest[:m]
         down = place[0::2] < place[1::2]           # whether lo is the parent
-        if order is not None:           # the arc toward the root first
-            rank[order * 2] = rank[order * 2 + 1] = np.arange(1, k)
-            rank[0::2][~down] = rank[1::2][down] = 0
+        # the next rotations: the arc toward the root first, then order
+        rank[order * 2] = rank[order * 2 + 1] = np.arange(1, k)
+        rank[0::2][~down] = rank[1::2][down] = 0
     arc = np.arange(0, m, 2) + ~down               # each edge's arc down
     child, into = tail[arc ^ 1], place[arc]
     entered = np.cumsum(np.bincount(into, minlength=m))    # nodes so far

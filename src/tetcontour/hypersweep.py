@@ -279,7 +279,7 @@ class _Tour:
     start: np.ndarray      # (k,) per arc
     stop: np.ndarray
     regulars: np.ndarray   # (k,) regular vertex count per arc
-    child_lo: np.ndarray   # (k,) whether arc_child is the lower end
+    child_lo: np.ndarray   # (k,) whether the end away from the root is lo
     node: np.ndarray       # (n,)
     parent: np.ndarray     # (2k + 1,)
     depth: np.ndarray
@@ -287,11 +287,10 @@ class _Tour:
     @staticmethod
     def build(tree: ContourTree) -> "_Tour":
         k = tree.superarc_count
-        child = tree.arc_child
+        # each arc's end away from the root; the root's -1 sorts first
+        child = np.argsort(tree.parent_arc)[1:]
         child_lo = child == tree.superarcs[:, 0]
-        arc_in = np.full(tree.supernode_count, -1, dtype=np.int64)
-        arc_in[child] = np.arange(k)
-        up = arc_in[tree.superarcs.sum(axis=1) - child]    # the arc above
+        up = tree.parent_arc[tree.superarcs.sum(axis=1) - child]  # arc above
         regulars = np.diff(tree.regular_start)
         # each supernode's run: 1 place at the root, else its arc's too
         weight = np.ones(tree.supernode_count, dtype=np.int64)

@@ -277,13 +277,9 @@ def reference_contract(arcs, order, values):
         down_arcs[hi].append(a)
     # rooted at the global maximum supernode, children in descending arc id
     root = int(np.argmax(rank[supernodes]))
-    _, arc_in, preorder, tin, tout, depth = reference_root_tree(
+    _, parent_arc, preorder, tin, tout, depth = reference_root_tree(
         superarcs[:, 0], superarcs[:, 1], root,
         np.arange(superarcs.shape[0])[::-1])
-    arc_child = np.full(superarcs.shape[0], -1, dtype=np.int64)
-    for s in range(k):
-        if s != root:
-            arc_child[arc_in[s]] = s
     # canonical supernode-to-superarc assignment: the upward arc (largest
     # id when a split saddle offers several), falling back to the largest
     # downward arc at maxima
@@ -299,7 +295,7 @@ def reference_contract(arcs, order, values):
         regular_start=np.array(regular_start, dtype=np.int64),
         arc_of=arc_of, up_start=up_start,
         down_arcs=np.array(sum(down_arcs, []), dtype=np.int64),
-        down_start=down_start, root=root, arc_child=arc_child,
+        down_start=down_start, root=root, parent_arc=parent_arc,
         preorder=preorder, tin=tin, tout=tout, depth=depth, values=values)
 
 
@@ -510,12 +506,17 @@ def reference_below_arc_sums(tree, per_vertex):
     for a, regs in enumerate(arc_regulars(tree)):
         if len(regs):
             reg_sums[a] = per_vertex[regs].sum(axis=0)
+    # each supernode is listed as a child at most once, so with the root
+    # never one the walk below meets no cycle and ends
+    assert tree.parent_arc[tree.root] == -1
     children = [[] for _ in range(k)]
-    for a in range(tree.superarc_count):
-        child = tree.arc_child[a]
-        lo, hi = tree.superarcs[a]
-        parent = lo if child == hi else hi
-        children[parent].append((child, a))
+    child = np.zeros(tree.superarc_count, dtype=np.int64)
+    for s in range(k):
+        a = tree.parent_arc[s]
+        if a >= 0:
+            child[a] = s
+            lo, hi = tree.superarcs[a]
+            children[lo if s == hi else hi].append((s, a))
     sub = np.zeros((k,) + per_vertex.shape[1:])
     stack = [(tree.root, False)]
     while stack:
@@ -532,7 +533,7 @@ def reference_below_arc_sums(tree, per_vertex):
     total = per_vertex.sum(axis=0)
     below = np.empty_like(reg_sums)
     for a, (lo, hi) in enumerate(tree.superarcs):
-        if tree.arc_child[a] == lo:
+        if child[a] == lo:
             below[a] = sub[lo]
         else:
             below[a] = total - sub[hi] - reg_sums[a]

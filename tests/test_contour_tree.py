@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tetcontour import contourtree
 from tetcontour.contourtree import (InconsistentTreesError, MonotoneLinks,
                                     build_contour_tree, build_join_tree,
                                     build_monotone_links, build_split_tree,
@@ -221,14 +222,19 @@ def test_preorder_is_root_first(rng):
         k = tree.supernode_count
         assert tree.preorder[0] == tree.root and tree.tout[tree.root] == k
         assert np.array_equal(tree.tin[tree.preorder], np.arange(k))
-        # the arc whose child is each supernode: none for the root
-        into = {int(c): a for a, c in enumerate(tree.arc_child.tolist())}
-        assert set(into) == set(range(k)) - {tree.root}
+        # the arc toward the root from each supernode: none at the root,
+        # and every superarc is one supernode's
+        assert tree.parent_arc.shape == (k,)
+        assert tree.parent_arc[tree.root] == -1
+        assert np.array_equal(np.sort(tree.parent_arc), np.arange(-1, k - 1))
         children = [[] for _ in range(k)]
-        for a, (lo, hi) in enumerate(tree.superarcs.tolist()):
-            child = int(tree.arc_child[a])
+        for child, a in enumerate(tree.parent_arc.tolist()):
+            if child == tree.root:
+                continue
+            lo, hi = tree.superarcs[a].tolist()
+            assert child in (lo, hi)
             parent = hi if child == lo else lo
-            children[parent].append((int(tree.tin[child]), a))
+            children[parent].append((int(tree.tin[child]), a, child))
             # a child's subtree is a run inside its parent's, a level down
             assert tree.tin[parent] < tree.tin[child]
             assert tree.tout[child] <= tree.tout[parent]
@@ -237,11 +243,10 @@ def test_preorder_is_root_first(rng):
             # in preorder, children follow in descending arc id, each
             # subtree's run right after the one before
             runs = sorted(children[s])
-            assert [a for _, a in runs] == sorted(
-                (a for _, a in runs), reverse=True)
-            ends = [tree.tin[s] + 1] + [tree.tout[tree.arc_child[a]]
-                                        for _, a in runs]
-            assert [t for t, _ in runs] == ends[:-1]
+            assert [a for _, a, _ in runs] == sorted(
+                (a for _, a, _ in runs), reverse=True)
+            ends = [tree.tin[s] + 1] + [tree.tout[c] for _, _, c in runs]
+            assert [t for t, _, _ in runs] == ends[:-1]
             assert ends[-1] == tree.tout[s]
 
 
@@ -292,18 +297,12 @@ def test_root_tree_matches_reference():
                 want = reference_root_tree(lo, hi, root, order)
                 for name, g, w in zip(_ROOTED, got, want):
                     assert _same(g, w), (k, root, name)
-            # in any child order: the same parents, edges and depths, and
-            # each subtree one run of the preorder
-            parent, edge, preorder, tin, tout, depth = root_tree(lo, hi,
-                                                                 root)
-            want = reference_root_tree(lo, hi, root, np.arange(k - 1))
-            for g, w in zip((parent, edge, tout - tin, depth),
-                            (want[0], want[1], want[4] - want[3], want[5])):
-                assert _same(g, w), (k, root)
-            assert np.array_equal(tin[preorder], np.arange(k))
-            child = preorder[1:]
-            assert np.all(tin[parent[child]] < tin[child])
-            assert np.all(tout[child] <= tout[parent[child]])
+                # each subtree one run of the preorder
+                parent, _, preorder, tin, tout, _ = got
+                assert np.array_equal(tin[preorder], np.arange(k))
+                child = preorder[1:]
+                assert np.all(tin[parent[child]] < tin[child])
+                assert np.all(tout[child] <= tout[parent[child]])
 
 
 def test_straddling_arcs_own_interval(rng):
@@ -559,6 +558,22 @@ def test_merge_trees_match_reference_arcs():
         # superarc ids ascend strictly by (lower, upper) supernode id
         key = tree.superarcs @ [tree.supernode_count, 1]
         assert np.all(key[1:] > key[:-1])
+
+
+def test_merge_trees_roots_the_tree_once(monkeypatch, rng):
+    # placement and the tree's rooted fields read one rooting
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return root_tree(*args)
+
+    monkeypatch.setattr(contourtree, "root_tree", counted)
+    for mesh in (two_peak_mesh(), random_grid_mesh(rng, dims=(8, 8, 8))):
+        join, split, order = _sweeps(mesh)
+        calls.clear()
+        merge_trees(join, split, order, mesh.values)
+        assert len(calls) == 1
 
 
 def _disjoint_tets():
