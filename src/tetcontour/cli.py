@@ -10,7 +10,6 @@ brute-force oracle suites live in the tests.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -167,13 +166,12 @@ def _write_tree_json(path, mesh, tree):
 
 
 def _write_weights_csv(path, tree, weights):
+    h_lo, h_hi = tree.values[tree.supernodes[tree.superarcs]].T.tolist()
+    rows = zip(range(tree.superarc_count), h_lo, h_hi,
+               weights.down_weight.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["superarc", "h_lo", "h_hi", "weight"])
-        for a in range(tree.superarc_count):
-            h_lo, h_hi = tree.arc_value_range(a)
-            writer.writerow([a, _fmt(h_lo), _fmt(h_hi),
-                             _fmt(weights.down_weight[a])])
+        fh.write("superarc,h_lo,h_hi,weight\n")
+        fh.writelines("%d,%r,%r,%r\n" % row for row in rows)
 
 
 def _write_branches_json(path, branches, extractions):

@@ -220,12 +220,12 @@ class ContourTree:
     up_start:      (k+1,) the arcs leaving supernode s upward are the ids
                    up_start[s] to up_start[s + 1]; those arriving from below
                    are down_arcs[down_start[s]:down_start[s + 1]], ascending.
-    root:          supernode id of the global maximum.
     parent_arc:    (k,) per supernode, the superarc toward the root, -1 at
                    the root.
-    preorder:      (k,) supernodes from the root, children by descending
-                   arc id; tin, tout, depth: (k,) per supernode its place
-                   there, tin + its subtree's size, and its depth.
+    preorder:      (k,) supernodes from the root, preorder[0], the global
+                   maximum, children by descending arc id; tin, tout,
+                   depth: (k,) per supernode its place there, tin + its
+                   subtree's size, and its depth.
     values:        (n,) the scalar field the tree was built from.
     """
 
@@ -238,7 +238,6 @@ class ContourTree:
     up_start: np.ndarray
     down_arcs: np.ndarray
     down_start: np.ndarray
-    root: int
     parent_arc: np.ndarray
     preorder: np.ndarray
     tin: np.ndarray
@@ -369,9 +368,9 @@ def merge_trees(join: np.ndarray, split: np.ndarray, order: VertexOrder,
                        superarcs=superarcs, regulars=regs,
                        regular_start=regular_start, arc_of=arc_of,
                        up_start=up_start, down_arcs=down_arcs,
-                       down_start=down_start, root=root,
-                       parent_arc=parent_arc, preorder=preorder, tin=tin,
-                       tout=tout, depth=depth, values=values)
+                       down_start=down_start, parent_arc=parent_arc,
+                       preorder=preorder, tin=tin, tout=tout, depth=depth,
+                       values=values)
 
 
 def _check_tree(parent: np.ndarray, rank: np.ndarray, name: str,

@@ -2,9 +2,10 @@
 
 Every supernode picks its heaviest upward and heaviest downward superarc;
 pairing those choices at interior supernodes chains superarcs into
-monotone branches. The branch spanning from a minimum leaf to a maximum
-leaf is the master; every other branch attaches to its parent at the
-saddle where its terminal arc lost the pairing.
+monotone branches, each built in one pass. A branch that lost the pairing
+at neither end spans from a minimum leaf to a maximum leaf, and the
+heaviest such is the master; every other branch attaches to its parent at
+the saddle where its terminal arc lost the pairing, at its top if both did.
 """
 from __future__ import annotations
 
@@ -57,6 +58,11 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
     branch ranks tie the same way, over runs of weights each within
     weights.tie of the next. So the decomposition is deterministic, and
     rounding does not break a tie of exact weights.
+
+    A branch attaches, with the up_weight of its bottom arc, at its lower
+    end when only that end lost the pairing, else at its upper end with
+    the down_weight of its top arc. One that lost at neither end is a
+    master candidate, keyed by the larger of the two; one always exists.
     """
     k = tree.supernode_count
     if tree.superarc_count == 0:
@@ -69,8 +75,15 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
 
     # an arc starts a branch unless its bottom supernode pairs it with a
     # downward choice; the branch climbs while its top supernode pairs the
-    # last arc with an upward choice
-    branches = []
+    # last arc with an upward choice.
+    #
+    # A candidate always exists. Let P be the supernodes with both up and
+    # down arcs: each pairs two arcs into one branch, so there are
+    # B = (k - 1) - P branches, and the k - P branch ends that lost no
+    # pairing are one per extremum (best_up and best_down pick one arc per
+    # supernode, ties or not). With x0, x1, x2 branches losing at 0, 1, 2
+    # ends, 2 x0 + x1 = k - P and x0 + x1 + x2 = B, so x0 = 1 + x2 >= 1.
+    branches, candidates = [], []
     for a, lo in enumerate(lows):
         if best_up[lo] == a and best_down[lo] >= 0:
             continue
@@ -79,40 +92,23 @@ def decompose(tree: ContourTree, weights: ArcWeights) -> list:
         while best_down[hi] == arcs[-1] and best_up[hi] >= 0:
             arcs.append(best_up[hi])
             hi = highs[arcs[-1]]
-        branches.append(Branch(superarcs=arcs, lower_supernode=lo,
-                               upper_supernode=hi, weight=0.0))
-
-    # provisional attachment and pruned-side weight for every branch: the
-    # branch attaches at the end where its terminal arc lost the pairing
-    # (at the top when it lost at both ends)
-    for b in branches:
-        bottom_arc, top_arc = b.superarcs[0], b.superarcs[-1]
-        low_rejected = best_up[b.lower_supernode] != bottom_arc
-        high_rejected = best_down[b.upper_supernode] != top_arc
-        if not low_rejected and not high_rejected:
-            # survived the pairing end to end: master candidate, weigh by
-            # the larger of its two one-sided measures
-            b.attachment_supernode = -1
-            b.weight = float(max(down[top_arc], up[bottom_arc]))
-        elif high_rejected:
-            b.attachment_supernode = b.upper_supernode
-            b.weight = float(down[top_arc])
+        top_kept = best_down[hi] == arcs[-1]
+        if top_kept and best_up[lo] != arcs[0]:
+            attachment, weight = lo, float(up[arcs[0]])
         else:
-            b.attachment_supernode = b.lower_supernode
-            b.weight = float(up[bottom_arc])
+            attachment, weight = hi, float(down[arcs[-1]])
+            if top_kept:
+                candidates.append(
+                    (len(branches), max(weight, float(up[arcs[0]]))))
+        branches.append(Branch(superarcs=arcs, lower_supernode=lo,
+                               upper_supernode=hi, weight=weight,
+                               attachment_supernode=attachment))
 
-    pool = ([i for i, b in enumerate(branches) if b.attachment_supernode < 0]
-            or range(len(branches)))
-    heaviest = max(branches[i].weight for i in pool)
-    master = max((i for i in pool if branches[i].weight >= heaviest - tie),
+    heaviest = max(key for _, key in candidates)
+    master = max((i for i, key in candidates if key >= heaviest - tie),
                  key=lambda i: max(branches[i].superarcs))
     branches[master].weight = weights.total
     branches[master].attachment_supernode = -1
-    # a non-master survivor still hangs somewhere: off its top saddle
-    for i, b in enumerate(branches):
-        if i != master and b.attachment_supernode < 0:
-            b.attachment_supernode = b.upper_supernode
-            b.weight = float(down[b.superarcs[-1]])
 
     # by descending weight, then descending last arc; a run of weights
     # each within tie of the next ranks by descending last arc alone

@@ -386,7 +386,10 @@ class _ExactPart:
             for lo in range(0, corners.shape[0], _CHUNK)])
         nodes = tour.node[corners[tets]]
         found = [(tets[:0], tets[:0], tets[:0])]
-        while tets.size:
+        # on a tree each round lowers every row's deepest node by one
+        for _ in range(tour.depth.max() + 1):
+            if not tets.size:
+                break
             depth = tour.depth[nodes]
             d0, d1, d2, d3 = depth.T
             deep = depth == np.maximum(np.maximum(d0, d1),
@@ -407,6 +410,9 @@ class _ExactPart:
             nodes = np.where(deep, tour.parent[nodes], nodes)
             split = _split(nodes)
             tets, nodes = tets[split], nodes[split]
+        if tets.size:
+            raise ValueError("the superarc tree has a cycle: corners of "
+                             f"{tets.size} tets climb without meeting")
         tets, node, inside = (np.concatenate(x) for x in zip(*found))
         arcs = node // 2
         child_lo = tour.child_lo[arcs]

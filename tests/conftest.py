@@ -10,6 +10,7 @@ import tetcontour.hypersweep
 import tetcontour.mesh
 from tetcontour.contourtree import (ContourTree, InconsistentTreesError,
                                     MonotoneLinks)
+from tetcontour.decomposition import Branch, _heaviest
 from tetcontour.geometry import horner, local_volume
 from tetcontour.isosurface import _ONE_TRI, _QUAD
 from tetcontour.mesh import (DataError, ParseError, StructuralError,
@@ -295,7 +296,7 @@ def reference_contract(arcs, order, values):
         regular_start=np.array(regular_start, dtype=np.int64),
         arc_of=arc_of, up_start=up_start,
         down_arcs=np.array(sum(down_arcs, []), dtype=np.int64),
-        down_start=down_start, root=root, parent_arc=parent_arc,
+        down_start=down_start, parent_arc=parent_arc,
         preorder=preorder, tin=tin, tout=tout, depth=depth, values=values)
 
 
@@ -508,7 +509,8 @@ def reference_below_arc_sums(tree, per_vertex):
             reg_sums[a] = per_vertex[regs].sum(axis=0)
     # each supernode is listed as a child at most once, so with the root
     # never one the walk below meets no cycle and ends
-    assert tree.parent_arc[tree.root] == -1
+    root = tree.preorder[0]
+    assert tree.parent_arc[root] == -1
     children = [[] for _ in range(k)]
     child = np.zeros(tree.superarc_count, dtype=np.int64)
     for s in range(k):
@@ -518,7 +520,7 @@ def reference_below_arc_sums(tree, per_vertex):
             lo, hi = tree.superarcs[a]
             children[lo if s == hi else hi].append((s, a))
     sub = np.zeros((k,) + per_vertex.shape[1:])
-    stack = [(tree.root, False)]
+    stack = [(root, False)]
     while stack:
         s, done = stack.pop()
         if done:
@@ -548,7 +550,7 @@ def reference_tour(tree):
     k = tree.superarc_count
     lo, hi = tree.superarcs.T
     parent, arc_in, preorder, _, _, _ = reference_root_tree(
-        lo, hi, tree.root, np.arange(k)[::-1])
+        lo, hi, tree.preorder[0], np.arange(k)[::-1])
     arc_order = arc_in[preorder[1:]].tolist()
     child = np.empty(k, dtype=np.int64)
     child[arc_order] = preorder[1:]
@@ -788,6 +790,93 @@ def reference_rank_order(branches, tie):
             run = []
         run.append(i)
     return order + sorted(run, key=last_arc)
+
+
+def reference_decompose(tree, weights):
+    """decomposition.decompose in two passes: every branch first gets a
+    provisional attachment and weight, then the master is picked from the
+    branches that lost the pairing at neither end (or, failing any, from
+    all branches) and every other such branch re-attached at its top."""
+    k = tree.supernode_count
+    if tree.superarc_count == 0:
+        raise ValueError("cannot decompose a tree with no superarcs")
+    tie = weights.tie
+    lows, highs = tree.superarcs.T.tolist()
+    down, up = weights.down_weight.tolist(), weights.up_weight.tolist()
+    best_up = _heaviest(tree.superarcs[:, 0], weights.up_weight, k, tie)
+    best_down = _heaviest(tree.superarcs[:, 1], weights.down_weight, k, tie)
+
+    # an arc starts a branch unless its bottom supernode pairs it with a
+    # downward choice; the branch climbs while its top supernode pairs the
+    # last arc with an upward choice
+    branches = []
+    for a, lo in enumerate(lows):
+        if best_up[lo] == a and best_down[lo] >= 0:
+            continue
+        arcs = [a]
+        hi = highs[a]
+        while best_down[hi] == arcs[-1] and best_up[hi] >= 0:
+            arcs.append(best_up[hi])
+            hi = highs[arcs[-1]]
+        branches.append(Branch(superarcs=arcs, lower_supernode=lo,
+                               upper_supernode=hi, weight=0.0))
+
+    # provisional attachment and pruned-side weight for every branch: the
+    # branch attaches at the end where its terminal arc lost the pairing
+    # (at the top when it lost at both ends)
+    for b in branches:
+        bottom_arc, top_arc = b.superarcs[0], b.superarcs[-1]
+        low_rejected = best_up[b.lower_supernode] != bottom_arc
+        high_rejected = best_down[b.upper_supernode] != top_arc
+        if not low_rejected and not high_rejected:
+            # survived the pairing end to end: master candidate, weigh by
+            # the larger of its two one-sided measures
+            b.attachment_supernode = -1
+            b.weight = float(max(down[top_arc], up[bottom_arc]))
+        elif high_rejected:
+            b.attachment_supernode = b.upper_supernode
+            b.weight = float(down[top_arc])
+        else:
+            b.attachment_supernode = b.lower_supernode
+            b.weight = float(up[bottom_arc])
+
+    pool = ([i for i, b in enumerate(branches) if b.attachment_supernode < 0]
+            or range(len(branches)))
+    heaviest = max(branches[i].weight for i in pool)
+    master = max((i for i in pool if branches[i].weight >= heaviest - tie),
+                 key=lambda i: max(branches[i].superarcs))
+    branches[master].weight = weights.total
+    branches[master].attachment_supernode = -1
+    # a non-master survivor still hangs somewhere: off its top saddle
+    for i, b in enumerate(branches):
+        if i != master and b.attachment_supernode < 0:
+            b.attachment_supernode = b.upper_supernode
+            b.weight = float(down[b.superarcs[-1]])
+
+    # by descending weight, then descending last arc; a run of weights
+    # each within tie of the next ranks by descending last arc alone
+    rest = np.array([i for i in range(len(branches)) if i != master],
+                    dtype=np.int64)
+    weight = np.array([branches[i].weight for i in rest])
+    last = np.array([max(branches[i].superarcs) for i in rest],
+                    dtype=np.int64)
+    rest, weight, last = (x[np.lexsort((-last, -weight))]
+                          for x in (rest, weight, last))
+    run = np.cumsum(-np.diff(weight, prepend=weight[:1]) > tie)
+    order = [master] + rest[np.lexsort((-last, run))].tolist()
+    ranked = [branches[i] for i in order]
+    for rank, b in enumerate(ranked):
+        b.rank = rank
+
+    # parent: the branch owning the arc chosen at the attachment saddle
+    owner = {a: b.rank for b in ranked for a in b.superarcs}
+    for b in ranked:
+        s = b.attachment_supernode
+        if s >= 0:
+            pair = (best_up[s], best_down[s])
+            first, other = pair if s == b.upper_supernode else pair[::-1]
+            b.parent = owner[first if first >= 0 else other]
+    return ranked
 
 
 def _data_lines(path):

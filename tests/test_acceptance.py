@@ -114,7 +114,7 @@ def test_criterion_04_conservation_on_random_grids():
         mesh = grid_to_tets((8, 8, 8), vals)
         order, tree = _full_tree(mesh)
         volumes = sweep_volumes(tree, compute_deltas(mesh, order))
-        root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
+        root_arc = int(tree.arc_of[tree.supernodes[tree.preorder[0]]])
         total = mesh.volume
         worst = max(worst, abs(volumes.weight_top[root_arc] - total) / total)
     _report(4, "conservation at the global maximum",
@@ -262,7 +262,7 @@ def test_criterion_10_desk_scale_performance():
     elapsed = time.perf_counter() - start
 
     # a swept volume: the arc below the global maximum holds the mesh
-    root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
+    root_arc = int(tree.arc_of[tree.supernodes[tree.preorder[0]]])
     sane = (tree.superarc_count >= 2 and len(branches) >= 2
             and abs(volumes.weight_top[root_arc] - mesh.volume)
             <= 1e-9 * mesh.volume)

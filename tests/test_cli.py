@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -97,6 +98,36 @@ def test_run_grid_artifacts(tmp_path, grid_input, capsys):
     assert "\nexact-set tets " in summary and f" of {8 ** 3 * 6}\n" in summary
     error = float(summary.split("certified volume error ")[1].split("*T")[0])
     assert 0.0 < error <= 1e-9
+
+
+def _reference_weights_csv(path, tree, weights):
+    """weights.csv through csv.writer, a row per superarc: the writer the
+    one % template replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["superarc", "h_lo", "h_hi", "weight"])
+        for a in range(tree.superarc_count):
+            h_lo, h_hi = tree.arc_value_range(a)
+            writer.writerow([a, cli._fmt(h_lo), cli._fmt(h_hi),
+                             cli._fmt(weights.down_weight[a])])
+
+
+def test_weights_csv_matches_csv_writer(tmp_path):
+    # signed zero, the smallest subnormal, values near overflow and whole
+    # vertex counts, at the supernodes and as weights
+    mesh = grid_to_tets((4, 4, 4), np.random.default_rng(1).normal(size=64))
+    tree = build_contour_tree(mesh, build_vertex_order(mesh))
+    edge = [-0.0, 5e-324, 1e308, -1e308, 0.1, -5e-324, 3.0]
+    values = tree.values.copy()
+    values[tree.supernodes] = np.resize(edge, tree.supernode_count)
+    tree = dataclasses.replace(tree, values=values)
+    for weight in (edge, [1.0, 2.0, 17.0, 32768.0, 64.0]):
+        down = np.resize(weight, tree.superarc_count)
+        weights = ArcWeights(down, down[::-1].copy(), 64.0)
+        cli._write_weights_csv(tmp_path / "got.csv", tree, weights)
+        _reference_weights_csv(tmp_path / "want.csv", tree, weights)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
 
 def test_run_golden_structure(tmp_path):

@@ -122,7 +122,7 @@ def test_tree_structure_invariants(rng):
                 assert rlo < rr[0] and rr[-1] < rhi
         counts[tree.supernodes] += 1
         assert np.all(counts == 1)
-        assert tree.supernodes[tree.root] == order.sort_index[-1]
+        assert tree.supernodes[tree.preorder[0]] == order.sort_index[-1]
 
 
 def test_leaf_count_matches_local_extrema(rng):
@@ -220,16 +220,17 @@ def test_preorder_is_root_first(rng):
                  two_peak_mesh()):
         tree, _ = _tree(mesh)
         k = tree.supernode_count
-        assert tree.preorder[0] == tree.root and tree.tout[tree.root] == k
+        root = tree.preorder[0]
+        assert tree.tout[root] == k
         assert np.array_equal(tree.tin[tree.preorder], np.arange(k))
         # the arc toward the root from each supernode: none at the root,
         # and every superarc is one supernode's
         assert tree.parent_arc.shape == (k,)
-        assert tree.parent_arc[tree.root] == -1
+        assert tree.parent_arc[root] == -1
         assert np.array_equal(np.sort(tree.parent_arc), np.arange(-1, k - 1))
         children = [[] for _ in range(k)]
         for child, a in enumerate(tree.parent_arc.tolist()):
-            if child == tree.root:
+            if child == root:
                 continue
             lo, hi = tree.superarcs[a].tolist()
             assert child in (lo, hi)

@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tetcontour.contourtree import build_contour_tree
 from tetcontour.decomposition import _heaviest, decompose
-from tetcontour.hypersweep import (compute_deltas, count_weights,
-                                   sweep_volumes, volume_weights)
-from tetcontour.mesh import build_vertex_order, grid_to_tets
+from tetcontour.hypersweep import (ArcWeights, compute_deltas,
+                                   count_weights, sweep_volumes,
+                                   volume_weights)
+from tetcontour.mesh import TetMesh, build_vertex_order, grid_to_tets
 
 from conftest import (gaussian_grid_mesh, random_grid_mesh,
-                      reference_rank_order, two_peak_mesh)
+                      reference_decompose, reference_rank_order,
+                      two_peak_mesh)
 
 
 def _both_weightings(mesh):
@@ -155,3 +159,37 @@ def test_ranks_match_per_run_reference():
             branches = decompose(tree, weights)
             assert reference_rank_order(branches, weights.tie) == list(
                 range(len(branches)))
+
+
+def test_decompose_matches_two_pass_reference():
+    # normal and tied integer grids of every small size, tied 8^3 fields,
+    # a noisy grid with thousands of branches, an irregular Delaunay mesh
+    # and two strips whose peaks the two weightings rank oppositely
+    spatial = pytest.importorskip("scipy.spatial")
+    meshes = []
+    for n in range(3, 9):
+        rng = np.random.default_rng(n)
+        meshes += [grid_to_tets((n, n, n), field) for field in (
+            rng.normal(size=n ** 3), rng.integers(0, 3, n ** 3) * 1.0,
+            rng.integers(0, 5, n ** 3) * 1.0)]
+    meshes += [grid_to_tets((8, 8, 8), np.random.default_rng(seed).integers(
+        0, k, size=512).astype(float)) for k in (3, 5, 50)
+        for seed in range(6)]
+    meshes.append(grid_to_tets((32, 32, 32),
+                               np.random.default_rng(1).normal(size=32 ** 3)))
+    points = np.random.default_rng(2).random((20000, 3))
+    meshes.append(TetMesh.create(points, np.random.default_rng(3).normal(
+        size=20000), spatial.Delaunay(points).simplices))
+    meshes.append(two_peak_mesh())
+    rng = np.random.default_rng(0)
+    for mesh in meshes:
+        tree, weightings = _both_weightings(mesh)
+        # every master candidate spans a minimum to a maximum, so its two
+        # one-sided measures both nearly equal the total; arbitrary small
+        # integers, many exactly tied, order the candidates' keys apart
+        arbitrary = ArcWeights(*rng.integers(0, 8, (2, tree.superarc_count))
+                               * 1.0, 8.0)
+        for weights in weightings + (arbitrary,):
+            assert list(map(dataclasses.asdict, decompose(tree, weights))) \
+                == list(map(dataclasses.asdict,
+                            reference_decompose(tree, weights)))

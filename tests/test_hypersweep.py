@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,7 +320,7 @@ def test_root_arc_sweeps_everything(rng):
     mesh = random_grid_mesh(rng, dims=(5, 5, 5))
     order, tree, deltas = _pipeline(mesh)
     volumes = sweep_volumes(tree, deltas)
-    root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
+    root_arc = int(tree.arc_of[tree.supernodes[tree.preorder[0]]])
     assert volumes.weight_top[root_arc] == pytest.approx(
         mesh.volume, rel=1e-9)
 
@@ -332,7 +336,7 @@ def test_count_weights_mirror_volume_weights_structure(rng):
     assert np.all(cw.down_weight >= 1)
     assert np.all(cw.up_weight >= 1)
     assert np.all(cw.down_weight <= n)
-    root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
+    root_arc = int(tree.arc_of[tree.supernodes[tree.preorder[0]]])
     # the arc below the global maximum counts everything except the max
     assert cw.down_weight[root_arc] == n - 1
     assert vw.down_weight[root_arc] <= vw.total * (1 + 1e-12)
@@ -451,6 +455,37 @@ def test_arc_ends_match_reference(rng):
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
         crossed += np.count_nonzero(got[0]) + np.count_nonzero(got[1])
     assert crossed > 0
+
+
+def test_cyclic_superarc_tree_is_refused():
+    # the root's parent arc set to arc 0: on this grid the cut tree then
+    # has a cycle whichever of the two supernodes whose parent arc is 0
+    # argsort puts first. arc_ends' climb once ran there without end, its
+    # memory growing, so the sweep runs in a process of its own under a
+    # timeout
+    script = (
+        "import dataclasses\n"
+        "import numpy as np\n"
+        "from tetcontour.contourtree import build_contour_tree\n"
+        "from tetcontour.hypersweep import compute_deltas, sweep_volumes\n"
+        "from tetcontour.mesh import build_vertex_order, grid_to_tets\n"
+        "z, y, x = np.meshgrid(*[np.linspace(0, 1, 3)] * 3, indexing='ij')\n"
+        "mesh = grid_to_tets((3, 3, 3), sum(np.exp(-20 * (\n"
+        "    (x - c) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2))\n"
+        "    for c in (0.3, 0.7)).ravel())\n"
+        "order = build_vertex_order(mesh)\n"
+        "tree = build_contour_tree(mesh, order)\n"
+        "bad = tree.parent_arc.copy()\n"
+        "bad[tree.preorder[0]] = 0\n"
+        "sweep_volumes(dataclasses.replace(tree, parent_arc=bad),\n"
+        "              compute_deltas(mesh, order))\n")
+    path = [str(Path(hs.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=30, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert done.returncode == 1
+    assert "ValueError: the superarc tree has a cycle" in done.stderr
 
 
 def _assert_arc_ends_match_oracle(mesh, bound):

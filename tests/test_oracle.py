@@ -68,8 +68,8 @@ def test_region_volume_whole_tree_is_total(rng):
     order = build_vertex_order(mesh)
     tree = build_contour_tree(mesh, order)
     # cutting the root arc just under the global maximum captures all
-    root_arc = int(tree.arc_of[tree.supernodes[tree.root]])
-    h = tree.supernode_value(tree.root) - 1e-9
+    root_arc = int(tree.arc_of[tree.supernodes[tree.preorder[0]]])
+    h = tree.supernode_value(tree.preorder[0]) - 1e-9
     got = region_volume(mesh, tree, root_arc, h)
     assert got == pytest.approx(mesh.volume, rel=1e-6)
 
